@@ -30,6 +30,11 @@ IDENTICAL_TOL = 1e-12
 MAX_TENSOR_DIM = 4096
 
 _HALF_PI = math.pi / 2.0
+# Half-arcs computed from eigenphases in (-pi, pi] lie on a grid of half an
+# ulp of 2*pi, so the eigenphase path resolves nothing finer.  The qubit
+# closed form reads half-arcs below this as 0, so that the rounding noise of
+# U1^dag U2 (about 1e-16 for U1 = U2) never reads as a distance.
+_ARC_RESOLUTION = math.ulp(2.0 * math.pi) / 2.0
 
 
 class Gate:
@@ -217,14 +222,55 @@ def convex_min_overlap(phases: Sequence[float]) -> float:
     return float(min(1.0, amp * amp))
 
 
+def _su2_half_arc(rel):
+    """Gate distance carried by relative gates R = U1^dag U2 in SU(2).
+
+    Takes one 2x2 matrix (returns a float) or a stack of shape (..., 2, 2)
+    (returns an array).  R = [[alpha, beta], [-conj(beta), conj(alpha)]] has
+    eigenphases +/-a with cos a = Re alpha and sin a = |(Im alpha, beta)|,
+    so its covering half-arc min(a, pi - a) <= pi/2 is
+    atan2(sqrt((Im alpha)^2 + |beta|^2), |Re alpha|).  alpha and beta are
+    read symmetrically from both rows; half-arcs below _ARC_RESOLUTION are
+    rounding noise and read as 0.  Unitarity of R is the caller's check.
+    """
+    rel = np.asarray(rel)
+    alpha = (rel[..., 0, 0] + rel[..., 1, 1].conj()) / 2.0
+    beta = (rel[..., 0, 1] - rel[..., 1, 0].conj()) / 2.0
+    delta = np.arctan2(np.hypot(alpha.imag, np.abs(beta)), np.abs(alpha.real))
+    delta = np.where(delta < _ARC_RESOLUTION, 0.0, delta)
+    return float(delta) if delta.ndim == 0 else delta
+
+
+def _su2_pair_half_arc(m1: np.ndarray, m2: np.ndarray):
+    """`_su2_half_arc` of U1^dag U2 for qubit matrices of shape (..., 2, 2).
+
+    The products are formed in one pass and checked for unitarity at
+    DEFAULT_TOL together.  A single pair and a stack of pairs go through the
+    same contraction, so they give the same bits.
+    """
+    rel = np.einsum("...ji,...jk->...ik", m1.conj(), m2)
+    if not numkit.validate_unitary(rel, DEFAULT_TOL):
+        raise ValidationError("relative gate is not unitary within tolerance")
+    return _su2_half_arc(rel)
+
+
 def gate_distance(u1: Gate, u2: Gate) -> float:
     """Statistical angle between gates: min(arc half-width, pi/2).
 
     The arc is the minimal one covering the eigenphases of U1^dag U2.  The
-    cap at pi/2 marks perfect distinguishability; for qubits this equals
-    arccos(|tr(U1^dag U2)|/2).
+    cap at pi/2 marks perfect distinguishability.
+
+    For qubits the distance has a closed form without eigenphases: with
+    U1^dag U2 = [[alpha, beta], [-conj(beta), conj(alpha)]] it is
+    atan2(sqrt((Im alpha)^2 + |beta|^2), |Re alpha|), which equals
+    arccos(|tr(U1^dag U2)|/2).  The atan2 form is used because arccos loses
+    all precision near the identity: at distance 1e-9, |tr|/2 rounds to 1
+    and arccos returns 0, while atan2 keeps full relative accuracy.  Other
+    dimensions diagonalize U1^dag U2 and take its minimal covering arc.
     """
     _check_pair(u1, u2)
+    if u1.dim == 2:
+        return _su2_pair_half_arc(u1.matrix, u2.matrix)
     rel = relative_gate(u1, u2)
     delta = minimal_covering_arc(rel.spectral.phases).delta
     return min(delta, _HALF_PI)
@@ -244,7 +290,10 @@ def min_copies(u1: Gate, u2: Gate) -> int:
     The ceiling is taken with a 1e-12 slack so that exact integer ratios
     (e.g. distance pi/4 -> 2 copies) do not round up spuriously.
     """
-    d = gate_distance(u1, u2)
+    return _copies_for_distance(gate_distance(u1, u2))
+
+
+def _copies_for_distance(d: float) -> int:
     if d <= IDENTICAL_TOL:
         raise IdenticalGatesError(
             "gates coincide up to global phase; no copy count discriminates them"
@@ -432,14 +481,14 @@ def _verify_overlap_weights(m: np.ndarray, probe: ProbeState, direct: float):
         )
 
 
-def _su2_folded_eigenbasis(u1: Gate, u2: Gate) -> tuple[float, np.ndarray, np.ndarray]:
-    """Half-arc delta and eigenvectors (w_plus, w_minus) of the relative qubit gate.
+def _su2_folded_eigenbasis(rel: Gate) -> tuple[float, np.ndarray, np.ndarray]:
+    """Half-arc delta and eigenvectors (w_plus, w_minus) of a relative qubit gate.
 
     The raw eigenphases are +/-a with a in [0, pi]; when a > pi/2 the gate
     is a global phase away from one with phases +/-(pi - a), so the roles of
     the two eigenvectors swap and delta = min(a, pi - a) <= pi/2 throughout.
     """
-    eig = relative_gate(u1, u2).spectral
+    eig = rel.spectral
     a = float(eig.phases[1])
     v_minus, v_plus = eig.vectors[:, 0], eig.vectors[:, 1]
     if a <= _HALF_PI:
@@ -507,8 +556,9 @@ def optimal_probe_ncopies(u1: Gate, u2: Gate) -> ProbeState:
     stored that way; a blank |0...0> ancilla tags along.
     """
     _check_pair(u1, u2, dim=2)
-    n = min_copies(u1, u2)
-    delta, w_plus, w_minus = _su2_folded_eigenbasis(u1, u2)
+    rel = relative_gate(u1, u2)
+    n = _copies_for_distance(_su2_half_arc(rel.matrix))
+    delta, w_plus, w_minus = _su2_folded_eigenbasis(rel)
     parity = n % 2
     if n == 1:
         q = 0.0
@@ -541,7 +591,7 @@ def optimal_probe_ncopies(u1: Gate, u2: Gate) -> ProbeState:
     probe = ProbeState(
         copies=n, dim=2, separable=True, ancilla_dim=2**n, terms=tuple(terms)
     )
-    amp = _pair_amplitude(probe.terms, probe.terms, n, relative_gate(u1, u2).matrix)
+    amp = _pair_amplitude(probe.terms, probe.terms, n, rel.matrix)
     if abs(amp) > 1e-8:
         raise RuntimeError(
             f"internal: N-copy probe leaves residual overlap {abs(amp):.3e}"

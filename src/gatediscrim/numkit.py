@@ -26,10 +26,16 @@ def _as_square(m) -> np.ndarray:
 
 
 def validate_unitary(m, tol: float = DEFAULT_TOL) -> bool:
-    """True when ||M^dag M - 1||_max <= tol. Raises only on non-square input."""
-    m = _as_square(m)
-    d = m.shape[0]
-    return bool(np.abs(m.conj().T @ m - np.eye(d)).max() <= tol)
+    """True when ||M^dag M - 1||_max <= tol. Raises only on non-square input.
+
+    A stack of shape (..., d, d) is checked in one pass: True when every
+    matrix in it passes.
+    """
+    m = np.asarray(m, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
+    d = m.shape[-1]
+    return bool(np.abs(np.swapaxes(m.conj(), -1, -2) @ m - np.eye(d)).max() <= tol)
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,7 +8,7 @@ identified in k-1 rounds with certainty.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,17 +18,23 @@ from .gates import (
     ProbeState,
     _apply_gate_axes,
     _freeze,
-    gate_distance,
-    min_copies,
+    _su2_pair_half_arc,
     optimal_probe_ncopies,
 )
 
 
 @dataclass(frozen=True, eq=False)
 class HypothesisSet:
-    """Candidate qubit gates, pairwise distinguishable beyond tolerance."""
+    """Candidate qubit gates, pairwise distinguishable beyond tolerance.
+
+    `distances` is the read-only k x k table of pairwise `gate_distance`
+    values, symmetric with a zero diagonal.  It is computed once, on
+    construction, and planning and simulation read it instead of
+    recomputing distances.
+    """
 
     gates: tuple[Gate, ...]
+    distances: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
@@ -41,12 +47,19 @@ class HypothesisSet:
                 raise DimensionError("the elimination protocol handles qubit gates only")
             if not g.special:
                 raise ValidationError("hypotheses must be special-unitary")
-        for i in range(len(self.gates)):
-            for j in range(i + 1, len(self.gates)):
-                if gate_distance(self.gates[i], self.gates[j]) <= 1e-12:
-                    raise ValidationError(
-                        f"hypotheses {i} and {j} coincide up to global phase"
-                    )
+        k = len(self.gates)
+        mats = np.stack([g.matrix for g in self.gates])
+        rows, cols = np.triu_indices(k, 1)
+        table = np.zeros((k, k))
+        table[rows, cols] = _su2_pair_half_arc(mats[rows], mats[cols])
+        table[cols, rows] = table[rows, cols]
+        table.setflags(write=False)
+        object.__setattr__(self, "distances", table)
+        for i, j in zip(rows.tolist(), cols.tolist()):
+            if table[i, j] <= 1e-12:
+                raise ValidationError(
+                    f"hypotheses {i} and {j} coincide up to global phase"
+                )
 
     def __len__(self) -> int:
         return len(self.gates)
@@ -155,18 +168,17 @@ def _most_distant_pair(h: HypothesisSet, surviving: list[int]) -> tuple[int, int
     for ai in range(len(surviving)):
         for bi in range(ai + 1, len(surviving)):
             i, j = surviving[ai], surviving[bi]
-            d = gate_distance(h.gates[i], h.gates[j])
+            d = h.distances[i, j]
             if d > best_d:
                 best, best_d = (i, j), d
     return best
 
 
 def _build_test(h: HypothesisSet, i: int, j: int) -> EliminationTest:
-    gi, gj = h.gates[i], h.gates[j]
-    n = min_copies(gi, gj)
-    probe = optimal_probe_ncopies(gi, gj)
+    gi = h.gates[i]
+    probe = optimal_probe_ncopies(gi, h.gates[j])
     return EliminationTest(
-        pair=(i, j), copies=n, probe=probe, target=_apply_copies(gi, probe)
+        pair=(i, j), copies=probe.copies, probe=probe, target=_apply_copies(gi, probe)
     )
 
 

@@ -170,6 +170,43 @@ def test_distance_equals_arccos_trace_on_qubits():
         assert abs(gate_distance(u1, u2) - expect) <= 1e-10
 
 
+def eigenphase_distance(u1: Gate, u2: Gate) -> float:
+    """Reference: the minimal arc covering the eigenphases of U1^dag U2."""
+    return minimal_covering_arc(relative_gate(u1, u2).spectral.phases).delta
+
+
+def pair_at_distance(delta: float, rng) -> tuple[Gate, Gate]:
+    """U1 Haar SU(2) and U2 = U1 W diag(e^{i delta}, e^{-i delta}) W^dag, W Haar U(2)."""
+    u1 = haar_unitary(2, rng, special=True)
+    w = haar_unitary(2, rng)
+    rel = (w * np.exp([1j * delta, -1j * delta])) @ w.conj().T
+    return Gate(u1), Gate(u1 @ rel)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_qubit_closed_form_matches_eigenphase_arc(seed):
+    u1, u2 = su2_pair(np.random.default_rng(seed))
+    assert abs(gate_distance(u1, u2) - eigenphase_distance(u1, u2)) <= 1e-12
+
+
+@pytest.mark.parametrize("delta", [1e-9, 1e-6])
+def test_qubit_closed_form_near_identity(delta):
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        u1, u2 = pair_at_distance(delta, rng)
+        d = gate_distance(u1, u2)
+        assert abs(d - delta) <= 1e-6 * delta
+        assert abs(d - eigenphase_distance(u1, u2)) <= 1e-6 * delta
+
+
+def test_qubit_closed_form_at_perfect_distinguishability():
+    one, isx = Gate.identity(2), Gate(1j * SX)
+    assert gate_distance(one, isx) == math.pi / 2
+    assert gate_distance(isx, one) == math.pi / 2
+    assert min_copies(one, isx) == 1
+
+
 def test_su2_and_sud_fidelities_agree():
     rng = np.random.default_rng(6)
     for _ in range(100):

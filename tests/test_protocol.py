@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import gatediscrim.gates
+import gatediscrim.protocol
 from gatediscrim import (
     Gate,
     HypothesisSet,
@@ -16,9 +18,13 @@ from gatediscrim import (
 from helpers import haar_unitary
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SY = np.array([[0.0, -1j], [1j, 0.0]])
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
 PAULI_SET = HypothesisSet(gates=(Gate.identity(2), Gate(1j * SX), Gate(1j * SZ)))
+FOUR_PAULI_SET = HypothesisSet(
+    gates=(Gate.identity(2), Gate(1j * SX), Gate(1j * SY), Gate(1j * SZ))
+)
 
 
 def random_set(k: int, rng) -> HypothesisSet:
@@ -180,3 +186,77 @@ def test_close_pair_uses_many_copies():
     sim = simulate_elimination(plan_elimination(h), h, true_index=1, seed=3)
     assert sim.identified_index == 1
     assert sim.total_runs == n
+
+
+def test_distance_table():
+    h = random_set(8, np.random.default_rng(7))
+    d = h.distances
+    assert d.shape == (8, 8)
+    assert np.array_equal(d, d.T)
+    assert np.all(np.diag(d) == 0.0)
+    with pytest.raises(ValueError):
+        d[0, 1] = 0.0
+    for i in range(8):
+        for j in range(8):
+            assert d[i, j] == gate_distance(h.gates[i], h.gates[j])
+
+
+def test_planning_and_simulation_read_the_table(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("distance recomputed outside the table")
+
+    for module in (gatediscrim.gates, gatediscrim.protocol):
+        for name in ("gate_distance", "min_copies"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, boom)
+    rng = np.random.default_rng(8)
+    h = random_set(8, rng)
+    plan = plan_elimination(h)
+    planned = {t.pair for t in plan.tests}
+    replanned = 0
+    for true_index in range(8):
+        for seed in range(3):
+            sim = simulate_elimination(plan, h, true_index=true_index, seed=seed)
+            assert sim.identified_index == true_index
+            replanned += sum(r.pair not in planned for r in sim.trace)
+    stranger = Gate(haar_unitary(2, rng, special=True))
+    sim = simulate_elimination(plan, h, true_gate=stranger, seed=0)
+    assert len(sim.trace) == 7
+    assert replanned > 0
+
+
+@pytest.mark.parametrize(
+    "h, plan_pairs, traces",
+    [
+        (
+            PAULI_SET,
+            [(0, 1), (0, 2)],
+            {
+                0: [((0, 1), True, 1), ((0, 2), True, 2)],
+                1: [((0, 1), False, 0), ((1, 2), True, 2)],
+                2: [((0, 1), True, 1), ((0, 2), False, 0)],
+            },
+        ),
+        (
+            FOUR_PAULI_SET,
+            [(0, 1), (0, 2), (0, 3)],
+            {
+                0: [((0, 1), True, 1), ((0, 2), True, 2), ((0, 3), True, 3)],
+                1: [((0, 1), False, 0), ((1, 2), True, 2), ((1, 3), True, 3)],
+                2: [((0, 1), False, 0), ((1, 2), False, 1), ((2, 3), True, 3)],
+                3: [((0, 1), True, 1), ((0, 2), True, 2), ((0, 3), False, 0)],
+            },
+        ),
+    ],
+)
+def test_tied_sets_follow_greedy_scan_order(h, plan_pairs, traces):
+    # every distance is pi/2: the first pair in scan order wins each round
+    assert np.all(h.distances[~np.eye(len(h), dtype=bool)] == math.pi / 2)
+    plan = plan_elimination(h)
+    assert [t.pair for t in plan.tests] == plan_pairs
+    assert all(t.copies == 1 for t in plan.tests)
+    for true_index, expect in traces.items():
+        for seed in range(5):
+            sim = simulate_elimination(plan, h, true_index=true_index, seed=seed)
+            got = [(r.pair, r.outcome_target, r.discarded) for r in sim.trace]
+            assert got == expect
