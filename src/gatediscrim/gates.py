@@ -309,70 +309,127 @@ def _copies_for_distance(d: float) -> int:
 # Probe states
 
 
-def _basis_vec(dim: int, k: int) -> np.ndarray:
-    v = np.zeros(dim, dtype=complex)
-    v[k] = 1.0
-    v.setflags(write=False)
-    return v
-
-
-def _freeze(arr: np.ndarray) -> np.ndarray:
+def _freeze(arr) -> np.ndarray:
     out = np.asarray(arr, dtype=complex).copy()
     out.setflags(write=False)
     return out
 
 
-@dataclass(frozen=True, eq=False)
+def _terms_to_arrays(terms, copies: int, dim: int):
+    """(coeffs, system, ancilla) arrays of a tuple of (coeff, factors) terms.
+
+    The first `copies` factors of a term are its system factors; the rest
+    are its ancilla factors, which must have one length and one count
+    across all terms.  ancilla is None when no term has ancilla factors.
+    """
+    coeffs = [complex(c) for c, _ in terms]
+    factors = [[np.asarray(f, dtype=complex) for f in fs] for _, fs in terms]
+    for fs in factors:
+        if len(fs) < copies:
+            raise DimensionError("term has fewer factors than copies")
+        if any(f.shape != (dim,) for f in fs[:copies]):
+            raise DimensionError("system factor has wrong dimension")
+    anc_shapes = {tuple(f.shape for f in fs[copies:]) for fs in factors}
+    if len(anc_shapes) > 1 or any(len(set(s)) > 1 for s in anc_shapes):
+        raise DimensionError("probe factor structures differ")
+    # the reshape keeps the (T, copies, dim) shape for an empty tuple of terms
+    system = np.array([fs[:copies] for fs in factors]).reshape(len(terms), copies, dim)
+    if anc_shapes <= {()}:
+        return coeffs, system, None
+    return coeffs, system, np.array([fs[copies:] for fs in factors])
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class ProbeState:
     """Pure input state fed (in N copies) through an unknown gate.
 
-    Two storage modes, one of which must be present:
+    Two storage modes, exactly one of which is present:
 
+    * product terms -- ``sum_t coeffs[t] system[t, 0] (x) ... (x)
+      system[t, copies-1] (x) ancilla[t, 0] (x) ... (x) ancilla[t, m-1]``
+      with ``coeffs`` of shape (T,), ``system`` of shape (T, copies, dim)
+      and ``ancilla`` of shape (T, m, a) with a**m == ancilla_dim, or None
+      when there is no ancilla.  This form scales to copy counts whose
+      dense dimension is unrepresentable.  A ``terms`` tuple of
+      ``(coeff, factors)`` pairs, whose first `copies` factors are
+      single-copy vectors of length `dim` and whose remaining factors make
+      up the ancilla, is accepted instead and converted to these arrays.
     * ``vector`` -- a dense normalized vector on (C^dim)^(x)copies tensored
-      with a C^ancilla_dim ancilla;
-    * ``terms`` -- a sum of product terms ``(coeff, factors)`` where the
-      first `copies` factors are single-copy vectors of length `dim` and any
-      remaining factors make up the ancilla.  This form scales to copy
-      counts whose dense dimension is unrepresentable.
+      with a C^ancilla_dim ancilla.
+
+    Every stored array is a read-only copy of its input.
     """
 
     copies: int
     dim: int
     separable: bool
-    ancilla_dim: int = 1
-    terms: tuple[tuple[complex, tuple[np.ndarray, ...]], ...] | None = None
-    vector: np.ndarray | None = None
+    ancilla_dim: int
+    coeffs: np.ndarray | None
+    system: np.ndarray | None
+    ancilla: np.ndarray | None
+    vector: np.ndarray | None
 
-    def __post_init__(self):
-        if self.copies < 1:
-            raise ValidationError(f"copies must be >= 1, got {self.copies}")
-        if self.dim < 2:
-            raise ValidationError(f"single-copy dimension must be >= 2, got {self.dim}")
-        if (self.terms is None) == (self.vector is None):
+    def __init__(
+        self,
+        copies: int,
+        dim: int,
+        separable: bool,
+        ancilla_dim: int = 1,
+        terms: Sequence[tuple[complex, Sequence[np.ndarray]]] | None = None,
+        vector: np.ndarray | None = None,
+        *,
+        coeffs: np.ndarray | None = None,
+        system: np.ndarray | None = None,
+        ancilla: np.ndarray | None = None,
+    ):
+        if copies < 1:
+            raise ValidationError(f"copies must be >= 1, got {copies}")
+        if dim < 2:
+            raise ValidationError(f"single-copy dimension must be >= 2, got {dim}")
+        arrays_given = coeffs is not None or system is not None or ancilla is not None
+        if terms is not None and arrays_given:
+            raise ValidationError("give terms or coeffs/system/ancilla arrays, not both")
+        if arrays_given and (coeffs is None or system is None):
+            raise ValidationError("coeffs and system arrays must be given together")
+        if (terms is None and not arrays_given) == (vector is None):
             raise ValidationError("exactly one of terms/vector must be provided")
-        if self.terms is not None:
-            for coeff, factors in self.terms:
-                if len(factors) < self.copies:
-                    raise DimensionError("term has fewer factors than copies")
-                anc = 1
-                for j, f in enumerate(factors):
-                    if j < self.copies and f.shape != (self.dim,):
-                        raise DimensionError("system factor has wrong dimension")
-                    if j >= self.copies:
-                        anc *= f.shape[0]
-                if anc != self.ancilla_dim:
-                    raise DimensionError(
-                        f"ancilla factors give dimension {anc}, declared {self.ancilla_dim}"
-                    )
-            norm2 = _pair_amplitude(self.terms, self.terms, self.copies, None).real
-        else:
-            vec = _freeze(self.vector)
-            object.__setattr__(self, "vector", vec)
-            if vec.ndim != 1 or vec.size != self.total_dim:
+        if terms is not None:
+            coeffs, system, ancilla = _terms_to_arrays(terms, copies, dim)
+        if vector is None:
+            coeffs, system = _freeze(coeffs), _freeze(system)
+            if coeffs.ndim != 1 or system.shape != (coeffs.size, copies, dim):
                 raise DimensionError(
-                    f"vector length {vec.size} != dim^copies * ancilla_dim = {self.total_dim}"
+                    f"system factors of shape {system.shape} do not match "
+                    f"{coeffs.size} terms of {copies} copies of dimension {dim}"
                 )
-            norm2 = float(np.vdot(vec, vec).real)
+            anc = 1
+            if ancilla is not None:
+                ancilla = _freeze(ancilla)
+                if ancilla.ndim != 3 or ancilla.shape[0] != coeffs.size:
+                    raise DimensionError(
+                        f"ancilla factors of shape {ancilla.shape} do not match {coeffs.size} terms"
+                    )
+                anc = ancilla.shape[2] ** ancilla.shape[1]
+            if anc != ancilla_dim:
+                raise DimensionError(
+                    f"ancilla factors give dimension {anc}, declared {ancilla_dim}"
+                )
+        else:
+            vector = _freeze(vector)
+        for name, value in (
+            ("copies", copies), ("dim", dim), ("separable", separable),
+            ("ancilla_dim", ancilla_dim), ("coeffs", coeffs), ("system", system),
+            ("ancilla", ancilla), ("vector", vector),
+        ):
+            object.__setattr__(self, name, value)
+        if vector is None:
+            norm2 = _term_amplitude(self, self, None).real
+        else:
+            if vector.ndim != 1 or vector.size != self.total_dim:
+                raise DimensionError(
+                    f"vector length {vector.size} != dim^copies * ancilla_dim = {self.total_dim}"
+                )
+            norm2 = float(np.vdot(vector, vector).real)
         if abs(norm2 - 1.0) > 1e-10:
             raise ValidationError(f"probe state norm^2 = {norm2!r}, not 1")
 
@@ -388,10 +445,12 @@ class ProbeState:
             )
         if self.vector is not None:
             return self.vector.copy()
+        # without an ancilla each term has zero ancilla factors
+        ancilla = self.ancilla if self.ancilla is not None else self.system[:, :0]
         out = np.zeros(self.total_dim, dtype=complex)
-        for coeff, factors in self.terms:
+        for coeff, sys_factors, anc_factors in zip(self.coeffs, self.system, ancilla):
             acc = np.array([coeff])
-            for f in factors:
+            for f in (*sys_factors, *anc_factors):
                 acc = np.kron(acc, f)
             out += acc
         return out
@@ -402,21 +461,37 @@ class ProbeState:
         return numkit.partial_trace_b(vec, dim_a=self.dim**self.copies)
 
 
-def _pair_amplitude(terms_a, terms_b, copies: int, op: np.ndarray | None) -> complex:
-    """<a| op^(x)copies (x) 1 |b> for two product-term expansions."""
-    total = 0.0 + 0.0j
-    for ca, fa in terms_a:
-        for cb, fb in terms_b:
-            amp = np.conj(ca) * cb
-            for j, (x, y) in enumerate(zip(fa, fb)):
-                if op is not None and j < copies:
-                    amp *= np.vdot(x, op @ y)
-                else:
-                    amp *= np.vdot(x, y)
-                if amp == 0.0:
-                    break
-            total += amp
-    return complex(total)
+def _factor_gram(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(Tx, Ty) matrix of prod_j <x[s, j]|y[t, j]> for factor stacks (T, n, d)."""
+    xc = x.conj()
+    g = xc[:, None, :, 0] * y[None, :, :, 0]
+    for i in range(1, x.shape[2]):
+        g += xc[:, None, :, i] * y[None, :, :, i]
+    # multiply the n per-factor Gram matrices pairwise, halving n each pass
+    while g.shape[2] > 1:
+        half = g.shape[2] // 2
+        odd = g[:, :, 2 * half:]
+        g = g[:, :, :half] * g[:, :, half : 2 * half]
+        g[:, :, : odd.shape[2]] *= odd
+    return g.prod(axis=2)
+
+
+def _term_amplitude(a: ProbeState, b: ProbeState, op: np.ndarray | None) -> complex:
+    """<a| op^(x)copies (x) 1 |b> for two product-term probes (op None: identity).
+
+    The Gram matrices of every factor position come from one batched
+    contraction and are multiplied across factors; the coefficients then
+    close the sum over term pairs.
+    """
+    a_anc = None if a.ancilla is None else a.ancilla.shape[1:]
+    b_anc = None if b.ancilla is None else b.ancilla.shape[1:]
+    if a.system.shape[1:] != b.system.shape[1:] or a_anc != b_anc:
+        raise DimensionError("probe factor structures differ")
+    right = b.system if op is None else b.system @ op.T
+    gram = _factor_gram(a.system, right)
+    if a.ancilla is not None:
+        gram = gram * _factor_gram(a.ancilla, b.ancilla)
+    return complex(a.coeffs.conj() @ gram @ b.coeffs)
 
 
 def _apply_gate_axes(vec: np.ndarray, m: np.ndarray, copies: int, ancilla_dim: int) -> np.ndarray:
@@ -429,21 +504,11 @@ def _apply_gate_axes(vec: np.ndarray, m: np.ndarray, copies: int, ancilla_dim: i
     return t.reshape(-1)
 
 
-def _tensor_sum_phases(phases: np.ndarray, n: int) -> np.ndarray:
-    """Eigenphases of a Kronecker power, ordered to match kron of eigenvectors."""
-    acc = np.asarray(phases, dtype=float)
-    for _ in range(n - 1):
-        acc = (acc[:, None] + phases[None, :]).reshape(-1)
-    return acc
-
-
 def probe_overlap(u1: Gate, u2: Gate, probe: ProbeState, n: int) -> float:
     """Branch overlap |<psi| (U1^dag U2)^(x)n (x) 1 |psi>|^2 for a probe psi.
 
     This is the quantity whose vanishing makes the two gate hypotheses
-    perfectly distinguishable with n parallel uses.  For small dimensions the
-    result is cross-checked against the equivalent eigenweight form
-    |sum_i w_i exp(i phi_i)|^2 with w_i read off the reduced density matrix.
+    perfectly distinguishable with n parallel uses.
     """
     _check_pair(u1, u2, require_special=False)
     if not isinstance(probe, ProbeState):
@@ -453,32 +518,12 @@ def probe_overlap(u1: Gate, u2: Gate, probe: ProbeState, n: int) -> float:
     if probe.dim != u1.dim:
         raise DimensionError(f"probe dimension {probe.dim} != gate dimension {u1.dim}")
     m = relative_gate(u1, u2).matrix
-    if probe.terms is not None:
-        amp = _pair_amplitude(probe.terms, probe.terms, probe.copies, m)
+    if probe.vector is None:
+        amp = _term_amplitude(probe, probe, m)
     else:
         transformed = _apply_gate_axes(probe.vector, m, probe.copies, probe.ancilla_dim)
         amp = complex(np.vdot(probe.vector, transformed))
-    result = min(1.0, abs(amp) ** 2)
-    if probe.total_dim <= 256:
-        _verify_overlap_weights(m, probe, result)
-    return result
-
-
-def _verify_overlap_weights(m: np.ndarray, probe: ProbeState, direct: float):
-    """Consistency check: overlap == |sum_i w_i exp(i phi_i)|^2 with spectral weights."""
-    eig = numkit.eig_unitary(m)
-    vecs_n = eig.vectors
-    for _ in range(probe.copies - 1):
-        vecs_n = np.kron(vecs_n, eig.vectors)
-    phases_n = _tensor_sum_phases(eig.phases, probe.copies)
-    rho = numkit.partial_trace_b(probe.to_vector(max_dim=256), dim_a=probe.dim**probe.copies)
-    weights = np.einsum("ik,ij,jk->k", vecs_n.conj(), rho, vecs_n).real
-    weights = np.clip(weights, 0.0, None)
-    amp = (weights * np.exp(1j * phases_n)).sum()
-    if abs(abs(amp) ** 2 - direct) > 1e-9:
-        raise RuntimeError(
-            "internal inconsistency: direct overlap and spectral-weight overlap disagree"
-        )
+    return min(1.0, abs(amp) ** 2)
 
 
 def _su2_folded_eigenbasis(rel: Gate) -> tuple[float, np.ndarray, np.ndarray]:
@@ -518,7 +563,9 @@ def optimal_probe_separable(u1: Gate, u2: Gate) -> ProbeState:
         dim=u1.dim,
         separable=True,
         ancilla_dim=u1.dim,
-        terms=(((1.0 + 0.0j), (_freeze(psi), _basis_vec(u1.dim, 0))),),
+        coeffs=np.ones(1),
+        system=psi[None, None, :],
+        ancilla=np.eye(u1.dim)[None, :1],
     )
 
 
@@ -532,12 +579,16 @@ def optimal_probe_single(u1: Gate, u2: Gate, entangled: bool) -> ProbeState:
     """
     _check_pair(u1, u2, dim=2)
     if entangled:
-        coeff = complex(1.0 / math.sqrt(2.0))
-        terms = (
-            (coeff, (_basis_vec(2, 0), _basis_vec(2, 0))),
-            (coeff, (_basis_vec(2, 1), _basis_vec(2, 1))),
+        basis = np.eye(2)[:, None, :]  # terms |0>|0> and |1>|1>
+        return ProbeState(
+            copies=1,
+            dim=2,
+            separable=False,
+            ancilla_dim=2,
+            coeffs=np.full(2, 1.0 / math.sqrt(2.0)),
+            system=basis,
+            ancilla=basis,
         )
-        return ProbeState(copies=1, dim=2, separable=False, ancilla_dim=2, terms=terms)
     return optimal_probe_separable(u1, u2)
 
 
@@ -553,7 +604,8 @@ def optimal_probe_ncopies(u1: Gate, u2: Gate) -> ProbeState:
     chosen so the weighted eigenphase sum cancels exactly.  For even N the
     two middle branches merge into one eigenvalue-1 product state carrying
     weight 1 - 2q.  The state is a sum of at most four product terms and is
-    stored that way; a blank |0...0> ancilla tags along.
+    stored that way, each term's factors picked from (w+, w-) by a pattern
+    of labels; a blank |0...0> ancilla tags along.
     """
     _check_pair(u1, u2, dim=2)
     rel = relative_gate(u1, u2)
@@ -569,29 +621,34 @@ def optimal_probe_ncopies(u1: Gate, u2: Gate) -> ProbeState:
     if not -1e-12 <= q <= 0.5 + 1e-12:
         raise RuntimeError(f"internal: branch weight q={q!r} outside [0, 1/2]")
     q = min(max(q, 0.0), 0.5)
-    terms: list[tuple[complex, tuple[np.ndarray, ...]]] = []
-    ancilla = tuple(_basis_vec(2, 0) for _ in range(n))
+    # label 0 picks w+ and label 1 picks w- for a copy
+    weights: list[float] = []
+    pattern: list[list[int]] = []
     if q > 0.0:
-        terms.append((complex(math.sqrt(q)), (w_plus,) * n + ancilla))
-        terms.append((complex(math.sqrt(q)), (w_minus,) * n + ancilla))
+        weights += [q, q]
+        pattern += [[0] * n, [1] * n]
     if parity == 1:
         rem = 0.5 - q
         if rem > 0.0:
             hi, lo = (n + 1) // 2, (n - 1) // 2
-            coeff = complex(math.sqrt(rem))
-            terms.append((coeff, (w_plus,) * hi + (w_minus,) * lo + ancilla))
-            terms.append((coeff, (w_minus,) * hi + (w_plus,) * lo + ancilla))
+            weights += [rem, rem]
+            pattern += [[0] * hi + [1] * lo, [1] * hi + [0] * lo]
     else:
         rem = 1.0 - 2.0 * q
         if rem > 0.0:
             half = n // 2
-            terms.append(
-                (complex(math.sqrt(rem)), (w_plus,) * half + (w_minus,) * half + ancilla)
-            )
+            weights.append(rem)
+            pattern.append([0] * half + [1] * half)
     probe = ProbeState(
-        copies=n, dim=2, separable=True, ancilla_dim=2**n, terms=tuple(terms)
+        copies=n,
+        dim=2,
+        separable=True,
+        ancilla_dim=2**n,
+        coeffs=np.sqrt(weights),
+        system=np.stack([w_plus, w_minus])[pattern],
+        ancilla=np.broadcast_to(np.eye(2)[0], (len(pattern), n, 2)),
     )
-    amp = _pair_amplitude(probe.terms, probe.terms, n, rel.matrix)
+    amp = _term_amplitude(probe, probe, rel.matrix)
     if abs(amp) > 1e-8:
         raise RuntimeError(
             f"internal: N-copy probe leaves residual overlap {abs(amp):.3e}"

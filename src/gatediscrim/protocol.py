@@ -17,8 +17,8 @@ from .gates import (
     Gate,
     ProbeState,
     _apply_gate_axes,
-    _freeze,
     _su2_pair_half_arc,
+    _term_amplitude,
     optimal_probe_ncopies,
 )
 
@@ -118,20 +118,15 @@ class SimResult:
 
 def _apply_copies(gate: Gate, probe: ProbeState) -> ProbeState:
     """Image of a probe under gate^(x)copies (x) 1."""
-    if probe.terms is not None:
-        new_terms = []
-        for coeff, factors in probe.terms:
-            mapped = tuple(
-                _freeze(gate.matrix @ f) if j < probe.copies else f
-                for j, f in enumerate(factors)
-            )
-            new_terms.append((coeff, mapped))
+    if probe.vector is None:
         return ProbeState(
             copies=probe.copies,
             dim=probe.dim,
             separable=probe.separable,
             ancilla_dim=probe.ancilla_dim,
-            terms=tuple(new_terms),
+            coeffs=probe.coeffs,
+            system=probe.system @ gate.matrix.T,
+            ancilla=probe.ancilla,
         )
     vec = _apply_gate_axes(probe.vector, gate.matrix, probe.copies, probe.ancilla_dim)
     return ProbeState(
@@ -145,19 +140,8 @@ def _apply_copies(gate: Gate, probe: ProbeState) -> ProbeState:
 
 def _probe_inner(a: ProbeState, b: ProbeState) -> complex:
     """<a|b> for two probes sharing a factor structure (or both dense)."""
-    if a.terms is not None and b.terms is not None:
-        total = 0.0 + 0.0j
-        for ca, fa in a.terms:
-            for cb, fb in b.terms:
-                if len(fa) != len(fb):
-                    raise DimensionError("probe factor structures differ")
-                amp = np.conj(ca) * cb
-                for x, y in zip(fa, fb):
-                    amp *= np.vdot(x, y)
-                    if amp == 0.0:
-                        break
-                total += amp
-        return complex(total)
+    if a.vector is None and b.vector is None:
+        return _term_amplitude(a, b, None)
     if a.vector is not None and b.vector is not None:
         return complex(np.vdot(a.vector, b.vector))
     raise DimensionError("cannot mix dense and product-term probes")

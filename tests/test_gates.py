@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -31,6 +32,8 @@ from gatediscrim import (
     su3_example_gate,
     tensor_power,
 )
+from gatediscrim.gates import _term_amplitude
+from gatediscrim.protocol import _apply_copies
 from helpers import haar_unitary
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -452,8 +455,8 @@ def test_ncopies_probe_boundary_case():
     # half-arc pi/4: two copies, weight sits entirely on the two pure branches
     probe = optimal_probe_ncopies(Gate.identity(2), rot(math.pi / 4))
     assert probe.copies == 2
-    assert len(probe.terms) == 2
-    coeffs = sorted(abs(c) ** 2 for c, _ in probe.terms)
+    assert len(probe.coeffs) == 2
+    coeffs = sorted(abs(c) ** 2 for c in probe.coeffs)
     assert np.allclose(coeffs, [0.5, 0.5], atol=1e-12)
 
 
@@ -462,7 +465,7 @@ def test_ncopies_probe_weight_formula():
     a = math.pi / 5
     probe = optimal_probe_ncopies(Gate.identity(2), rot(a))
     assert probe.copies == 3
-    q = max(abs(c) ** 2 for c, _ in probe.terms)
+    q = max(abs(c) ** 2 for c in probe.coeffs)
     assert abs(q - math.cos(a) / (2 * (math.cos(a) - math.cos(3 * a)))) <= 1e-12
     assert abs(2 * q * math.cos(3 * a) + (1 - 2 * q) * math.cos(a)) <= 1e-12
 
@@ -508,6 +511,144 @@ def test_large_gap_pair_folds_phases():
     assert n == math.ceil(math.pi / (2 * delta) - 1e-12)
     probe = optimal_probe_ncopies(Gate.identity(2), u2)
     assert probe_overlap(Gate.identity(2), u2, probe, n) <= 1e-16
+
+
+def test_probe_arrays_are_read_only():
+    factor = np.array([1.0, 0.0], dtype=complex)
+    probe = ProbeState(
+        copies=1, dim=2, separable=True, ancilla_dim=2, terms=(((1.0 + 0j), (factor, factor)),)
+    )
+    factor[:] = [0.0, 1.0]  # the probe keeps its own copy
+    assert np.array_equal(probe.to_vector(), [1.0, 0.0, 0.0, 0.0])
+    built = optimal_probe_ncopies(Gate.identity(2), rot(0.5))
+    dense = ProbeState(copies=1, dim=2, separable=True, vector=np.array([1.0, 0.0]))
+    for arr in (probe.coeffs, probe.system, probe.ancilla, built.coeffs, built.system,
+                built.ancilla, dense.vector):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_probe_array_structure_errors():
+    e0 = np.array([1.0, 0.0], dtype=complex)
+    with pytest.raises(ValidationError):
+        ProbeState(copies=1, dim=2, separable=True, terms=(((1.0 + 0j), (e0,)),),
+                   coeffs=np.ones(1), system=e0[None, None, :])
+    with pytest.raises(ValidationError):
+        ProbeState(copies=1, dim=2, separable=True, coeffs=np.ones(1))
+    with pytest.raises(DimensionError):
+        ProbeState(copies=2, dim=2, separable=True, coeffs=np.ones(1), system=e0[None, None, :])
+    with pytest.raises(DimensionError):
+        ProbeState(copies=1, dim=2, separable=True, ancilla_dim=4,
+                   coeffs=np.ones(1), system=e0[None, None, :], ancilla=e0[None, None, :])
+    # terms whose ancilla factors differ in count cannot share one array
+    half = complex(1.0 / math.sqrt(2.0))
+    with pytest.raises(DimensionError, match="probe factor structures differ"):
+        ProbeState(copies=1, dim=2, separable=False, ancilla_dim=4,
+                   terms=((half, (e0, e0, e0)), (half, (e0, np.ones(4) / 2.0))))
+    one = ProbeState(copies=1, dim=2, separable=True, terms=(((1.0 + 0j), (e0,)),))
+    two = ProbeState(copies=2, dim=2, separable=True, terms=(((1.0 + 0j), (e0, e0)),))
+    with pytest.raises(DimensionError, match="probe factor structures differ"):
+        _term_amplitude(one, two, None)
+
+
+def _spectral_weight_overlap(u1: Gate, u2: Gate, probe: ProbeState) -> float:
+    """|sum_i w_i exp(i phi_i)|^2, with phi_i the eigenphases of (U1^dag U2)^(x)n
+    and w_i the weights of the probe's reduced state on their eigenvectors."""
+    eig = eig_unitary(relative_gate(u1, u2).matrix)
+    vecs, phases = eig.vectors, eig.phases
+    for _ in range(probe.copies - 1):
+        vecs = np.kron(vecs, eig.vectors)
+        phases = (phases[:, None] + eig.phases[None, :]).reshape(-1)
+    rho = probe.system_density(max_dim=256)
+    weights = np.clip(np.einsum("ik,ij,jk->k", vecs.conj(), rho, vecs).real, 0.0, None)
+    return abs((weights * np.exp(1j * phases)).sum()) ** 2
+
+
+def test_overlap_matches_spectral_weights():
+    # the overlap equals its eigenweight form for every optimal probe whose
+    # dense dimension is at most 256 (N-copy probes up to N = 4)
+    rng = np.random.default_rng(26)
+    ncopies_checked = 0
+    for _ in range(100):
+        u1, u2 = su2_pair(rng)
+        probes = [optimal_probe_single(u1, u2, entangled=True), optimal_probe_separable(u1, u2)]
+        if min_copies(u1, u2) <= 4:
+            probes.append(optimal_probe_ncopies(u1, u2))
+            ncopies_checked += 1
+        for probe in probes:
+            direct = probe_overlap(u1, u2, probe, probe.copies)
+            assert abs(_spectral_weight_overlap(u1, u2, probe) - direct) <= 1e-9
+    assert ncopies_checked >= 50
+
+
+def _loop_amplitude(a: ProbeState, b: ProbeState, op: np.ndarray) -> complex:
+    """<a| op^(x)copies (x) 1 |b> summed term pair by term pair and factor by factor."""
+    total = 0.0 + 0.0j
+    for s, t in itertools.product(range(a.coeffs.size), repeat=2):
+        amp = np.conj(a.coeffs[s]) * b.coeffs[t]
+        for x, y in zip(a.system[s], b.system[t]):
+            amp *= np.vdot(x, op @ y)
+        for x, y in zip(a.ancilla[s], b.ancilla[t]):
+            amp *= np.vdot(x, y)
+        total += amp
+    return complex(total)
+
+
+@pytest.mark.parametrize("delta", [1e-2, 1e-3])
+def test_ncopies_probe_large_n(delta):
+    # N = 158 and N = 1571: far beyond any dense representation
+    rng = np.random.default_rng(27)
+    u1 = Gate(haar_unitary(2, rng, special=True))
+    w = haar_unitary(2, rng)
+    u2 = Gate(u1.matrix @ (w * np.exp([1j * delta, -1j * delta])) @ w.conj().T)
+    probe = optimal_probe_ncopies(u1, u2)
+    n = math.ceil(math.pi / (2 * delta))
+    assert probe.copies == n
+    assert abs(_loop_amplitude(probe, probe, np.eye(2)) - 1.0) <= 1e-10
+    assert probe_overlap(u1, u2, probe, n) <= 1e-16
+    # the contraction agrees with the factor-by-factor loop to n rounding steps
+    rel = relative_gate(u1, u2).matrix
+    assert abs(_term_amplitude(probe, probe, rel) - _loop_amplitude(probe, probe, rel)) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_terms=st.integers(1, 4),
+    copies=st.integers(1, 5),
+    dim=st.sampled_from([2, 3]),
+    anc_factors=st.integers(0, 2),
+    anc_len=st.sampled_from([2, 3]),
+    as_terms=st.booleans(),
+)
+def test_term_contraction_matches_dense(seed, n_terms, copies, dim, anc_factors, anc_len, as_terms):
+    rng = np.random.default_rng(seed)
+
+    def cvec(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    coeffs, system = cvec(n_terms), cvec(n_terms, copies, dim)
+    ancilla = cvec(n_terms, anc_factors, anc_len) if anc_factors else None
+    anc_dim = anc_len**anc_factors
+    factors = [[*system[t], *(ancilla[t] if anc_factors else [])] for t in range(n_terms)]
+    dense = sum(c * functools.reduce(np.kron, fs) for c, fs in zip(coeffs, factors))
+    coeffs = coeffs / np.linalg.norm(dense)
+    dense = dense / np.linalg.norm(dense)
+    if as_terms:
+        probe = ProbeState(copies, dim, False, anc_dim, terms=tuple(zip(coeffs, factors)))
+    else:
+        probe = ProbeState(copies, dim, False, anc_dim,
+                           coeffs=coeffs, system=system, ancilla=ancilla)
+    assert np.allclose(probe.to_vector(), dense, atol=1e-12)
+
+    u1, u2 = Gate(haar_unitary(dim, rng)), Gate(haar_unitary(dim, rng))
+
+    def image(m):  # (m^(x)copies (x) 1) dense
+        return (tensor_power(m, copies) @ dense.reshape(dim**copies, anc_dim)).reshape(-1)
+
+    expected = abs(np.vdot(dense, image(u1.matrix.conj().T @ u2.matrix))) ** 2
+    assert abs(probe_overlap(u1, u2, probe, copies) - expected) <= 1e-12
+    assert np.allclose(_apply_copies(u1, probe).to_vector(), image(u1.matrix), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
