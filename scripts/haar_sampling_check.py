@@ -39,8 +39,7 @@ def main() -> None:
     args = ap.parse_args()
 
     params = haar_sample_su2(seed=args.seed, n=args.n)
-    t1 = np.array([p.theta1 for p in params])
-    t2 = np.array([p.theta2 for p in params])
+    t1, t2 = params.theta1, params.theta2
 
     ks = stats.kstest(t1, lambda x: np.sin(x) ** 2)
     print(f"samples            : {args.n}")

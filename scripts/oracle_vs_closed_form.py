@@ -1,7 +1,7 @@
 """Pit the closed-form gate fidelity against the variational oracle.
 
 For seeded random qubit gate pairs, minimizes the branch overlap
-numerically (projected gradient over eigenweights plus random probes)
+numerically (Wolfe's min-norm point over eigenweights plus random probes)
 and compares with cos^2 of the covering-arc half-width at one, two, and
 three parallel uses.  Prints worst-case error and timing per copy count.
 
@@ -28,7 +28,7 @@ def random_special_unitary(rng: np.random.Generator) -> Gate:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--pairs", type=int, default=25)
-    ap.add_argument("--budget", type=int, default=8, help="random-probe restarts per oracle call")
+    ap.add_argument("--budget", type=int, default=8, help="random probes per oracle call")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 

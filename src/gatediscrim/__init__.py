@@ -45,6 +45,7 @@ from .gates import (
 from .geometry import (
     MonteCarloEstimate,
     SphereCoords,
+    SU2ParamSample,
     TangentIncrement,
     avg_fidelity_mc,
     avg_fidelity_su2_closed,
@@ -93,6 +94,7 @@ __all__ = [
     "SimResult",
     "SizeLimitError",
     "SphereCoords",
+    "SU2ParamSample",
     "TangentIncrement",
     "TestPlan",
     "TestRecord",

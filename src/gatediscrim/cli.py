@@ -270,11 +270,9 @@ def _cmd_avg_fidelity(args):
 def _cmd_haar_sample(args):
     params = geometry.haar_sample_su2(args.seed, args.n)
     if args.emit_plot:
-        t1 = np.array([p.theta1 for p in params])
-        _write_plot(args.emit_plot, *_histogram_series(t1, 0.0, math.pi / 2.0))
-    result = [
-        {"theta1": p.theta1, "theta2": p.theta2, "theta3": p.theta3} for p in params
-    ]
+        _write_plot(args.emit_plot, *_histogram_series(params.theta1, 0.0, math.pi / 2.0))
+    columns = (params.theta1.tolist(), params.theta2.tolist(), params.theta3.tolist())
+    result = [{"theta1": a, "theta2": b, "theta3": c} for a, b, c in zip(*columns)]
     return {"seed": args.seed, "n": args.n}, result
 
 
@@ -347,7 +345,7 @@ def build_parser() -> _Parser:
         "--tol", type=float, default=1e-10, help="validation tolerance (default 1e-10)"
     )
     common.add_argument(
-        "--budget", type=int, default=32, help="oracle restart budget (default 32)"
+        "--budget", type=int, default=32, help="number of random oracle probes (default 32)"
     )
     common.add_argument(
         "--emit-plot",

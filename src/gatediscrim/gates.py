@@ -16,6 +16,7 @@ import numpy as np
 
 from . import numkit
 from .errors import (
+    ConvergenceError,
     DimensionError,
     IdenticalGatesError,
     SizeLimitError,
@@ -35,6 +36,9 @@ _HALF_PI = math.pi / 2.0
 # closed form reads half-arcs below this as 0, so that the rounding noise of
 # U1^dag U2 (about 1e-16 for U1 = U2) never reads as a distance.
 _ARC_RESOLUTION = math.ulp(2.0 * math.pi) / 2.0
+# The oracle's duality-gap tolerance and major-iteration cap.
+_WOLFE_GAP_TOL = 1e-14
+_WOLFE_MAX_ITER = 100
 
 
 class Gate:
@@ -660,16 +664,48 @@ def optimal_probe_ncopies(u1: Gate, u2: Gate) -> ProbeState:
 # Brute-force oracle
 
 
-def _project_simplex_rows(lam: np.ndarray) -> np.ndarray:
-    """Euclidean projection of each row onto the probability simplex."""
-    m = lam.shape[1]
-    u = -np.sort(-lam, axis=1)
-    css = np.cumsum(u, axis=1) - 1.0
-    idx = np.arange(1, m + 1)
-    positive = u - css / idx > 0.0
-    rho = positive.sum(axis=1)
-    theta = css[np.arange(lam.shape[0]), rho - 1] / rho
-    return np.clip(lam - theta[:, None], 0.0, None)
+def _affine_min_weights(pts: np.ndarray) -> np.ndarray:
+    """Affine weights of the point nearest 0 on the affine hull of 1-3 unit vectors."""
+    if len(pts) < 3:  # the hull of equal-norm points comes nearest at their mean
+        return np.full(len(pts), 1.0 / len(pts))
+    # three points span the plane: barycentric coordinates of the origin
+    a, b = np.roll(pts, -1, axis=0), np.roll(pts, -2, axis=0)
+    c = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    return c / c.sum()
+
+
+def _wolfe_min_norm(phases: np.ndarray) -> tuple[float, float, int]:
+    """Certified min over the simplex of |sum_k w_k exp(i phi_k)|^2.
+
+    Wolfe's min-norm-point algorithm (Math. Programming 11, 1976) on the
+    points z_k = (cos phi_k, sin phi_k), whose corral holds at most three
+    points in the plane, stopped once |x|^2 - min_k <x, z_k> <= _WOLFE_GAP_TOL.
+    Returns (upper, lower, iterations): upper = |x|^2 for the primal point x,
+    lower = max(0, min_k <x/|x|, z_k>)^2 (0 when x = 0), which no hull point
+    undercuts.  Raises ConvergenceError past _WOLFE_MAX_ITER iterations.
+    """
+    pts = np.stack([np.cos(phases), np.sin(phases)], axis=1)
+    corral, w = [0], np.ones(1)
+    for iteration in range(1, _WOLFE_MAX_ITER + 1):
+        x = w @ pts[corral]
+        upper = float(x @ x)
+        dots = pts @ x
+        j = int(np.argmin(dots))
+        gap = upper - float(dots[j])
+        if gap <= _WOLFE_GAP_TOL:
+            lower = max(0.0, float(dots[j])) ** 2 / upper if upper > 0.0 else 0.0
+            return upper, lower, iteration
+        corral, w = corral + [j], np.append(w, 0.0)
+        while (v := _affine_min_weights(pts[corral])).min() <= 0.0:
+            # Step from w towards v until a weight reaches 0; drop that point.
+            neg = np.flatnonzero(v <= 0.0)
+            ratios = w[neg] / (w[neg] - v[neg])
+            w = w + ratios.min() * (v - w)
+            w[neg[np.argmin(ratios)]] = 0.0
+            corral, w = [k for k, wk in zip(corral, w) if wk > 0.0], w[w > 0.0]
+        w = v
+    raise ConvergenceError(f"min-norm point: gap {gap:.3e} still open after "
+                           f"{_WOLFE_MAX_ITER} iterations")
 
 
 def oracle_min_overlap(
@@ -679,17 +715,16 @@ def oracle_min_overlap(
 
     Two searches run and the smaller result wins:
 
-    (a) projected gradient descent on |sum_k w_k exp(i phi_k)|^2 over the
-        probability simplex, where phi_k are the eigenphases of the n-fold
-        tensor power of U1^dag U2, restarted `budget` times from Dirichlet
-        draws (convex, so restarts mostly agree); steps halve until the
-        sufficient-decrease test passes and iteration stops once the
-        gradient-mapping norm falls to 1e-10 (or at 10^4 iterations);
+    (a) Wolfe's min-norm-point algorithm for the squared distance from the
+        origin to the convex hull of exp(i phi_k), where phi_k are the
+        eigenphases of the n-fold tensor power of U1^dag U2; every weight
+        vector on the simplex is realizable by some entangled probe, so this
+        spans the true feasible set.  It stops on a duality gap of at most
+        1e-14 and raises ConvergenceError if that gap stays open;
     (b) `budget` random normalized bipartite probe vectors, evaluated
         directly, as an upper-bound sanity band.
 
-    Every weight vector on the simplex is realizable by some entangled
-    probe, so search (a) spans the true feasible set.
+    Neither search sorts phases into a covering arc.
     """
     _check_pair(u1, u2)
     if budget < 1:
@@ -697,53 +732,17 @@ def oracle_min_overlap(
     if n < 1:
         raise ValidationError(f"copy count must be >= 1, got {n}")
     big = numkit.tensor_power(relative_gate(u1, u2).matrix, n)
-    phases = numkit.eig_unitary(big).phases
-    m = phases.size
-    z_c, z_s = np.cos(phases), np.sin(phases)
-    gram = np.array([[z_c @ z_c, z_c @ z_s], [z_c @ z_s, z_s @ z_s]])
-    lipschitz = 2.0 * float(np.linalg.eigvalsh(gram).max())
+    best, _, _ = _wolfe_min_norm(numkit.eig_unitary(big).phases)
 
-    children = np.random.SeedSequence(seed).spawn(budget + 1)
-    lam = np.stack(
-        [np.random.default_rng(c).dirichlet(np.ones(m)) for c in children[:budget]]
-    )
-
-    def f_of(w: np.ndarray) -> np.ndarray:
-        a, b = w @ z_c, w @ z_s
-        return a * a + b * b
-
-    fval = f_of(lam)
-    step = np.full(budget, 1.0 / lipschitz)
-    active = np.ones(budget, dtype=bool)
-    for _ in range(10_000):
-        a, b = lam @ z_c, lam @ z_s
-        grad = 2.0 * (a[:, None] * z_c[None, :] + b[:, None] * z_s[None, :])
-        for _halving in range(60):
-            cand = _project_simplex_rows(lam - step[:, None] * grad)
-            diff = cand - lam
-            f_cand = f_of(cand)
-            decrease_ok = f_cand <= (
-                fval + (grad * diff).sum(axis=1) + (diff * diff).sum(axis=1) / (2.0 * step) + 1e-15
-            )
-            bad = active & ~decrease_ok
-            if not bad.any():
-                break
-            step[bad] *= 0.5
-        mapping = np.linalg.norm(diff, axis=1) / step
-        lam[active] = cand[active]
-        fval[active] = f_cand[active]
-        active &= mapping > 1e-10
-        if not active.any():
-            break
-    best = float(fval.min())
-
-    rng = np.random.default_rng(children[budget])
-    d_n = u1.dim**n
-    for _ in range(budget):
-        z = rng.standard_normal((d_n, d_n)) + 1j * rng.standard_normal((d_n, d_n))
-        coeff = z / np.linalg.norm(z)
-        val = abs(np.vdot(coeff, big @ coeff)) ** 2
-        best = min(best, float(val))
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(budget,)))
+    # Batches of <= 2**22 deviates continue one stream: they only bound memory.
+    batch = max(1, 2**22 // (2 * big.size))
+    for start in range(0, budget, batch):
+        z = rng.standard_normal((min(batch, budget - start), 2, *big.shape))
+        coeff = z[:, 0] + 1j * z[:, 1]
+        coeff /= np.linalg.norm(coeff, axis=(1, 2), keepdims=True)
+        vals = np.abs(np.einsum("bij,bij->b", coeff.conj(), big @ coeff)) ** 2
+        best = min(best, float(vals.min()))
     return max(0.0, best)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import abc
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,7 +100,28 @@ def sphere_embed(u: Gate) -> SphereCoords:
     return SphereCoords(a_re=a.real, a_im=a.imag, b_re=b.real, b_im=b.imag)
 
 
-def haar_sample_su2(seed: int, n: int) -> list[GateSU2Params]:
+@dataclass(frozen=True, eq=False)
+class SU2ParamSample(abc.Sequence):
+    """Qubit gate parameter draws held as three read-only angle arrays.
+
+    Indexing or iterating yields `GateSU2Params`, so the sample reads like a
+    list of them; vectorized consumers read `theta1`, `theta2`, `theta3`.
+    """
+
+    theta1: np.ndarray
+    theta2: np.ndarray
+    theta3: np.ndarray
+
+    def __len__(self) -> int:
+        return self.theta1.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        return GateSU2Params(float(self.theta1[i]), float(self.theta2[i]), float(self.theta3[i]))
+
+
+def haar_sample_su2(seed: int, n: int) -> SU2ParamSample:
     """n invariant-measure draws of qubit gate parameters.
 
     theta1 = arcsin(sqrt(u)) realizes the marginal density sin(2 theta1) on
@@ -111,10 +133,16 @@ def haar_sample_su2(seed: int, n: int) -> list[GateSU2Params]:
     t1 = np.arcsin(np.sqrt(rng.random(n)))
     t2 = rng.uniform(0.0, 2.0 * math.pi, n)
     t3 = rng.uniform(0.0, 2.0 * math.pi, n)
-    return [
-        GateSU2Params(theta1=float(a), theta2=float(b), theta3=float(c))
-        for a, b, c in zip(t1, t2, t3)
-    ]
+    ok = (0.0 <= t1) & (t1 <= math.pi / 2.0)
+    for t in (t2, t3):
+        ok &= (0.0 <= t) & (t < 2.0 * math.pi)
+    if not ok.all():
+        # the first draw out of range raises GateSU2Params's own error
+        k = int(np.argmin(ok))
+        GateSU2Params(float(t1[k]), float(t2[k]), float(t3[k]))
+    for t in (t1, t2, t3):
+        t.setflags(write=False)
+    return SU2ParamSample(t1, t2, t3)
 
 
 @dataclass(frozen=True)

@@ -184,8 +184,7 @@ def test_criterion_06_metric_forms_distance_and_embedding():
 def test_criterion_07_invariant_sampler_marginal_and_trace():
     n = 100_000
     params = gd.haar_sample_su2(seed=1007, n=n)
-    t1 = np.array([p.theta1 for p in params])
-    t2 = np.array([p.theta2 for p in params])
+    t1, t2 = params.theta1, params.theta2
     ks = stats.kstest(t1, lambda x: np.sin(x) ** 2).statistic
 
     mc_mean = float(np.mean(4.0 * np.cos(t1) ** 2 * np.cos(t2) ** 2))

@@ -258,6 +258,29 @@ def test_convergence_exit_code(capsys, monkeypatch, gate_files):
     assert "non-convergence" in err
 
 
+def test_oracle_iteration_cap_exit_code(capsys, monkeypatch, tmp_path):
+    # at n = 2 a half-arc just below pi/4 needs two min-norm-point iterations
+    import gatediscrim.gates as gates_mod
+
+    delta = math.pi / 4 - 1e-9
+    rot = np.diag([np.exp(1j * delta), np.exp(-1j * delta)])
+    a = write_matrix(tmp_path / "a.json", np.eye(2))
+    b = write_matrix(tmp_path / "b.json", rot)
+    code, out, _ = run(capsys, ["oracle", "--u1", a, "--u2", b, "--n", "2"])
+    assert code == 0
+    assert json.loads(out)["result"] <= 1e-16
+
+    monkeypatch.setattr(gates_mod, "_WOLFE_MAX_ITER", 1)
+    with pytest.raises(ConvergenceError, match="gap"):
+        gates_mod.oracle_min_overlap(
+            gates_mod.Gate(np.eye(2)), gates_mod.Gate(rot), 2, budget=4, seed=0
+        )
+    code, out, err = run(capsys, ["oracle", "--u1", a, "--u2", b, "--n", "2"])
+    assert code == 3
+    assert out == ""
+    assert "non-convergence" in err and "gap" in err
+
+
 def test_identical_gates_exit_code(capsys, gate_files):
     a, _ = gate_files
     code, _, err = run(capsys, ["ncopies", "--u1", a, "--u2", a])

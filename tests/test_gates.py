@@ -32,7 +32,7 @@ from gatediscrim import (
     su3_example_gate,
     tensor_power,
 )
-from gatediscrim.gates import _term_amplitude
+from gatediscrim.gates import _term_amplitude, _wolfe_min_norm
 from gatediscrim.protocol import _apply_copies
 from helpers import haar_unitary
 
@@ -675,6 +675,51 @@ def test_oracle_matches_closed_form_multi_copy():
             closed = convex_min_overlap(phases_n)
             got = oracle_min_overlap(u1, u2, n, budget=8, seed=100 + k)
             assert abs(closed - got) <= 1e-6
+
+
+def _assert_certified(phases, closed=None):
+    phases = np.asarray(phases, dtype=float)
+    closed = convex_min_overlap(phases) if closed is None else closed
+    upper, lower, iterations = _wolfe_min_norm(phases)
+    assert 1 <= iterations <= 3  # every case here closes its gap by the third test
+    assert lower >= 0.0
+    assert lower - 1e-12 <= closed <= upper + 1e-12
+    assert upper - lower <= 1e-12
+    return upper, lower
+
+
+def test_oracle_certified_interval_haar_and_sud():
+    rng = np.random.default_rng(23)
+    for n in (1, 2, 3, 4):  # n >= 2: the repeated phases of tensor powers
+        for _ in range(25):
+            rel = relative_gate(*su2_pair(rng))
+            _assert_certified(eig_unitary(tensor_power(rel.matrix, n)).phases)
+    for d in (3, 8, 32):
+        for _ in range(4):
+            u1, u2 = Gate(haar_unitary(d, rng)), Gate(haar_unitary(d, rng))
+            _assert_certified(eig_unitary(u1.matrix.conj().T @ u2.matrix).phases)
+
+
+def test_oracle_certified_interval_boundaries():
+    rng = np.random.default_rng(24)
+    quarter = math.pi / 4
+    for delta in (quarter - 1e-12, quarter, quarter + 1e-12, math.pi / 3, math.pi / 2, 1e-9):
+        w = haar_unitary(2, rng)
+        rel = (w * np.exp(1j * np.array([delta, -delta]))) @ w.conj().T
+        for n in (1, 2, 3):
+            closed = 0.0 if n * delta >= math.pi / 2 else math.cos(n * delta) ** 2
+            phases = eig_unitary(tensor_power(rel, n)).phases
+            upper, _ = _assert_certified(phases, closed)
+            u1 = Gate.identity(2)
+            got = oracle_min_overlap(u1, Gate(rel), n, budget=4, seed=n)
+            assert got <= upper
+    # identical gates: every phase equal, the minimum is 1
+    assert _assert_certified(np.zeros(8), 1.0) == (1.0, 1.0)
+    assert _assert_certified(np.full(5, 2.5), 1.0)[0] == pytest.approx(1.0, abs=1e-15)
+    # repeated phases {a, a, -2a} and their tensor powers
+    lam = np.exp(1j * np.array([0.7, 0.7, -1.4]))
+    for n in (1, 2, 3):
+        _assert_certified(eig_unitary(tensor_power(np.diag(lam), n)).phases)
 
 
 def test_oracle_deterministic():

@@ -121,10 +121,36 @@ def test_haar_sample_ranges_and_determinism():
         haar_sample_su2(7, 0)
 
 
+def test_haar_sample_arrays_back_the_sequence(monkeypatch):
+    params = haar_sample_su2(9, 300)
+    cols = (params.theta1, params.theta2, params.theta3)
+    for col in cols:
+        assert col.shape == (300,) and not col.flags.writeable
+        with pytest.raises(ValueError):
+            col[0] = 0.0
+    listed = list(params)
+    assert all(type(p) is GateSU2Params for p in listed)
+    assert listed == [GateSU2Params(*t) for t in zip(*(c.tolist() for c in cols))]
+    assert params[-1] == listed[-1] and params[3:6] == listed[3:6]
+    with pytest.raises(IndexError):
+        params[300]
+
+    class Edge:  # a draw on the open end of the phase range
+        def random(self, n):
+            return np.zeros(n)
+
+        def uniform(self, lo, hi, n):
+            return np.full(n, hi)
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: Edge())
+    with pytest.raises(ValidationError, match=r"theta2=.* outside \[0, 2\*pi\)"):
+        haar_sample_su2(9, 3)
+
+
 def test_haar_theta1_marginal():
     # inverse-transform construction: theta1 ~ sin(2 theta1) d theta1,
     # i.e. CDF sin^2
-    t1 = np.array([p.theta1 for p in haar_sample_su2(11, 100_000)])
+    t1 = haar_sample_su2(11, 100_000).theta1
     ks = stats.kstest(t1, lambda x: np.sin(x) ** 2)
     assert ks.statistic <= 0.01
 
@@ -138,9 +164,7 @@ def test_haar_left_invariance_of_fidelity_distribution():
 
     def fids(v: Gate, seed: int) -> np.ndarray:
         params = haar_sample_su2(seed, n)
-        t1 = np.array([p.theta1 for p in params])
-        t2 = np.array([p.theta2 for p in params])
-        t3 = np.array([p.theta3 for p in params])
+        t1, t2, t3 = params.theta1, params.theta2, params.theta3
         u11 = np.cos(t1) * np.exp(1j * t2)
         u12 = np.sin(t1) * np.exp(1j * t3)
         m = v.matrix.conj()
@@ -217,8 +241,7 @@ def test_overlap_samples_match_pointwise_formula():
 def test_mean_trace_squared_is_one():
     # Monte-Carlo mean of |tr U|^2 under the invariant measure vs quadrature
     params = haar_sample_su2(42, 100_000)
-    t1 = np.array([p.theta1 for p in params])
-    t2 = np.array([p.theta2 for p in params])
+    t1, t2 = params.theta1, params.theta2
     mc = np.mean(4.0 * np.cos(t1) ** 2 * np.cos(t2) ** 2)
 
     ref, _ = integrate.dblquad(
