@@ -246,10 +246,10 @@ def _cmd_classical_distance(args):
 
 def _cmd_avg_fidelity(args):
     u1, u2 = _load_gate(args.u1, args.tol), _load_gate(args.u2, args.tol)
-    est = geometry.avg_fidelity_mc(u1, u2, samples=args.samples, seed=args.seed)
+    vals = geometry.overlap_samples(u1, u2, samples=args.samples, seed=args.seed)
+    est = geometry.MonteCarloEstimate.from_samples(vals)
     closed = geometry.avg_fidelity_su2_closed(u1, u2) if u1.dim == 2 else None
     if args.emit_plot:
-        vals = geometry.overlap_samples(u1, u2, samples=args.samples, seed=args.seed)
         _write_plot(args.emit_plot, *_histogram_series(vals, 0.0, 1.0))
     result = {
         "estimate": est.estimate,

@@ -36,6 +36,10 @@ _HALF_PI = math.pi / 2.0
 # closed form reads half-arcs below this as 0, so that the rounding noise of
 # U1^dag U2 (about 1e-16 for U1 = U2) never reads as a distance.
 _ARC_RESOLUTION = math.ulp(2.0 * math.pi) / 2.0
+# Branch weights at or below this are rounding dust: at N delta = pi/2
+# exactly the remaining weight reads 0 or ~2e-16 depending on the last bit
+# of delta, and would otherwise add terms with coefficients of ~1e-8.
+_WEIGHT_DUST = 1e-15
 # The oracle's duality-gap tolerance and major-iteration cap.
 _WOLFE_GAP_TOL = 1e-14
 _WOLFE_MAX_ITER = 100
@@ -245,17 +249,17 @@ def _su2_half_arc(rel):
     return float(delta) if delta.ndim == 0 else delta
 
 
-def _su2_pair_half_arc(m1: np.ndarray, m2: np.ndarray):
-    """`_su2_half_arc` of U1^dag U2 for qubit matrices of shape (..., 2, 2).
+def _relative_matrix(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
+    """U1^dag U2 for matrices of shape (..., d, d), checked for unitarity.
 
-    The products are formed in one pass and checked for unitarity at
-    DEFAULT_TOL together.  A single pair and a stack of pairs go through the
-    same contraction, so they give the same bits.
+    The products are formed in one pass and checked at DEFAULT_TOL together.
+    A single pair and a stack of pairs go through the same contraction, so
+    they give the same bits.
     """
     rel = np.einsum("...ji,...jk->...ik", m1.conj(), m2)
     if not numkit.validate_unitary(rel, DEFAULT_TOL):
         raise ValidationError("relative gate is not unitary within tolerance")
-    return _su2_half_arc(rel)
+    return rel
 
 
 def gate_distance(u1: Gate, u2: Gate) -> float:
@@ -274,7 +278,7 @@ def gate_distance(u1: Gate, u2: Gate) -> float:
     """
     _check_pair(u1, u2)
     if u1.dim == 2:
-        return _su2_pair_half_arc(u1.matrix, u2.matrix)
+        return _su2_half_arc(_relative_matrix(u1.matrix, u2.matrix))
     rel = relative_gate(u1, u2)
     delta = minimal_covering_arc(rel.spectral.phases).delta
     return min(delta, _HALF_PI)
@@ -361,7 +365,9 @@ class ProbeState:
     * ``vector`` -- a dense normalized vector on (C^dim)^(x)copies tensored
       with a C^ancilla_dim ancilla.
 
-    Every stored array is a read-only copy of its input.
+    Of the library's probes only the entangled single-use one has an
+    ancilla; the separable single-use and N-copy probes have ancilla None
+    and ancilla_dim 1.  Every stored array is a read-only copy of its input.
     """
 
     copies: int
@@ -508,6 +514,14 @@ def _apply_gate_axes(vec: np.ndarray, m: np.ndarray, copies: int, ancilla_dim: i
     return t.reshape(-1)
 
 
+def _probe_amplitude(probe: ProbeState, op: np.ndarray) -> complex:
+    """<probe| op^(x)copies (x) 1 |probe> in either storage mode."""
+    if probe.vector is None:
+        return _term_amplitude(probe, probe, op)
+    transformed = _apply_gate_axes(probe.vector, op, probe.copies, probe.ancilla_dim)
+    return complex(np.vdot(probe.vector, transformed))
+
+
 def probe_overlap(u1: Gate, u2: Gate, probe: ProbeState, n: int) -> float:
     """Branch overlap |<psi| (U1^dag U2)^(x)n (x) 1 |psi>|^2 for a probe psi.
 
@@ -521,55 +535,67 @@ def probe_overlap(u1: Gate, u2: Gate, probe: ProbeState, n: int) -> float:
         raise DimensionError(f"probe holds {probe.copies} copies, got n={n}")
     if probe.dim != u1.dim:
         raise DimensionError(f"probe dimension {probe.dim} != gate dimension {u1.dim}")
-    m = relative_gate(u1, u2).matrix
-    if probe.vector is None:
-        amp = _term_amplitude(probe, probe, m)
-    else:
-        transformed = _apply_gate_axes(probe.vector, m, probe.copies, probe.ancilla_dim)
-        amp = complex(np.vdot(probe.vector, transformed))
+    amp = _probe_amplitude(probe, _relative_matrix(u1.matrix, u2.matrix))
     return min(1.0, abs(amp) ** 2)
 
 
-def _su2_folded_eigenbasis(rel: Gate) -> tuple[float, np.ndarray, np.ndarray]:
+def _su2_folded_eigenbasis(rel: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """Half-arc delta and eigenvectors (w_plus, w_minus) of a relative qubit gate.
 
-    The raw eigenphases are +/-a with a in [0, pi]; when a > pi/2 the gate
-    is a global phase away from one with phases +/-(pi - a), so the roles of
-    the two eigenvectors swap and delta = min(a, pi - a) <= pi/2 throughout.
+    Closed form, no eigendecomposition: R = [[alpha, beta], [-conj(beta),
+    conj(alpha)]] = cos a 1 + i sin a (n . sigma) with sin a = s =
+    |(Im alpha, beta)|, n_z = Im alpha / s and n_x + i n_y = i conj(beta) / s.
+    R has phase +a on w_plus, the +1 eigenvector of n . sigma, read from
+    (1 + n_z, n_x + i n_y) or (n_x - i n_y, 1 - n_z), whichever is longer,
+    and phase -a on its orthogonal partner w_minus.  When a > pi/2 (Re alpha
+    < 0) the gate is a global phase away from one with phases +/-(pi - a),
+    so the two vectors trade roles and delta = min(a, pi - a) <= pi/2
+    throughout; delta is the number `_su2_half_arc` reads from R.  Both
+    vectors carry the gauge of `numkit.eig_unitary` (largest-magnitude entry
+    real and positive).  For R = +/-1 (s = 0) the standard basis is returned.
     """
-    eig = rel.spectral
-    a = float(eig.phases[1])
-    v_minus, v_plus = eig.vectors[:, 0], eig.vectors[:, 1]
-    if a <= _HALF_PI:
-        return min(a, math.pi - a), v_plus, v_minus
-    return math.pi - a, v_minus, v_plus
+    (r00, r01), (r10, r11) = rel.tolist()
+    alpha = (r00 + r11.conjugate()) * 0.5
+    beta = (r01 - r10.conjugate()) * 0.5
+    # numpy's abs, hypot and arctan2, as in _su2_half_arc, so delta matches it bit for bit
+    s = float(np.hypot(alpha.imag, np.abs(beta)))
+    delta = float(np.arctan2(s, abs(alpha.real)))
+    if delta < _ARC_RESOLUTION:
+        delta = 0.0
+    n_z, n_xy = (alpha.imag / s, 1j * beta.conjugate() / s) if s > 0.0 else (1.0, 0j)
+    p, q = (1.0 + n_z, n_xy) if n_z >= 0.0 else (n_xy.conjugate(), 1.0 - n_z)
+    vecs = np.array([[p, -q.conjugate()], [q, p.conjugate()]]) / math.hypot(abs(p), abs(q))
+    vecs = numkit._fix_gauge(vecs)
+    if alpha.real < 0.0:
+        return delta, vecs[:, 1], vecs[:, 0]
+    return delta, vecs[:, 0], vecs[:, 1]
 
 
 def optimal_probe_separable(u1: Gate, u2: Gate) -> ProbeState:
-    """Equal superposition of the two extremal eigenvectors, with a blank ancilla.
+    """Equal superposition of the two extremal eigenvectors of U1^dag U2.
 
-    The probe (|v_a> + |v_b>)/sqrt(2) (x) |0> built from the eigenvectors at
-    the two ends of the minimal covering arc retains overlap cos^2(delta).
-    For qubit gates delta <= pi/2 always, so this single-copy separable probe
-    already achieves the optimal fidelity.
+    The single-copy probe (|v_a> + |v_b>)/sqrt(2), built from the
+    eigenvectors at the two ends of the minimal covering arc, retains
+    overlap cos^2(delta) and needs no ancilla.  For qubit gates delta <=
+    pi/2 always, so this separable probe already achieves the optimal
+    fidelity; its two eigenvectors come from the closed form of
+    `_su2_folded_eigenbasis`, other dimensions diagonalize U1^dag U2.
     """
     _check_pair(u1, u2)
-    eig = relative_gate(u1, u2).spectral
-    arc = minimal_covering_arc(eig.phases)
-    diffs = np.abs(numkit._principal(eig.phases - arc.extremes[0]))
-    idx_a = int(np.argmin(diffs))
-    diffs_b = np.abs(numkit._principal(eig.phases - arc.extremes[1]))
-    diffs_b[idx_a] = np.inf
-    idx_b = int(np.argmin(diffs_b))
-    psi = (eig.vectors[:, idx_a] + eig.vectors[:, idx_b]) / math.sqrt(2.0)
+    if u1.dim == 2:
+        _, v_a, v_b = _su2_folded_eigenbasis(_relative_matrix(u1.matrix, u2.matrix))
+    else:
+        eig = relative_gate(u1, u2).spectral
+        arc = minimal_covering_arc(eig.phases)
+        diffs = np.abs(numkit._principal(eig.phases - arc.extremes[0]))
+        idx_a = int(np.argmin(diffs))
+        diffs_b = np.abs(numkit._principal(eig.phases - arc.extremes[1]))
+        diffs_b[idx_a] = np.inf
+        idx_b = int(np.argmin(diffs_b))
+        v_a, v_b = eig.vectors[:, idx_a], eig.vectors[:, idx_b]
+    psi = (v_a + v_b) / math.sqrt(2.0)
     return ProbeState(
-        copies=1,
-        dim=u1.dim,
-        separable=True,
-        ancilla_dim=u1.dim,
-        coeffs=np.ones(1),
-        system=psi[None, None, :],
-        ancilla=np.eye(u1.dim)[None, :1],
+        copies=1, dim=u1.dim, separable=True, coeffs=np.ones(1), system=psi[None, None, :]
     )
 
 
@@ -609,12 +635,14 @@ def optimal_probe_ncopies(u1: Gate, u2: Gate) -> ProbeState:
     two middle branches merge into one eigenvalue-1 product state carrying
     weight 1 - 2q.  The state is a sum of at most four product terms and is
     stored that way, each term's factors picked from (w+, w-) by a pattern
-    of labels; a blank |0...0> ancilla tags along.
+    of labels, with no ancilla.  U1^dag U2 is formed once: N, delta and
+    (w+, w-) come from its closed form (`_su2_folded_eigenbasis`), and the
+    probe's residual overlap under it is checked against 1e-8.
     """
     _check_pair(u1, u2, dim=2)
-    rel = relative_gate(u1, u2)
-    n = _copies_for_distance(_su2_half_arc(rel.matrix))
+    rel = _relative_matrix(u1.matrix, u2.matrix)
     delta, w_plus, w_minus = _su2_folded_eigenbasis(rel)
+    n = _copies_for_distance(delta)
     parity = n % 2
     if n == 1:
         q = 0.0
@@ -633,13 +661,13 @@ def optimal_probe_ncopies(u1: Gate, u2: Gate) -> ProbeState:
         pattern += [[0] * n, [1] * n]
     if parity == 1:
         rem = 0.5 - q
-        if rem > 0.0:
+        if rem > _WEIGHT_DUST:
             hi, lo = (n + 1) // 2, (n - 1) // 2
             weights += [rem, rem]
             pattern += [[0] * hi + [1] * lo, [1] * hi + [0] * lo]
     else:
         rem = 1.0 - 2.0 * q
-        if rem > 0.0:
+        if rem > _WEIGHT_DUST:
             half = n // 2
             weights.append(rem)
             pattern.append([0] * half + [1] * half)
@@ -647,12 +675,10 @@ def optimal_probe_ncopies(u1: Gate, u2: Gate) -> ProbeState:
         copies=n,
         dim=2,
         separable=True,
-        ancilla_dim=2**n,
         coeffs=np.sqrt(weights),
         system=np.stack([w_plus, w_minus])[pattern],
-        ancilla=np.broadcast_to(np.eye(2)[0], (len(pattern), n, 2)),
     )
-    amp = _term_amplitude(probe, probe, rel.matrix)
+    amp = _term_amplitude(probe, probe, rel)
     if abs(amp) > 1e-8:
         raise RuntimeError(
             f"internal: N-copy probe leaves residual overlap {abs(amp):.3e}"

@@ -153,6 +153,13 @@ class MonteCarloEstimate:
     stderr: float
     samples: int
 
+    @classmethod
+    def from_samples(cls, vals: np.ndarray) -> "MonteCarloEstimate":
+        """Mean and standard error of a 1-D array of samples."""
+        n = vals.size
+        err = float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else float("inf")
+        return cls(estimate=float(vals.mean()), stderr=err, samples=n)
+
 
 def overlap_samples(u1: Gate, u2: Gate, samples: int, seed: int) -> np.ndarray:
     """Draw |<psi|U1^dag U2|psi>|^2 over uniform pure states.
@@ -176,10 +183,7 @@ def overlap_samples(u1: Gate, u2: Gate, samples: int, seed: int) -> np.ndarray:
 
 def avg_fidelity_mc(u1: Gate, u2: Gate, samples: int, seed: int) -> MonteCarloEstimate:
     """Monte-Carlo average of |<psi|U1^dag U2|psi>|^2 over uniform pure states."""
-    vals = overlap_samples(u1, u2, samples, seed)
-    est = float(vals.mean())
-    err = float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else float("inf")
-    return MonteCarloEstimate(estimate=est, stderr=err, samples=samples)
+    return MonteCarloEstimate.from_samples(overlap_samples(u1, u2, samples, seed))
 
 
 def avg_fidelity_su2_closed(u1: Gate, u2: Gate) -> float:

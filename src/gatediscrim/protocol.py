@@ -17,8 +17,9 @@ from .gates import (
     Gate,
     ProbeState,
     _apply_gate_axes,
-    _su2_pair_half_arc,
-    _term_amplitude,
+    _probe_amplitude,
+    _relative_matrix,
+    _su2_half_arc,
     optimal_probe_ncopies,
 )
 
@@ -51,7 +52,7 @@ class HypothesisSet:
         mats = np.stack([g.matrix for g in self.gates])
         rows, cols = np.triu_indices(k, 1)
         table = np.zeros((k, k))
-        table[rows, cols] = _su2_pair_half_arc(mats[rows], mats[cols])
+        table[rows, cols] = _su2_half_arc(_relative_matrix(mats[rows], mats[cols]))
         table[cols, rows] = table[rows, cols]
         table.setflags(write=False)
         object.__setattr__(self, "distances", table)
@@ -117,7 +118,7 @@ class SimResult:
 
 
 def _apply_copies(gate: Gate, probe: ProbeState) -> ProbeState:
-    """Image of a probe under gate^(x)copies (x) 1."""
+    """Image of a probe under gate^(x)copies (x) 1 (a test's target)."""
     if probe.vector is None:
         return ProbeState(
             copies=probe.copies,
@@ -136,15 +137,6 @@ def _apply_copies(gate: Gate, probe: ProbeState) -> ProbeState:
         ancilla_dim=probe.ancilla_dim,
         vector=vec,
     )
-
-
-def _probe_inner(a: ProbeState, b: ProbeState) -> complex:
-    """<a|b> for two probes sharing a factor structure (or both dense)."""
-    if a.vector is None and b.vector is None:
-        return _term_amplitude(a, b, None)
-    if a.vector is not None and b.vector is not None:
-        return complex(np.vdot(a.vector, b.vector))
-    raise DimensionError("cannot mix dense and product-term probes")
 
 
 def _most_distant_pair(h: HypothesisSet, surviving: list[int]) -> tuple[int, int]:
@@ -223,8 +215,9 @@ def simulate_elimination(
         if test is None:
             test = _build_test(h, *_most_distant_pair(h, surviving))
         i, j = test.pair
-        evolved = _apply_copies(g_true, test.probe)
-        p_target = min(1.0, abs(_probe_inner(test.target, evolved)) ** 2)
+        # <target|U_true^(x)N|probe> = <probe|(U_i^dag U_true)^(x)N|probe>
+        rel = h.gates[i].matrix.conj().T @ g_true.matrix
+        p_target = min(1.0, abs(_probe_amplitude(test.probe, rel)) ** 2)
         outcome_target = bool(rng.random() < p_target)
         discarded = j if outcome_target else i
         surviving.remove(discarded)

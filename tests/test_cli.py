@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from gatediscrim import ConvergenceError
+from gatediscrim import ConvergenceError, Gate, geometry
 from gatediscrim.cli import main
 
 
@@ -128,6 +128,28 @@ def test_avg_fidelity_command(capsys, gate_files, tmp_path):
     assert len(lines) == 65
     xs = [float(l.split(",")[0]) for l in lines[1:]]
     assert all(0.0 <= x <= 1.0 for x in xs)
+
+
+def test_avg_fidelity_plot_draws_samples_once(capsys, gate_files, tmp_path, monkeypatch):
+    a, b = gate_files
+    u2 = Gate(np.diag([np.exp(1j * math.pi / 3), np.exp(-1j * math.pi / 3)]))
+    est = geometry.avg_fidelity_mc(Gate(np.eye(2)), u2, samples=5000, seed=2)
+    draws = []
+    original = geometry.overlap_samples
+
+    def counted(*args, **kwargs):
+        draws.append(kwargs.get("samples"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "overlap_samples", counted)
+    argv = ["avg-fidelity", "--u1", a, "--u2", b, "--samples", "5000", "--seed", "2",
+            "--emit-plot", str(tmp_path / "hist.csv")]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert draws == [5000]
+    # the printed estimate is the library's, from the same single draw
+    doc = json.loads(out)["result"]
+    assert (doc["estimate"], doc["stderr"], doc["samples"]) == (est.estimate, est.stderr, 5000)
 
 
 def test_haar_sample_command(capsys, tmp_path):

@@ -32,7 +32,13 @@ from gatediscrim import (
     su3_example_gate,
     tensor_power,
 )
-from gatediscrim.gates import _term_amplitude, _wolfe_min_norm
+from gatediscrim.gates import (
+    _relative_matrix,
+    _su2_folded_eigenbasis,
+    _su2_half_arc,
+    _term_amplitude,
+    _wolfe_min_norm,
+)
 from gatediscrim.protocol import _apply_copies
 from helpers import haar_unitary
 
@@ -445,9 +451,10 @@ def test_separable_probe_reduced_weights_are_half():
 def test_separable_probe_diagonal_gate_is_plus_state():
     probe = optimal_probe_single(Gate.identity(2), rot(0.7), entangled=False)
     vec = probe.to_vector()
-    plus0 = np.kron(np.array([1.0, 1.0]) / math.sqrt(2.0), np.array([1.0, 0.0]))
+    assert probe.ancilla is None and probe.ancilla_dim == 1
+    plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
     # global phase free
-    inner = abs(np.vdot(plus0, vec))
+    inner = abs(np.vdot(plus, vec))
     assert abs(inner - 1.0) <= 1e-10
 
 
@@ -513,6 +520,86 @@ def test_large_gap_pair_folds_phases():
     assert probe_overlap(Gate.identity(2), u2, probe, n) <= 1e-16
 
 
+def _eig_folded_basis(rel: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Reference: (delta, w+, w-) read from eig_unitary, whose phases sort as (-a, a)."""
+    eig = eig_unitary(rel)
+    a = float(eig.phases[1])
+    v_minus, v_plus = eig.vectors[:, 0], eig.vectors[:, 1]
+    if a <= math.pi / 2:
+        return a, v_plus, v_minus
+    return math.pi - a, v_minus, v_plus
+
+
+def _phase_distance(v: np.ndarray, ref: np.ndarray) -> float:
+    """|v - e^{i phi} ref| for the phase phi that best aligns ref with v."""
+    ip = np.vdot(ref, v)
+    return float(np.linalg.norm(v - ip / abs(ip) * ref))
+
+
+def test_closed_form_basis_matches_eig_unitary():
+    # R and -R: one has a <= pi/2, the other a > pi/2, where w+ and w- trade roles
+    rng = np.random.default_rng(28)
+    for _ in range(200):
+        u1, u2 = su2_pair(rng)
+        rel = _relative_matrix(u1.matrix, u2.matrix)
+        for r in (rel, -rel):
+            delta, w_plus, w_minus = _su2_folded_eigenbasis(r)
+            ref_delta, ref_plus, ref_minus = _eig_folded_basis(r)
+            assert delta == _su2_half_arc(r)
+            assert abs(delta - ref_delta) <= 1e-12
+            # both carry the eig_unitary gauge, so the vectors compare entry by entry
+            assert np.abs(w_plus - ref_plus).max() <= 1e-12
+            assert np.abs(w_minus - ref_minus).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "delta", [1e-9, 1e-6, math.pi / 4, math.pi / 2 - 1e-12, math.pi / 2]
+)
+def test_closed_form_basis_at_boundaries(delta):
+    # rounding in R moves its eigenvectors by about eps / sin(delta)
+    tol = 1e-12 + 1e-14 / math.sin(delta)
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        w = haar_unitary(2, rng)
+        rel = (w * np.exp([1j * delta, -1j * delta])) @ w.conj().T
+        got_delta, w_plus, w_minus = _su2_folded_eigenbasis(rel)
+        _, ref_plus, ref_minus = _eig_folded_basis(rel)
+        assert abs(got_delta - delta) <= 1e-15
+        if delta == math.pi / 2:
+            # phases +/-pi/2 are one global phase apart: the vectors may trade places
+            if _phase_distance(w_plus, w[:, 0]) > 0.5:
+                w_plus, w_minus = w_minus, w_plus
+            if _phase_distance(ref_plus, w[:, 0]) > 0.5:
+                ref_plus, ref_minus = ref_minus, ref_plus
+        for got, ref in ((w_plus, w[:, 0]), (w_minus, w[:, 1]), (w_plus, ref_plus), (w_minus, ref_minus)):
+            assert _phase_distance(got, ref) <= tol
+        if delta < math.pi / 4:
+            continue  # N is far beyond any probe
+        u1, u2 = Gate.identity(2), Gate(rel)
+        probe = optimal_probe_ncopies(u1, u2)
+        assert probe_overlap(u1, u2, probe, probe.copies) <= 1e-16
+        if delta == math.pi / 2:
+            # whichever vector leads, the probe is (w+ + w-)/sqrt(2) in the reference gauge
+            assert probe.copies == 1
+            expect = (ref_plus + ref_minus) / math.sqrt(2.0)
+            for built in (probe, optimal_probe_separable(u1, u2)):
+                assert np.abs(built.to_vector() - expect).max() <= 1e-12
+
+
+def test_ncopies_probe_term_count_at_exact_boundaries():
+    # at N delta = pi/2 exactly the leftover branch weight is rounding dust
+    # (0 or ~2e-16 by the last bit of delta) and must add no terms
+    one = Gate.identity(2)
+    cases = [(one, Gate(np.diag(np.exp([-1j * a, 1j * a])))) for a in (math.pi / 8, math.pi / 12)]
+    rng = np.random.default_rng(30)
+    for delta in (math.pi / 4, math.pi / 6, math.pi / 8):
+        cases += [pair_at_distance(delta, rng) for _ in range(40)]
+    for u1, u2 in cases:
+        probe = optimal_probe_ncopies(u1, u2)
+        assert probe.coeffs.size == 2
+        assert probe_overlap(u1, u2, probe, probe.copies) <= 1e-16
+
+
 def test_probe_arrays_are_read_only():
     factor = np.array([1.0, 0.0], dtype=complex)
     probe = ProbeState(
@@ -521,9 +608,11 @@ def test_probe_arrays_are_read_only():
     factor[:] = [0.0, 1.0]  # the probe keeps its own copy
     assert np.array_equal(probe.to_vector(), [1.0, 0.0, 0.0, 0.0])
     built = optimal_probe_ncopies(Gate.identity(2), rot(0.5))
+    assert built.ancilla is None and built.ancilla_dim == 1
+    entangled = optimal_probe_single(Gate.identity(2), rot(0.5), entangled=True)
     dense = ProbeState(copies=1, dim=2, separable=True, vector=np.array([1.0, 0.0]))
     for arr in (probe.coeffs, probe.system, probe.ancilla, built.coeffs, built.system,
-                built.ancilla, dense.vector):
+                entangled.ancilla, dense.vector):
         with pytest.raises(ValueError):
             arr[0] = 0.0
 
@@ -588,8 +677,9 @@ def _loop_amplitude(a: ProbeState, b: ProbeState, op: np.ndarray) -> complex:
         amp = np.conj(a.coeffs[s]) * b.coeffs[t]
         for x, y in zip(a.system[s], b.system[t]):
             amp *= np.vdot(x, op @ y)
-        for x, y in zip(a.ancilla[s], b.ancilla[t]):
-            amp *= np.vdot(x, y)
+        if a.ancilla is not None:
+            for x, y in zip(a.ancilla[s], b.ancilla[t]):
+                amp *= np.vdot(x, y)
         total += amp
     return complex(total)
 

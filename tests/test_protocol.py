@@ -15,6 +15,8 @@ from gatediscrim import (
     probe_overlap,
     simulate_elimination,
 )
+from gatediscrim.gates import _term_amplitude
+from gatediscrim.protocol import _apply_copies
 from helpers import haar_unitary
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -260,3 +262,35 @@ def test_tied_sets_follow_greedy_scan_order(h, plan_pairs, traces):
             sim = simulate_elimination(plan, h, true_index=true_index, seed=seed)
             got = [(r.pair, r.outcome_target, r.discarded) for r in sim.trace]
             assert got == expect
+
+
+def test_round_probability_is_one_contraction_of_the_probe(monkeypatch):
+    # each round's p_target, <probe|(U_i^dag U_true)^(x)N|probe>, equals the
+    # overlap of the test's target with the probe's image under the true gate
+    amplitudes = []
+    original = gatediscrim.protocol._probe_amplitude
+
+    def recorded(probe, op):
+        amp = original(probe, op)
+        amplitudes.append((probe, amp))
+        return amp
+
+    monkeypatch.setattr(gatediscrim.protocol, "_probe_amplitude", recorded)
+    rng = np.random.default_rng(9)
+    checked = 0
+    for k in (3, 5, 8):
+        h = random_set(k, rng)
+        plan = plan_elimination(h)
+        truths = [(h.gates[t], {"true_index": t}) for t in range(k)]
+        strangers = [Gate(haar_unitary(2, rng, special=True)) for _ in range(2)]
+        truths += [(g, {"true_gate": g}) for g in strangers]
+        for seed, (g_true, kwargs) in enumerate(truths):
+            amplitudes.clear()
+            sim = simulate_elimination(plan, h, seed=seed, **kwargs)
+            assert len(amplitudes) == len(sim.trace)
+            for record, (probe, amp) in zip(sim.trace, amplitudes):
+                target = _apply_copies(h.gates[record.pair[0]], probe)
+                old = _term_amplitude(target, _apply_copies(g_true, probe), None)
+                assert abs(amp - old) <= 1e-12
+                checked += 1
+    assert checked > 100
