@@ -14,14 +14,14 @@ from collections import Counter
 
 import numpy as np
 
-from gatediscrim import Gate, HypothesisSet, plan_elimination, simulate_elimination
-
-
-def random_special_unitary(rng: np.random.Generator) -> Gate:
-    g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    q, r = np.linalg.qr(g)
-    q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-    return Gate(q / np.linalg.det(q) ** 0.5)
+from gatediscrim import (
+    Gate,
+    HypothesisSet,
+    haar_sample_su2,
+    plan_elimination,
+    simulate_elimination,
+    su2_from_params,
+)
 
 
 def build_set(args, rng: np.random.Generator) -> HypothesisSet:
@@ -31,7 +31,8 @@ def build_set(args, rng: np.random.Generator) -> HypothesisSet:
             Gate(1j * np.array([[0.0, 1.0], [1.0, 0.0]])),
             Gate(1j * np.diag([1.0, -1.0])),
         ))
-    return HypothesisSet(tuple(random_special_unitary(rng) for _ in range(args.k)))
+    sample = haar_sample_su2(int(rng.integers(2**63)), args.k)
+    return HypothesisSet(tuple(su2_from_params(p) for p in sample))
 
 
 def main() -> None:

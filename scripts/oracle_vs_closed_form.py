@@ -13,16 +13,7 @@ import argparse
 import math
 import time
 
-import numpy as np
-
-from gatediscrim import Gate, gate_distance, oracle_min_overlap
-
-
-def random_special_unitary(rng: np.random.Generator) -> Gate:
-    g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    q, r = np.linalg.qr(g)
-    q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-    return Gate(q / np.linalg.det(q) ** 0.5)
+from gatediscrim import gate_distance, haar_sample_su2, oracle_min_overlap, su2_from_params
 
 
 def main() -> None:
@@ -32,9 +23,8 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    rng = np.random.default_rng(args.seed)
-    pairs = [(random_special_unitary(rng), random_special_unitary(rng))
-             for _ in range(args.pairs)]
+    gates = [su2_from_params(p) for p in haar_sample_su2(args.seed, 2 * args.pairs)]
+    pairs = list(zip(gates[::2], gates[1::2]))
 
     print(f"{'n':>3} {'worst |closed - oracle|':>24} {'seconds':>9}")
     for n in (1, 2, 3):

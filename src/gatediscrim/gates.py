@@ -239,7 +239,7 @@ def _su2_half_arc(rel):
     so its covering half-arc min(a, pi - a) <= pi/2 is
     atan2(sqrt((Im alpha)^2 + |beta|^2), |Re alpha|).  alpha and beta are
     read symmetrically from both rows; half-arcs below _ARC_RESOLUTION are
-    rounding noise and read as 0.  Unitarity of R is the caller's check.
+    rounding noise and read as 0.  R is a product of validated gates.
     """
     rel = np.asarray(rel)
     alpha = (rel[..., 0, 0] + rel[..., 1, 1].conj()) / 2.0
@@ -250,16 +250,13 @@ def _su2_half_arc(rel):
 
 
 def _relative_matrix(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
-    """U1^dag U2 for matrices of shape (..., d, d), checked for unitarity.
+    """U1^dag U2 for matrices of shape (..., d, d) of already validated gates.
 
-    The products are formed in one pass and checked at DEFAULT_TOL together.
-    A single pair and a stack of pairs go through the same contraction, so
-    they give the same bits.
+    Validation stays at the `Gate` boundary, at the tolerance each gate was
+    accepted with; the product is not checked again.  A single pair and a
+    stack of pairs go through the same contraction, so they give the same bits.
     """
-    rel = np.einsum("...ji,...jk->...ik", m1.conj(), m2)
-    if not numkit.validate_unitary(rel, DEFAULT_TOL):
-        raise ValidationError("relative gate is not unitary within tolerance")
-    return rel
+    return np.einsum("...ji,...jk->...ik", m1.conj(), m2)
 
 
 def gate_distance(u1: Gate, u2: Gate) -> float:
@@ -317,131 +314,72 @@ def _copies_for_distance(d: float) -> int:
 # Probe states
 
 
-def _freeze(arr) -> np.ndarray:
-    out = np.asarray(arr, dtype=complex).copy()
+def _freeze(arr, dtype=complex) -> np.ndarray:
+    out = np.array(arr, dtype=dtype)
     out.setflags(write=False)
     return out
 
 
-def _terms_to_arrays(terms, copies: int, dim: int):
-    """(coeffs, system, ancilla) arrays of a tuple of (coeff, factors) terms.
-
-    The first `copies` factors of a term are its system factors; the rest
-    are its ancilla factors, which must have one length and one count
-    across all terms.  ancilla is None when no term has ancilla factors.
-    """
-    coeffs = [complex(c) for c, _ in terms]
-    factors = [[np.asarray(f, dtype=complex) for f in fs] for _, fs in terms]
-    for fs in factors:
-        if len(fs) < copies:
-            raise DimensionError("term has fewer factors than copies")
-        if any(f.shape != (dim,) for f in fs[:copies]):
-            raise DimensionError("system factor has wrong dimension")
-    anc_shapes = {tuple(f.shape for f in fs[copies:]) for fs in factors}
-    if len(anc_shapes) > 1 or any(len(set(s)) > 1 for s in anc_shapes):
-        raise DimensionError("probe factor structures differ")
-    # the reshape keeps the (T, copies, dim) shape for an empty tuple of terms
-    system = np.array([fs[:copies] for fs in factors]).reshape(len(terms), copies, dim)
-    if anc_shapes <= {()}:
-        return coeffs, system, None
-    return coeffs, system, np.array([fs[copies:] for fs in factors])
-
-
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class ProbeState:
     """Pure input state fed (in N copies) through an unknown gate.
 
-    Two storage modes, exactly one of which is present:
+    A sum of product terms, the only storage form,
 
-    * product terms -- ``sum_t coeffs[t] system[t, 0] (x) ... (x)
-      system[t, copies-1] (x) ancilla[t, 0] (x) ... (x) ancilla[t, m-1]``
-      with ``coeffs`` of shape (T,), ``system`` of shape (T, copies, dim)
-      and ``ancilla`` of shape (T, m, a) with a**m == ancilla_dim, or None
-      when there is no ancilla.  This form scales to copy counts whose
-      dense dimension is unrepresentable.  A ``terms`` tuple of
-      ``(coeff, factors)`` pairs, whose first `copies` factors are
-      single-copy vectors of length `dim` and whose remaining factors make
-      up the ancilla, is accepted instead and converted to these arrays.
-    * ``vector`` -- a dense normalized vector on (C^dim)^(x)copies tensored
-      with a C^ancilla_dim ancilla.
+        sum_t coeffs[t] system[t, 0]^(x)counts[0] (x) ... (x)
+            system[t, K-1]^(x)counts[K-1] (x) ancilla[t, 0] (x) ... (x) ancilla[t, m-1],
 
-    Of the library's probes only the entangled single-use one has an
-    ancilla; the separable single-use and N-copy probes have ancilla None
-    and ancilla_dim 1.  Every stored array is a read-only copy of its input.
+    with ``coeffs`` of shape (T,), ``system`` of shape (T, K, dim) and
+    ``ancilla`` of shape (T, m, a), or None when there is no ancilla.
+    System column k stands for ``counts[k]`` consecutive copies (all ones
+    when counts is omitted), so N copies that repeat a few factors store
+    each once: N-copy probes keep at most two columns at any N.  `copies`
+    (the sum of counts), `dim`, `ancilla_dim` (a**m, 1 without an ancilla)
+    and `separable` (no ancilla) are read from the arrays.  Of the library's
+    probes only the entangled single-use one has an ancilla.  Every stored
+    array is a read-only copy of its input, and the norm is checked.
     """
 
-    copies: int
-    dim: int
-    separable: bool
-    ancilla_dim: int
-    coeffs: np.ndarray | None
-    system: np.ndarray | None
-    ancilla: np.ndarray | None
-    vector: np.ndarray | None
+    coeffs: np.ndarray
+    system: np.ndarray
+    ancilla: np.ndarray | None = None
+    counts: np.ndarray | None = None
 
-    def __init__(
-        self,
-        copies: int,
-        dim: int,
-        separable: bool,
-        ancilla_dim: int = 1,
-        terms: Sequence[tuple[complex, Sequence[np.ndarray]]] | None = None,
-        vector: np.ndarray | None = None,
-        *,
-        coeffs: np.ndarray | None = None,
-        system: np.ndarray | None = None,
-        ancilla: np.ndarray | None = None,
-    ):
-        if copies < 1:
-            raise ValidationError(f"copies must be >= 1, got {copies}")
-        if dim < 2:
-            raise ValidationError(f"single-copy dimension must be >= 2, got {dim}")
-        arrays_given = coeffs is not None or system is not None or ancilla is not None
-        if terms is not None and arrays_given:
-            raise ValidationError("give terms or coeffs/system/ancilla arrays, not both")
-        if arrays_given and (coeffs is None or system is None):
-            raise ValidationError("coeffs and system arrays must be given together")
-        if (terms is None and not arrays_given) == (vector is None):
-            raise ValidationError("exactly one of terms/vector must be provided")
-        if terms is not None:
-            coeffs, system, ancilla = _terms_to_arrays(terms, copies, dim)
-        if vector is None:
-            coeffs, system = _freeze(coeffs), _freeze(system)
-            if coeffs.ndim != 1 or system.shape != (coeffs.size, copies, dim):
-                raise DimensionError(
-                    f"system factors of shape {system.shape} do not match "
-                    f"{coeffs.size} terms of {copies} copies of dimension {dim}"
-                )
-            anc = 1
-            if ancilla is not None:
-                ancilla = _freeze(ancilla)
-                if ancilla.ndim != 3 or ancilla.shape[0] != coeffs.size:
-                    raise DimensionError(
-                        f"ancilla factors of shape {ancilla.shape} do not match {coeffs.size} terms"
-                    )
-                anc = ancilla.shape[2] ** ancilla.shape[1]
-            if anc != ancilla_dim:
-                raise DimensionError(
-                    f"ancilla factors give dimension {anc}, declared {ancilla_dim}"
-                )
-        else:
-            vector = _freeze(vector)
-        for name, value in (
-            ("copies", copies), ("dim", dim), ("separable", separable),
-            ("ancilla_dim", ancilla_dim), ("coeffs", coeffs), ("system", system),
-            ("ancilla", ancilla), ("vector", vector),
-        ):
+    def __post_init__(self):
+        coeffs, system = _freeze(self.coeffs), _freeze(self.system)
+        ancilla = None if self.ancilla is None else _freeze(self.ancilla)
+        if coeffs.ndim != 1 or system.ndim != 3 or system.shape[0] != coeffs.size:
+            raise DimensionError(f"system factors {system.shape} do not match {coeffs.size} terms")
+        if ancilla is not None and (ancilla.ndim != 3 or ancilla.shape[0] != coeffs.size):
+            raise DimensionError(f"ancilla {ancilla.shape} does not match {coeffs.size} terms")
+        counts = np.asarray(np.ones(system.shape[1], int) if self.counts is None else self.counts)
+        if (counts.shape != system.shape[1:2] or counts.dtype.kind not in "iu"
+                or min(counts.tolist(), default=1) < 1):
+            raise DimensionError(f"counts {counts} are not positive integers, one per column")
+        for name, value in (("coeffs", coeffs), ("system", system), ("ancilla", ancilla),
+                            ("counts", _freeze(counts, np.int64))):
             object.__setattr__(self, name, value)
-        if vector is None:
-            norm2 = _term_amplitude(self, self, None).real
-        else:
-            if vector.ndim != 1 or vector.size != self.total_dim:
-                raise DimensionError(
-                    f"vector length {vector.size} != dim^copies * ancilla_dim = {self.total_dim}"
-                )
-            norm2 = float(np.vdot(vector, vector).real)
+        if self.copies < 1 or self.dim < 2:
+            raise ValidationError(f"need copies >= 1 and dim >= 2, got {self.copies}, {self.dim}")
+        norm2 = _term_amplitude(self, self, None).real
         if abs(norm2 - 1.0) > 1e-10:
             raise ValidationError(f"probe state norm^2 = {norm2!r}, not 1")
+
+    @property
+    def copies(self) -> int:
+        return sum(self.counts.tolist())
+
+    @property
+    def dim(self) -> int:
+        return self.system.shape[2]
+
+    @property
+    def ancilla_dim(self) -> int:
+        return 1 if self.ancilla is None else self.ancilla.shape[2] ** self.ancilla.shape[1]
+
+    @property
+    def separable(self) -> bool:
+        return self.ancilla is None
 
     @property
     def total_dim(self) -> int:
@@ -453,12 +391,11 @@ class ProbeState:
             raise SizeLimitError(
                 f"probe dimension {self.total_dim} exceeds the cap {max_dim}"
             )
-        if self.vector is not None:
-            return self.vector.copy()
+        system = np.repeat(self.system, self.counts, axis=1)
         # without an ancilla each term has zero ancilla factors
-        ancilla = self.ancilla if self.ancilla is not None else self.system[:, :0]
+        ancilla = self.ancilla if self.ancilla is not None else system[:, :0]
         out = np.zeros(self.total_dim, dtype=complex)
-        for coeff, sys_factors, anc_factors in zip(self.coeffs, self.system, ancilla):
+        for coeff, sys_factors, anc_factors in zip(self.coeffs, system, ancilla):
             acc = np.array([coeff])
             for f in (*sys_factors, *anc_factors):
                 acc = np.kron(acc, f)
@@ -471,55 +408,37 @@ class ProbeState:
         return numkit.partial_trace_b(vec, dim_a=self.dim**self.copies)
 
 
-def _factor_gram(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(Tx, Ty) matrix of prod_j <x[s, j]|y[t, j]> for factor stacks (T, n, d)."""
+def _factor_gram(x: np.ndarray, y: np.ndarray, counts=1) -> np.ndarray:
+    """(Tx, Ty) matrix of prod_j <x[s, j]|y[t, j]>**counts[j] for factor stacks (T, K, d).
+
+    Inner products are summed over d explicitly and count-1 columns enter
+    unchanged, so single-use overlaps keep their bits; a column covering n
+    copies enters as the n-th power of its inner product, so no array grows with n.
+    """
     xc = x.conj()
     g = xc[:, None, :, 0] * y[None, :, :, 0]
     for i in range(1, x.shape[2]):
         g += xc[:, None, :, i] * y[None, :, :, i]
-    # multiply the n per-factor Gram matrices pairwise, halving n each pass
-    while g.shape[2] > 1:
-        half = g.shape[2] // 2
-        odd = g[:, :, 2 * half:]
-        g = g[:, :, :half] * g[:, :, half : 2 * half]
-        g[:, :, : odd.shape[2]] *= odd
-    return g.prod(axis=2)
+    return (g**counts).prod(axis=2)
 
 
 def _term_amplitude(a: ProbeState, b: ProbeState, op: np.ndarray | None) -> complex:
-    """<a| op^(x)copies (x) 1 |b> for two product-term probes (op None: identity).
+    """<a| op^(x)copies (x) 1 |b> for two probes (op None: identity).
 
-    The Gram matrices of every factor position come from one batched
-    contraction and are multiplied across factors; the coefficients then
-    close the sum over term pairs.
+    The Gram matrices of every factor column come from one batched
+    contraction, raised to the column counts and multiplied across columns;
+    the coefficients then close the sum over term pairs.
     """
     a_anc = None if a.ancilla is None else a.ancilla.shape[1:]
     b_anc = None if b.ancilla is None else b.ancilla.shape[1:]
-    if a.system.shape[1:] != b.system.shape[1:] or a_anc != b_anc:
+    if (a.system.shape[1:] != b.system.shape[1:] or a_anc != b_anc
+            or a.counts.tolist() != b.counts.tolist()):
         raise DimensionError("probe factor structures differ")
     right = b.system if op is None else b.system @ op.T
-    gram = _factor_gram(a.system, right)
+    gram = _factor_gram(a.system, right, a.counts)
     if a.ancilla is not None:
         gram = gram * _factor_gram(a.ancilla, b.ancilla)
     return complex(a.coeffs.conj() @ gram @ b.coeffs)
-
-
-def _apply_gate_axes(vec: np.ndarray, m: np.ndarray, copies: int, ancilla_dim: int) -> np.ndarray:
-    """Apply m to each of the `copies` system axes of a dense vector."""
-    d = m.shape[0]
-    shape = (d,) * copies + ((ancilla_dim,) if ancilla_dim > 1 else ())
-    t = vec.reshape(shape)
-    for ax in range(copies):
-        t = np.moveaxis(np.tensordot(m, t, axes=([1], [ax])), 0, ax)
-    return t.reshape(-1)
-
-
-def _probe_amplitude(probe: ProbeState, op: np.ndarray) -> complex:
-    """<probe| op^(x)copies (x) 1 |probe> in either storage mode."""
-    if probe.vector is None:
-        return _term_amplitude(probe, probe, op)
-    transformed = _apply_gate_axes(probe.vector, op, probe.copies, probe.ancilla_dim)
-    return complex(np.vdot(probe.vector, transformed))
 
 
 def probe_overlap(u1: Gate, u2: Gate, probe: ProbeState, n: int) -> float:
@@ -535,7 +454,7 @@ def probe_overlap(u1: Gate, u2: Gate, probe: ProbeState, n: int) -> float:
         raise DimensionError(f"probe holds {probe.copies} copies, got n={n}")
     if probe.dim != u1.dim:
         raise DimensionError(f"probe dimension {probe.dim} != gate dimension {u1.dim}")
-    amp = _probe_amplitude(probe, _relative_matrix(u1.matrix, u2.matrix))
+    amp = _term_amplitude(probe, probe, _relative_matrix(u1.matrix, u2.matrix))
     return min(1.0, abs(amp) ** 2)
 
 
@@ -594,9 +513,7 @@ def optimal_probe_separable(u1: Gate, u2: Gate) -> ProbeState:
         idx_b = int(np.argmin(diffs_b))
         v_a, v_b = eig.vectors[:, idx_a], eig.vectors[:, idx_b]
     psi = (v_a + v_b) / math.sqrt(2.0)
-    return ProbeState(
-        copies=1, dim=u1.dim, separable=True, coeffs=np.ones(1), system=psi[None, None, :]
-    )
+    return ProbeState(coeffs=np.ones(1), system=psi[None, None, :])
 
 
 def optimal_probe_single(u1: Gate, u2: Gate, entangled: bool) -> ProbeState:
@@ -610,15 +527,7 @@ def optimal_probe_single(u1: Gate, u2: Gate, entangled: bool) -> ProbeState:
     _check_pair(u1, u2, dim=2)
     if entangled:
         basis = np.eye(2)[:, None, :]  # terms |0>|0> and |1>|1>
-        return ProbeState(
-            copies=1,
-            dim=2,
-            separable=False,
-            ancilla_dim=2,
-            coeffs=np.full(2, 1.0 / math.sqrt(2.0)),
-            system=basis,
-            ancilla=basis,
-        )
+        return ProbeState(coeffs=np.full(2, 1.0 / math.sqrt(2.0)), system=basis, ancilla=basis)
     return optimal_probe_separable(u1, u2)
 
 
@@ -633,11 +542,13 @@ def optimal_probe_ncopies(u1: Gate, u2: Gate) -> ProbeState:
 
     chosen so the weighted eigenphase sum cancels exactly.  For even N the
     two middle branches merge into one eigenvalue-1 product state carrying
-    weight 1 - 2q.  The state is a sum of at most four product terms and is
-    stored that way, each term's factors picked from (w+, w-) by a pattern
-    of labels, with no ancilla.  U1^dag U2 is formed once: N, delta and
-    (w+, w-) come from its closed form (`_su2_folded_eigenbasis`), and the
-    probe's residual overlap under it is checked against 1e-8.
+    weight 1 - 2q.  The state is a sum of at most four product terms, none
+    with an ancilla, and every term is constant on the first ceil(N/2)
+    copies and on the last floor(N/2): it is stored as at most two counted
+    columns, each term picking w+ or w- per column, so its size does not
+    grow with N.  U1^dag U2 is formed once: N, delta and (w+, w-) come from
+    its closed form (`_su2_folded_eigenbasis`), and the probe's residual
+    overlap under it is checked against 1e-8.
     """
     _check_pair(u1, u2, dim=2)
     rel = _relative_matrix(u1.matrix, u2.matrix)
@@ -653,30 +564,18 @@ def optimal_probe_ncopies(u1: Gate, u2: Gate) -> ProbeState:
     if not -1e-12 <= q <= 0.5 + 1e-12:
         raise RuntimeError(f"internal: branch weight q={q!r} outside [0, 1/2]")
     q = min(max(q, 0.0), 0.5)
-    # label 0 picks w+ and label 1 picks w- for a copy
-    weights: list[float] = []
-    pattern: list[list[int]] = []
-    if q > 0.0:
-        weights += [q, q]
-        pattern += [[0] * n, [1] * n]
-    if parity == 1:
-        rem = 0.5 - q
-        if rem > _WEIGHT_DUST:
-            hi, lo = (n + 1) // 2, (n - 1) // 2
-            weights += [rem, rem]
-            pattern += [[0] * hi + [1] * lo, [1] * hi + [0] * lo]
-    else:
-        rem = 1.0 - 2.0 * q
-        if rem > _WEIGHT_DUST:
-            half = n // 2
-            weights.append(rem)
-            pattern.append([0] * half + [1] * half)
+    # (weight, label per column): the columns are the first ceil(N/2) copies and
+    # the last floor(N/2); label 0 picks w+ and label 1 picks w-
+    terms = [(q, (0, 0)), (q, (1, 1))] if q > 0.0 else []
+    rem = 0.5 - q if parity == 1 else 1.0 - 2.0 * q
+    if rem > _WEIGHT_DUST:
+        terms += [(rem, (0, 1)), (rem, (1, 0))] if parity == 1 else [(rem, (0, 1))]
+    weights, labels = zip(*terms)
+    counts = [(n + 1) // 2, n // 2] if n > 1 else [1]
     probe = ProbeState(
-        copies=n,
-        dim=2,
-        separable=True,
         coeffs=np.sqrt(weights),
-        system=np.stack([w_plus, w_minus])[pattern],
+        system=np.stack([w_plus, w_minus])[np.array(labels)[:, : len(counts)]],
+        counts=np.array(counts),
     )
     amp = _term_amplitude(probe, probe, rel)
     if abs(amp) > 1e-8:

@@ -8,7 +8,7 @@ identified in k-1 rounds with certainty.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -16,10 +16,9 @@ from .errors import DimensionError, ValidationError
 from .gates import (
     Gate,
     ProbeState,
-    _apply_gate_axes,
-    _probe_amplitude,
     _relative_matrix,
     _su2_half_arc,
+    _term_amplitude,
     optimal_probe_ncopies,
 )
 
@@ -119,24 +118,7 @@ class SimResult:
 
 def _apply_copies(gate: Gate, probe: ProbeState) -> ProbeState:
     """Image of a probe under gate^(x)copies (x) 1 (a test's target)."""
-    if probe.vector is None:
-        return ProbeState(
-            copies=probe.copies,
-            dim=probe.dim,
-            separable=probe.separable,
-            ancilla_dim=probe.ancilla_dim,
-            coeffs=probe.coeffs,
-            system=probe.system @ gate.matrix.T,
-            ancilla=probe.ancilla,
-        )
-    vec = _apply_gate_axes(probe.vector, gate.matrix, probe.copies, probe.ancilla_dim)
-    return ProbeState(
-        copies=probe.copies,
-        dim=probe.dim,
-        separable=probe.separable,
-        ancilla_dim=probe.ancilla_dim,
-        vector=vec,
-    )
+    return replace(probe, system=probe.system @ gate.matrix.T)
 
 
 def _most_distant_pair(h: HypothesisSet, surviving: list[int]) -> tuple[int, int]:
@@ -217,7 +199,7 @@ def simulate_elimination(
         i, j = test.pair
         # <target|U_true^(x)N|probe> = <probe|(U_i^dag U_true)^(x)N|probe>
         rel = h.gates[i].matrix.conj().T @ g_true.matrix
-        p_target = min(1.0, abs(_probe_amplitude(test.probe, rel)) ** 2)
+        p_target = min(1.0, abs(_term_amplitude(test.probe, test.probe, rel)) ** 2)
         outcome_target = bool(rng.random() < p_target)
         discarded = j if outcome_target else i
         surviving.remove(discarded)

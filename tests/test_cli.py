@@ -83,6 +83,26 @@ def test_probe_kinds(capsys, gate_files):
             assert abs(doc["overlap"] - 0.25) <= 1e-10
 
 
+def test_tol_reaches_the_pair_commands(capsys, gate_files, tmp_path):
+    # a gate accepted at --tol is accepted by every command that pairs it:
+    # U1^dag U2 of two accepted gates is not validated a second time
+    a, _ = gate_files
+    scaled = (1.0 + 1e-9) * np.diag([np.exp(1j * math.pi / 3), np.exp(-1j * math.pi / 3)])
+    b = write_matrix(tmp_path / "scaled.json", scaled)
+    for argv, check in [
+        (["distance"], lambda r: abs(r - math.pi / 3) <= 1e-8),
+        (["ncopies"], lambda r: r == 2),
+        (["fidelity"], lambda r: abs(r - 0.25) <= 1e-8),
+        (["probe", "--kind", "ncopies"], lambda r: r["copies"] == 2 and r["overlap"] <= 1e-16),
+        (["probe", "--kind", "separable"], lambda r: abs(r["overlap"] - 0.25) <= 1e-8),
+    ]:
+        code, out, err = run(capsys, [*argv, "--u1", a, "--u2", b, "--tol", "1e-6"])
+        assert code == 0, err
+        assert check(json.loads(out)["result"])
+    code, _, _ = run(capsys, ["distance", "--u1", a, "--u2", b])
+    assert code == 2  # the default tolerance still rejects the scaled gate itself
+
+
 def test_oracle_command(capsys, gate_files):
     a, b = gate_files
     code, out, _ = run(

@@ -11,6 +11,7 @@ from gatediscrim import (
     DimensionError,
     Gate,
     GateSU2Params,
+    HypothesisSet,
     IdenticalGatesError,
     ProbeState,
     SizeLimitError,
@@ -31,6 +32,7 @@ from gatediscrim import (
     su2_from_params,
     su3_example_gate,
     tensor_power,
+    validate_unitary,
 )
 from gatediscrim.gates import (
     _relative_matrix,
@@ -147,6 +149,23 @@ def test_relative_gate():
 
 # ---------------------------------------------------------------------------
 # Fidelity / distance closed forms
+
+
+def test_products_of_accepted_gates_are_not_revalidated():
+    # each gate passes at the default tolerance (|s^2 - 1| = 9e-11); their
+    # relative gate, off by |s^4 - 1| = 1.8e-10, is a product of validated
+    # gates and is accepted wherever the pair is
+    s = 1.0 + 4.5e-11
+    u1, u2 = Gate(s * np.eye(2)), Gate(s * rot(0.3).matrix)
+    assert not validate_unitary(_relative_matrix(u1.matrix, u2.matrix))
+    assert abs(gate_fidelity_su2(u1, u2) - math.cos(0.3) ** 2) <= 1e-9
+    assert abs(gate_distance(u1, u2) - 0.3) <= 1e-9
+    assert min_copies(u1, u2) == 6
+    probe = optimal_probe_ncopies(u1, u2)
+    assert probe.copies == 6 and probe_overlap(u1, u2, probe, 6) <= 1e-16
+    assert abs(probe_overlap(u1, u2, optimal_probe_separable(u1, u2), 1)
+               - math.cos(0.3) ** 2) <= 1e-9
+    assert HypothesisSet((u1, u2)).distances[0, 1] == gate_distance(u1, u2)
 
 
 def test_fidelity_su2_examples():
@@ -377,30 +396,24 @@ def test_min_copies_matches_distance_bound():
 
 def test_probe_state_validation():
     e0 = np.array([1.0, 0.0], dtype=complex)
+    with pytest.raises(TypeError):
+        ProbeState()  # no terms
     with pytest.raises(ValidationError):
-        ProbeState(copies=1, dim=2, separable=True)  # no representation
+        ProbeState(coeffs=np.ones(1), system=np.ones((1, 1, 2)))  # norm^2 = 2
     with pytest.raises(ValidationError):
-        ProbeState(
-            copies=1,
-            dim=2,
-            separable=True,
-            terms=(((1.0 + 0j), (e0,)),),
-            vector=np.kron(e0, e0),
-        )
+        ProbeState(coeffs=np.ones(1), system=np.ones((1, 0, 2)))  # no copies
     with pytest.raises(ValidationError):
-        ProbeState(copies=1, dim=2, separable=True, vector=np.array([1.0, 1.0]))
-    with pytest.raises(DimensionError):
-        ProbeState(copies=2, dim=2, separable=True, terms=(((1.0 + 0j), (e0,)),))
-    with pytest.raises(ValidationError):
-        ProbeState(copies=0, dim=2, separable=True, terms=(((1.0 + 0j), (e0,)),))
-    probe = ProbeState(copies=1, dim=2, separable=True, terms=(((1.0 + 0j), (e0,)),))
+        ProbeState(coeffs=np.ones(1), system=np.ones((1, 1, 1)))  # dimension 1
+    probe = ProbeState(coeffs=np.ones(1), system=e0[None, None, :])
+    assert (probe.copies, probe.dim, probe.ancilla_dim, probe.separable) == (1, 2, 1, True)
     assert probe.total_dim == 2
     assert np.allclose(probe.to_vector(), e0)
 
 
 def test_probe_to_vector_size_cap():
     e0 = np.array([1.0, 0.0], dtype=complex)
-    big = ProbeState(copies=20, dim=2, separable=True, terms=(((1.0 + 0j), (e0,) * 20),))
+    big = ProbeState(coeffs=np.ones(1), system=e0[None, None, :], counts=np.array([20]))
+    assert big.copies == 20
     with pytest.raises(SizeLimitError):
         big.to_vector()
 
@@ -498,12 +511,10 @@ def test_ncopies_probe_dense_agreement():
     u1, u2 = Gate.identity(2), rot(0.5)
     probe = optimal_probe_ncopies(u1, u2)
     n = probe.copies
-    dense = ProbeState(
-        copies=n, dim=2, separable=True, ancilla_dim=probe.ancilla_dim,
-        vector=probe.to_vector(),
-    )
+    vec = probe.to_vector()
+    dense = tensor_power(relative_gate(u1, u2).matrix, n) @ vec
     a = probe_overlap(u1, u2, probe, n)
-    b = probe_overlap(u1, u2, dense, n)
+    b = abs(np.vdot(vec, dense)) ** 2
     assert abs(a - b) <= 1e-12
 
 
@@ -602,42 +613,69 @@ def test_ncopies_probe_term_count_at_exact_boundaries():
 
 def test_probe_arrays_are_read_only():
     factor = np.array([1.0, 0.0], dtype=complex)
+    counts = np.array([1])
     probe = ProbeState(
-        copies=1, dim=2, separable=True, ancilla_dim=2, terms=(((1.0 + 0j), (factor, factor)),)
+        coeffs=np.ones(1), system=factor[None, None, :], ancilla=factor[None, None, :],
+        counts=counts,
     )
     factor[:] = [0.0, 1.0]  # the probe keeps its own copy
+    counts[0] = 2
     assert np.array_equal(probe.to_vector(), [1.0, 0.0, 0.0, 0.0])
+    assert probe.copies == 1 and probe.ancilla_dim == 2 and not probe.separable
     built = optimal_probe_ncopies(Gate.identity(2), rot(0.5))
     assert built.ancilla is None and built.ancilla_dim == 1
     entangled = optimal_probe_single(Gate.identity(2), rot(0.5), entangled=True)
-    dense = ProbeState(copies=1, dim=2, separable=True, vector=np.array([1.0, 0.0]))
-    for arr in (probe.coeffs, probe.system, probe.ancilla, built.coeffs, built.system,
-                entangled.ancilla, dense.vector):
+    for arr in (probe.coeffs, probe.system, probe.ancilla, probe.counts, built.coeffs,
+                built.system, built.counts, entangled.ancilla):
         with pytest.raises(ValueError):
             arr[0] = 0.0
 
 
 def test_probe_array_structure_errors():
     e0 = np.array([1.0, 0.0], dtype=complex)
-    with pytest.raises(ValidationError):
-        ProbeState(copies=1, dim=2, separable=True, terms=(((1.0 + 0j), (e0,)),),
-                   coeffs=np.ones(1), system=e0[None, None, :])
-    with pytest.raises(ValidationError):
-        ProbeState(copies=1, dim=2, separable=True, coeffs=np.ones(1))
+    with pytest.raises(TypeError):
+        ProbeState(coeffs=np.ones(1))  # system factors are required
     with pytest.raises(DimensionError):
-        ProbeState(copies=2, dim=2, separable=True, coeffs=np.ones(1), system=e0[None, None, :])
+        ProbeState(coeffs=np.ones(2), system=e0[None, None, :])
     with pytest.raises(DimensionError):
-        ProbeState(copies=1, dim=2, separable=True, ancilla_dim=4,
-                   coeffs=np.ones(1), system=e0[None, None, :], ancilla=e0[None, None, :])
-    # terms whose ancilla factors differ in count cannot share one array
-    half = complex(1.0 / math.sqrt(2.0))
-    with pytest.raises(DimensionError, match="probe factor structures differ"):
-        ProbeState(copies=1, dim=2, separable=False, ancilla_dim=4,
-                   terms=((half, (e0, e0, e0)), (half, (e0, np.ones(4) / 2.0))))
-    one = ProbeState(copies=1, dim=2, separable=True, terms=(((1.0 + 0j), (e0,)),))
-    two = ProbeState(copies=2, dim=2, separable=True, terms=(((1.0 + 0j), (e0, e0)),))
+        ProbeState(coeffs=np.ones(1), system=e0)
+    with pytest.raises(DimensionError):
+        ProbeState(coeffs=np.ones(1), system=e0[None, None, :], ancilla=np.ones((2, 1, 2)))
+    with pytest.raises(DimensionError):
+        ProbeState(coeffs=np.ones(1), system=e0[None, None, :], ancilla=e0[None, :])
+    one = ProbeState(coeffs=np.ones(1), system=e0[None, None, :])
+    two = ProbeState(coeffs=np.ones(1), system=np.stack([e0, e0])[None])
     with pytest.raises(DimensionError, match="probe factor structures differ"):
         _term_amplitude(one, two, None)
+    # two copies in one column of two are not the same structure as two columns of one
+    two_counted = ProbeState(coeffs=np.ones(1), system=e0[None, None, :], counts=np.array([2]))
+    with pytest.raises(DimensionError, match="probe factor structures differ"):
+        _term_amplitude(two_counted, two, None)
+
+
+@pytest.mark.parametrize(
+    "counts", [[2], [1, 1, 1], [0, 2], [-1, 3], [1.0, 1.0], [True, True], [[1, 1]]]
+)
+def test_probe_counts_must_be_positive_and_match_columns(counts):
+    e0 = np.array([1.0, 0.0], dtype=complex)
+    with pytest.raises(DimensionError):
+        ProbeState(coeffs=np.ones(1), system=np.stack([e0, e0])[None], counts=np.array(counts))
+
+
+def test_ncopies_probe_expands_to_its_product_terms():
+    # for every N <= 12 the counted columns expand to the N-factor products
+    # w_a^(x)ceil(N/2) (x) w_b^(x)floor(N/2) of the probe's own column vectors
+    for n in range(1, 13):
+        u2 = rot(math.pi / (2 * n) * (1.0 + 1e-3 if n > 1 else 1.0))
+        probe = optimal_probe_ncopies(Gate.identity(2), u2)
+        assert probe.copies == n
+        assert probe.system.shape[1] == min(n, 2)
+        assert probe.counts.tolist() == ([(n + 1) // 2, n // 2] if n > 1 else [1])
+        expected = 0
+        for coeff, cols in zip(probe.coeffs, probe.system):
+            factors = [cols[0]] * ((n + 1) // 2) + [cols[-1]] * (n // 2)
+            expected = expected + functools.reduce(np.kron, factors, np.array([coeff]))
+        assert np.array_equal(probe.to_vector(), expected)
 
 
 def _spectral_weight_overlap(u1: Gate, u2: Gate, probe: ProbeState) -> float:
@@ -675,7 +713,8 @@ def _loop_amplitude(a: ProbeState, b: ProbeState, op: np.ndarray) -> complex:
     total = 0.0 + 0.0j
     for s, t in itertools.product(range(a.coeffs.size), repeat=2):
         amp = np.conj(a.coeffs[s]) * b.coeffs[t]
-        for x, y in zip(a.system[s], b.system[t]):
+        for x, y in zip(np.repeat(a.system[s], a.counts, axis=0),
+                        np.repeat(b.system[t], b.counts, axis=0)):
             amp *= np.vdot(x, op @ y)
         if a.ancilla is not None:
             for x, y in zip(a.ancilla[s], b.ancilla[t]):
@@ -693,7 +732,8 @@ def test_ncopies_probe_large_n(delta):
     u2 = Gate(u1.matrix @ (w * np.exp([1j * delta, -1j * delta])) @ w.conj().T)
     probe = optimal_probe_ncopies(u1, u2)
     n = math.ceil(math.pi / (2 * delta))
-    assert probe.copies == n
+    assert probe.copies == n and probe.counts.sum() == n
+    assert probe.system.shape[1] <= 2  # the arrays do not grow with N
     assert abs(_loop_amplitude(probe, probe, np.eye(2)) - 1.0) <= 1e-10
     assert probe_overlap(u1, u2, probe, n) <= 1e-16
     # the contraction agrees with the factor-by-factor loop to n rounding steps
@@ -709,26 +749,29 @@ def test_ncopies_probe_large_n(delta):
     dim=st.sampled_from([2, 3]),
     anc_factors=st.integers(0, 2),
     anc_len=st.sampled_from([2, 3]),
-    as_terms=st.booleans(),
 )
-def test_term_contraction_matches_dense(seed, n_terms, copies, dim, anc_factors, anc_len, as_terms):
+def test_term_contraction_matches_dense(seed, n_terms, copies, dim, anc_factors, anc_len):
     rng = np.random.default_rng(seed)
 
     def cvec(*shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    coeffs, system = cvec(n_terms), cvec(n_terms, copies, dim)
+    # split the copies into columns of random counts
+    cuts = np.sort(rng.choice(np.arange(1, copies), rng.integers(0, copies), replace=False))
+    counts = np.diff([0, *cuts, copies])
+    coeffs, system = cvec(n_terms), cvec(n_terms, counts.size, dim)
     ancilla = cvec(n_terms, anc_factors, anc_len) if anc_factors else None
     anc_dim = anc_len**anc_factors
-    factors = [[*system[t], *(ancilla[t] if anc_factors else [])] for t in range(n_terms)]
+    factors = [
+        [f for f, c in zip(system[t], counts) for _ in range(c)]
+        + [*(ancilla[t] if anc_factors else [])]
+        for t in range(n_terms)
+    ]
     dense = sum(c * functools.reduce(np.kron, fs) for c, fs in zip(coeffs, factors))
     coeffs = coeffs / np.linalg.norm(dense)
     dense = dense / np.linalg.norm(dense)
-    if as_terms:
-        probe = ProbeState(copies, dim, False, anc_dim, terms=tuple(zip(coeffs, factors)))
-    else:
-        probe = ProbeState(copies, dim, False, anc_dim,
-                           coeffs=coeffs, system=system, ancilla=ancilla)
+    probe = ProbeState(coeffs=coeffs, system=system, ancilla=ancilla, counts=counts)
+    assert (probe.copies, probe.dim, probe.ancilla_dim) == (copies, dim, anc_dim)
     assert np.allclose(probe.to_vector(), dense, atol=1e-12)
 
     u1, u2 = Gate(haar_unitary(dim, rng)), Gate(haar_unitary(dim, rng))
@@ -918,7 +961,7 @@ def test_su3_probe_e1_separates_from_identity():
     g = su3_example_gate(0.9, 0.2, [0.1, 5.0, 2.2, 3.3, 4.4])
     e1 = np.zeros(3, dtype=complex)
     e1[0] = 1.0
-    probe = ProbeState(copies=1, dim=3, separable=True, terms=(((1.0 + 0j), (e1,)),))
+    probe = ProbeState(coeffs=np.ones(1), system=e1[None, None, :])
     assert probe_overlap(Gate.identity(3), g, probe, 1) <= 1e-24
 
 

@@ -268,14 +268,14 @@ def test_round_probability_is_one_contraction_of_the_probe(monkeypatch):
     # each round's p_target, <probe|(U_i^dag U_true)^(x)N|probe>, equals the
     # overlap of the test's target with the probe's image under the true gate
     amplitudes = []
-    original = gatediscrim.protocol._probe_amplitude
+    original = gatediscrim.protocol._term_amplitude
 
-    def recorded(probe, op):
-        amp = original(probe, op)
-        amplitudes.append((probe, amp))
+    def recorded(a, b, op):
+        amp = original(a, b, op)
+        amplitudes.append((a, amp))
         return amp
 
-    monkeypatch.setattr(gatediscrim.protocol, "_probe_amplitude", recorded)
+    monkeypatch.setattr(gatediscrim.protocol, "_term_amplitude", recorded)
     rng = np.random.default_rng(9)
     checked = 0
     for k in (3, 5, 8):
