@@ -336,43 +336,36 @@ def _cmd_discriminate(args):
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="gatediscrim", description=__doc__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    common.add_argument(
-        "--samples", type=int, default=100_000, help="Monte-Carlo sample count"
-    )
-    common.add_argument(
-        "--tol", type=float, default=1e-10, help="validation tolerance (default 1e-10)"
-    )
-    common.add_argument(
-        "--budget", type=int, default=32, help="number of random oracle probes (default 32)"
-    )
-    common.add_argument(
-        "--emit-plot",
-        metavar="PATH",
-        default=None,
-        help="write a CSV (x,y) series for sampling commands",
-    )
+    # Shared options; each command takes only those its handler reads.
+    options = {
+        "seed": dict(type=int, default=0, help="random seed (default 0)"),
+        "samples": dict(type=int, default=100_000, help="Monte-Carlo sample count"),
+        "tol": dict(type=float, default=1e-10, help="validation tolerance (default 1e-10)"),
+        "budget": dict(type=int, default=32, help="number of random oracle probes (default 32)"),
+        "emit-plot": dict(metavar="PATH", default=None, help="write a CSV (x,y) series"),
+    }
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
-    def add(name, handler, help_text):
-        p = sub.add_parser(name, parents=[common], help=help_text)
+    def add(name, handler, help_text, *shared):
+        p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
+        for opt in shared:
+            p.add_argument(f"--{opt}", **options[opt])
         return p
 
-    p = add("fidelity", _cmd_fidelity, "statistical fidelity between two gates")
+    p = add("fidelity", _cmd_fidelity, "statistical fidelity between two gates", "tol")
     p.add_argument("--u1", required=True)
     p.add_argument("--u2", required=True)
 
-    p = add("distance", _cmd_distance, "statistical angle between two gates")
+    p = add("distance", _cmd_distance, "statistical angle between two gates", "tol")
     p.add_argument("--u1", required=True)
     p.add_argument("--u2", required=True)
 
-    p = add("ncopies", _cmd_ncopies, "copies needed for perfect discrimination")
+    p = add("ncopies", _cmd_ncopies, "copies needed for perfect discrimination", "tol")
     p.add_argument("--u1", required=True)
     p.add_argument("--u2", required=True)
 
-    p = add("probe", _cmd_probe, "optimal probe state for a gate pair")
+    p = add("probe", _cmd_probe, "optimal probe state for a gate pair", "tol")
     p.add_argument("--u1", required=True)
     p.add_argument("--u2", required=True)
     p.add_argument(
@@ -382,7 +375,8 @@ def build_parser() -> _Parser:
     p = add("arc", _cmd_arc, "minimal covering arc of a phase list")
     p.add_argument("--phases", required=True, help="JSON array of phases (radians)")
 
-    p = add("oracle", _cmd_oracle, "numerical minimum overlap (brute force)")
+    p = add("oracle", _cmd_oracle, "numerical minimum overlap (brute force)",
+            "tol", "budget", "seed")
     p.add_argument("--u1", required=True)
     p.add_argument("--u2", required=True)
     p.add_argument("--n", type=int, default=1, help="copy count (default 1)")
@@ -395,14 +389,17 @@ def build_parser() -> _Parser:
     p.add_argument("--p", required=True, help="JSON array of probabilities")
     p.add_argument("--q", required=True, help="JSON array of probabilities")
 
-    p = add("avg-fidelity", _cmd_avg_fidelity, "Monte-Carlo average fidelity")
+    p = add("avg-fidelity", _cmd_avg_fidelity, "Monte-Carlo average fidelity",
+            "tol", "samples", "seed", "emit-plot")
     p.add_argument("--u1", required=True)
     p.add_argument("--u2", required=True)
 
-    p = add("haar-sample", _cmd_haar_sample, "invariant-measure parameter draws")
+    p = add("haar-sample", _cmd_haar_sample, "invariant-measure parameter draws",
+            "seed", "emit-plot")
     p.add_argument("--n", type=int, default=10, help="number of draws (default 10)")
 
-    p = add("metric-check", _cmd_metric_check, "coordinate vs matrix metric agreement")
+    p = add("metric-check", _cmd_metric_check, "coordinate vs matrix metric agreement",
+            "seed")
     p.add_argument("--n", type=int, default=100, help="number of draws (default 100)")
 
     p = add("su3-example", _cmd_su3_example, "three-level gate with a forced-zero entry")
@@ -410,7 +407,8 @@ def build_parser() -> _Parser:
     p.add_argument("--gamma2", type=float, required=True)
     p.add_argument("--phi", required=True, help="JSON array of 5 phase angles")
 
-    p = add("discriminate", _cmd_discriminate, "simulate sequential elimination")
+    p = add("discriminate", _cmd_discriminate, "simulate sequential elimination",
+            "tol", "seed")
     p.add_argument("--set", required=True, help='JSON file {"gates": [matrix, ...]}')
     p.add_argument("--true", type=int, required=True, help="index of the true gate")
 

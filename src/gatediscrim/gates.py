@@ -8,6 +8,7 @@ arc covering the eigenphases of the relative gate U1^dag U2.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -126,29 +127,28 @@ def su2_from_params(params: GateSU2Params) -> Gate:
     return Gate(m, special=True)
 
 
-def _check_pair(u1: Gate, u2: Gate, require_special: bool = True, dim: int | None = None):
+def _check_pair(u1: Gate, u2: Gate, dim: int | None = None):
     if not isinstance(u1, Gate) or not isinstance(u2, Gate):
         raise ValidationError("expected Gate instances")
     if u1.dim != u2.dim:
         raise DimensionError(f"gate dimensions differ: {u1.dim} vs {u2.dim}")
     if dim is not None and u1.dim != dim:
         raise DimensionError(f"operation requires dimension {dim}, got {u1.dim}")
-    if require_special and not (u1.special and u2.special):
-        raise ValidationError("operation requires special-unitary gates")
 
 
 def relative_gate(u1: Gate, u2: Gate) -> Gate:
     """The gate U1^dag U2 whose spectrum controls distinguishability."""
-    _check_pair(u1, u2, require_special=False)
-    return Gate(u1.matrix.conj().T @ u2.matrix, special=u1.special and u2.special)
+    _check_pair(u1, u2)
+    return Gate(u1.matrix.conj().T @ u2.matrix)
 
 
 def gate_fidelity_su2(u1: Gate, u2: Gate) -> float:
-    """Single-use fidelity |tr(U1^dag U2)|^2 / 4 for qubit special unitaries.
+    """Single-use fidelity |tr(U1^dag U2)|^2 / 4 for any two qubit gates.
 
     This is the smallest overlap any probe (entangled probes included) can
     retain between the two branches, so 0 means one-shot perfect
-    distinguishability.
+    distinguishability.  Only |tr| enters, so a global phase on either gate
+    leaves it unchanged.
     """
     _check_pair(u1, u2, dim=2)
     tr = np.trace(u1.matrix.conj().T @ u2.matrix)
@@ -231,21 +231,26 @@ def convex_min_overlap(phases: Sequence[float]) -> float:
 
 
 def _su2_half_arc(rel):
-    """Gate distance carried by relative gates R = U1^dag U2 in SU(2).
+    """Gate distance carried by relative gates R = U1^dag U2 in U(2).
 
     Takes one 2x2 matrix (returns a float) or a stack of shape (..., 2, 2)
-    (returns an array).  R = [[alpha, beta], [-conj(beta), conj(alpha)]] has
-    eigenphases +/-a with cos a = Re alpha and sin a = |(Im alpha, beta)|,
-    so its covering half-arc min(a, pi - a) <= pi/2 is
-    atan2(sqrt((Im alpha)^2 + |beta|^2), |Re alpha|).  alpha and beta are
-    read symmetrically from both rows; half-arcs below _ARC_RESOLUTION are
-    rounding noise and read as 0.  R is a product of validated gates.
+    (returns an array).  c = conj(sqrt(det R)) removes the global phase:
+    c R = [[alpha, beta], [-conj(beta), conj(alpha)]] is in SU(2) with
+    eigenphases +/-a, cos a = Re alpha and sin a = |(Im alpha, beta)|, so the
+    covering half-arc min(a, pi - a) <= pi/2 is atan2(hypot(Im alpha, |beta|),
+    |Re alpha|); the other root negates alpha and beta.  Reading them from
+    both rows drops the part of R that is not unitary (rounding, or a looser
+    `Gate` tolerance), so U^dag U reads 0.  A pair and a stack take one numpy
+    path and give the same bits; half-arcs below _ARC_RESOLUTION read as 0.
     """
     rel = np.asarray(rel)
-    alpha = (rel[..., 0, 0] + rel[..., 1, 1].conj()) / 2.0
-    beta = (rel[..., 0, 1] - rel[..., 1, 0].conj()) / 2.0
-    delta = np.arctan2(np.hypot(alpha.imag, np.abs(beta)), np.abs(alpha.real))
-    delta = np.where(delta < _ARC_RESOLUTION, 0.0, delta)
+    r00, r01, r10, r11 = rel[..., 0, 0], rel[..., 0, 1], rel[..., 1, 0], rel[..., 1, 1]
+    # both orders of r01 r10, so that U2^dag U1 = R^dag gives the same bits
+    c = np.sqrt(r00 * r11 - (r01 * r10 + r10 * r01) / 2.0).conj()
+    alpha2 = r00 * c + (r11 * c).conj()  # 2 alpha
+    beta2 = r01 * c - (r10 * c).conj()  # 2 beta
+    delta = np.arctan2(np.hypot(alpha2.imag, np.abs(beta2)), np.abs(alpha2.real))
+    delta = delta * (delta >= _ARC_RESOLUTION)
     return float(delta) if delta.ndim == 0 else delta
 
 
@@ -262,12 +267,13 @@ def _relative_matrix(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
 def gate_distance(u1: Gate, u2: Gate) -> float:
     """Statistical angle between gates: min(arc half-width, pi/2).
 
-    The arc is the minimal one covering the eigenphases of U1^dag U2.  The
-    cap at pi/2 marks perfect distinguishability.
+    The arc is the minimal one covering the eigenphases of U1^dag U2, so a
+    global phase on either gate leaves it unchanged and any determinant is
+    accepted.  The cap at pi/2 marks perfect distinguishability.
 
     For qubits the distance has a closed form without eigenphases: with
-    U1^dag U2 = [[alpha, beta], [-conj(beta), conj(alpha)]] it is
-    atan2(sqrt((Im alpha)^2 + |beta|^2), |Re alpha|), which equals
+    U1^dag U2 = e^{i phi} [[alpha, beta], [-conj(beta), conj(alpha)]] it is
+    atan2(hypot(|Im alpha|, |beta|), |Re alpha|), which equals
     arccos(|tr(U1^dag U2)|/2).  The atan2 form is used because arccos loses
     all precision near the identity: at distance 1e-9, |tr|/2 rounds to 1
     and arccos returns 0, while atan2 keeps full relative accuracy.  Other
@@ -276,9 +282,7 @@ def gate_distance(u1: Gate, u2: Gate) -> float:
     _check_pair(u1, u2)
     if u1.dim == 2:
         return _su2_half_arc(_relative_matrix(u1.matrix, u2.matrix))
-    rel = relative_gate(u1, u2)
-    delta = minimal_covering_arc(rel.spectral.phases).delta
-    return min(delta, _HALF_PI)
+    return min(minimal_covering_arc(relative_gate(u1, u2).spectral.phases).delta, _HALF_PI)
 
 
 def gate_fidelity_sud(u1: Gate, u2: Gate) -> float:
@@ -447,7 +451,7 @@ def probe_overlap(u1: Gate, u2: Gate, probe: ProbeState, n: int) -> float:
     This is the quantity whose vanishing makes the two gate hypotheses
     perfectly distinguishable with n parallel uses.
     """
-    _check_pair(u1, u2, require_special=False)
+    _check_pair(u1, u2)
     if not isinstance(probe, ProbeState):
         raise ValidationError("expected a ProbeState")
     if n != probe.copies:
@@ -461,33 +465,32 @@ def probe_overlap(u1: Gate, u2: Gate, probe: ProbeState, n: int) -> float:
 def _su2_folded_eigenbasis(rel: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """Half-arc delta and eigenvectors (w_plus, w_minus) of a relative qubit gate.
 
-    Closed form, no eigendecomposition: R = [[alpha, beta], [-conj(beta),
-    conj(alpha)]] = cos a 1 + i sin a (n . sigma) with sin a = s =
-    |(Im alpha, beta)|, n_z = Im alpha / s and n_x + i n_y = i conj(beta) / s.
-    R has phase +a on w_plus, the +1 eigenvector of n . sigma, read from
-    (1 + n_z, n_x + i n_y) or (n_x - i n_y, 1 - n_z), whichever is longer,
-    and phase -a on its orthogonal partner w_minus.  When a > pi/2 (Re alpha
-    < 0) the gate is a global phase away from one with phases +/-(pi - a),
-    so the two vectors trade roles and delta = min(a, pi - a) <= pi/2
-    throughout; delta is the number `_su2_half_arc` reads from R.  Both
-    vectors carry the gauge of `numkit.eig_unitary` (largest-magnitude entry
-    real and positive).  For R = +/-1 (s = 0) the standard basis is returned.
+    Closed form, no eigendecomposition; delta is `_su2_half_arc(rel)`.  Its
+    S = conj(sqrt(det R)) R = cos a 1 + i sin a (n . sigma), rebuilt here in
+    scalars, has sin a = s = |(Im alpha, beta)|, n_z = Im alpha / s and
+    n_x + i n_y = i conj(beta) / s.  S has phase +a on w_plus, the +1
+    eigenvector of n . sigma, read from (1 + n_z, n_x + i n_y) or
+    (n_x - i n_y, 1 - n_z), whichever is longer, and phase -a on its
+    orthogonal partner w_minus.  When a > pi/2 (Re alpha < 0) S is a global
+    phase away from one with phases +/-(pi - a), so the vectors trade roles.
+    The other root negates S, which only swaps w_plus and w_minus; no
+    probe's overlap changes under that swap.  Both vectors carry the gauge
+    of `numkit.eig_unitary` (largest entry real positive).  For S = +/-1
+    (s = 0) the standard basis is returned.
     """
+    delta = _su2_half_arc(rel)
     (r00, r01), (r10, r11) = rel.tolist()
-    alpha = (r00 + r11.conjugate()) * 0.5
-    beta = (r01 - r10.conjugate()) * 0.5
-    # numpy's abs, hypot and arctan2, as in _su2_half_arc, so delta matches it bit for bit
-    s = float(np.hypot(alpha.imag, np.abs(beta)))
-    delta = float(np.arctan2(s, abs(alpha.real)))
-    if delta < _ARC_RESOLUTION:
-        delta = 0.0
+    c = cmath.sqrt(r00 * r11 - r01 * r10).conjugate()
+    alpha = (r00 * c + (r11 * c).conjugate()) * 0.5
+    beta = (r01 * c - (r10 * c).conjugate()) * 0.5
+    s = math.hypot(alpha.imag, abs(beta))
     n_z, n_xy = (alpha.imag / s, 1j * beta.conjugate() / s) if s > 0.0 else (1.0, 0j)
     p, q = (1.0 + n_z, n_xy) if n_z >= 0.0 else (n_xy.conjugate(), 1.0 - n_z)
-    vecs = np.array([[p, -q.conjugate()], [q, p.conjugate()]]) / math.hypot(abs(p), abs(q))
-    vecs = numkit._fix_gauge(vecs)
-    if alpha.real < 0.0:
-        return delta, vecs[:, 1], vecs[:, 0]
-    return delta, vecs[:, 0], vecs[:, 1]
+    norm, vecs = math.hypot(abs(p), abs(q)), []
+    for a, b in ((p, q), (-q.conjugate(), p.conjugate())):
+        lead = a if abs(a) >= abs(b) else b  # numkit._fix_gauge's choice, in scalars
+        vecs.append(np.array([a, b]) * (abs(lead) / (lead * norm)))
+    return (delta, *vecs[::-1]) if alpha.real < 0.0 else (delta, *vecs)
 
 
 def optimal_probe_separable(u1: Gate, u2: Gate) -> ProbeState:
@@ -555,12 +558,8 @@ def optimal_probe_ncopies(u1: Gate, u2: Gate) -> ProbeState:
     delta, w_plus, w_minus = _su2_folded_eigenbasis(rel)
     n = _copies_for_distance(delta)
     parity = n % 2
-    if n == 1:
-        q = 0.0
-    else:
-        c_par = math.cos(parity * delta)
-        c_n = math.cos(n * delta)
-        q = c_par / (2.0 * (c_par - c_n))
+    c_par, c_n = math.cos(parity * delta), math.cos(n * delta)
+    q = 0.0 if n == 1 else c_par / (2.0 * (c_par - c_n))
     if not -1e-12 <= q <= 0.5 + 1e-12:
         raise RuntimeError(f"internal: branch weight q={q!r} outside [0, 1/2]")
     q = min(max(q, 0.0), 0.5)

@@ -4,7 +4,8 @@ Each round perfectly discriminates the two most-distant surviving
 candidates: the probe from `optimal_probe_ncopies` makes the two branch
 images orthogonal, so a two-outcome projective measurement removes exactly
 one candidate per round and never removes the true gate.  k candidates are
-identified in k-1 rounds with certainty.
+identified in k-1 rounds with certainty.  Candidates are told apart up to a
+global phase only, so any qubit unitaries qualify, whatever their determinants.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import numpy as np
 
 from .errors import DimensionError, ValidationError
 from .gates import (
+    IDENTICAL_TOL,
     Gate,
     ProbeState,
     _relative_matrix,
@@ -25,8 +27,10 @@ from .gates import (
 
 @dataclass(frozen=True, eq=False)
 class HypothesisSet:
-    """Candidate qubit gates, pairwise distinguishable beyond tolerance.
+    """Candidate qubit gates, pairwise distinct up to a global phase.
 
+    Any unitaries are accepted; two whose distance is at most
+    `gates.IDENTICAL_TOL` coincide up to a global phase and are refused.
     `distances` is the read-only k x k table of pairwise `gate_distance`
     values, symmetric with a zero diagonal.  It is computed once, on
     construction, and planning and simulation read it instead of
@@ -45,8 +49,6 @@ class HypothesisSet:
                 raise ValidationError("hypotheses must be Gate instances")
             if g.dim != 2:
                 raise DimensionError("the elimination protocol handles qubit gates only")
-            if not g.special:
-                raise ValidationError("hypotheses must be special-unitary")
         k = len(self.gates)
         mats = np.stack([g.matrix for g in self.gates])
         rows, cols = np.triu_indices(k, 1)
@@ -56,7 +58,7 @@ class HypothesisSet:
         table.setflags(write=False)
         object.__setattr__(self, "distances", table)
         for i, j in zip(rows.tolist(), cols.tolist()):
-            if table[i, j] <= 1e-12:
+            if table[i, j] <= IDENTICAL_TOL:
                 raise ValidationError(
                     f"hypotheses {i} and {j} coincide up to global phase"
                 )
@@ -69,16 +71,24 @@ class HypothesisSet:
 class EliminationTest:
     """One pairwise discrimination round.
 
-    `target` is the probe image under candidate `pair[0]`; the measurement
-    is the projective pair {P, 1 - P} with P onto `target`.  Landing on P
-    rules out `pair[1]` (the images are orthogonal), the complement rules
-    out `pair[0]`.
+    `gate` is candidate `pair[0]`.  `copies` (the probe's) and `target`, the
+    probe's image under `gate`, are read from the stored fields when asked
+    for.  The measurement is the projective pair {P, 1 - P} with P onto
+    `target`.  Landing on P rules out `pair[1]` (the images are orthogonal),
+    the complement rules out `pair[0]`.
     """
 
     pair: tuple[int, int]
-    copies: int
     probe: ProbeState
-    target: ProbeState
+    gate: Gate
+
+    @property
+    def copies(self) -> int:
+        return self.probe.copies
+
+    @property
+    def target(self) -> ProbeState:
+        return _apply_copies(self.gate, self.probe)
 
     def povm(self, max_dim: int = 4096) -> list[np.ndarray]:
         """Dense two-element projective measurement {P, 1 - P}."""
@@ -134,10 +144,7 @@ def _most_distant_pair(h: HypothesisSet, surviving: list[int]) -> tuple[int, int
 
 def _build_test(h: HypothesisSet, i: int, j: int) -> EliminationTest:
     gi = h.gates[i]
-    probe = optimal_probe_ncopies(gi, h.gates[j])
-    return EliminationTest(
-        pair=(i, j), copies=probe.copies, probe=probe, target=_apply_copies(gi, probe)
-    )
+    return EliminationTest(pair=(i, j), probe=optimal_probe_ncopies(gi, h.gates[j]), gate=gi)
 
 
 def plan_elimination(h: HypothesisSet) -> TestPlan:
@@ -175,13 +182,11 @@ def simulate_elimination(
     if true_index is not None:
         if not 0 <= true_index < len(h):
             raise ValidationError(f"true_index {true_index} out of range")
-        g_true = h.gates[true_index]
-        in_set = True
+        g_true, in_set = h.gates[true_index], True
     else:
         if not isinstance(true_gate, Gate) or true_gate.dim != 2:
             raise ValidationError("true_gate must be a qubit Gate")
-        g_true = true_gate
-        in_set = False
+        g_true, in_set = true_gate, False
     rng = np.random.default_rng(seed)
     surviving = list(range(len(h)))
     pending = list(plan.tests)
@@ -198,20 +203,14 @@ def simulate_elimination(
             test = _build_test(h, *_most_distant_pair(h, surviving))
         i, j = test.pair
         # <target|U_true^(x)N|probe> = <probe|(U_i^dag U_true)^(x)N|probe>
-        rel = h.gates[i].matrix.conj().T @ g_true.matrix
+        rel = test.gate.matrix.conj().T @ g_true.matrix
         p_target = min(1.0, abs(_term_amplitude(test.probe, test.probe, rel)) ** 2)
         outcome_target = bool(rng.random() < p_target)
         discarded = j if outcome_target else i
         surviving.remove(discarded)
         total_runs += test.copies
-        records.append(
-            TestRecord(
-                pair=test.pair,
-                copies=test.copies,
-                outcome_target=outcome_target,
-                discarded=discarded,
-            )
-        )
+        records.append(TestRecord(pair=test.pair, copies=test.copies,
+                                  outcome_target=outcome_target, discarded=discarded))
     return SimResult(
         identified_index=surviving[0],
         total_runs=total_runs,

@@ -68,6 +68,15 @@ def test_distance_and_arc(capsys, gate_files):
     assert abs(doc["result"]["convex_min_overlap"] - math.cos(0.6) ** 2) <= 1e-12
 
 
+def test_distance_accepts_pauli_x_vs_z(capsys, tmp_path):
+    # det X = det Z = -1; the distance is defined up to a global phase
+    x = write_matrix(tmp_path / "x.json", [[0.0, 1.0], [1.0, 0.0]])
+    z = write_matrix(tmp_path / "z.json", np.diag([1.0, -1.0]))
+    code, out, _ = run(capsys, ["distance", "--u1", x, "--u2", z])
+    assert code == 0
+    assert json.loads(out)["result"] == math.pi / 2
+
+
 def test_probe_kinds(capsys, gate_files):
     a, b = gate_files
     for kind, copies in [("entangled", 1), ("separable", 1), ("ncopies", 2)]:
@@ -328,3 +337,51 @@ def test_identical_gates_exit_code(capsys, gate_files):
     code, _, err = run(capsys, ["ncopies", "--u1", a, "--u2", a])
     assert code == 2
     assert "coincide" in err
+
+
+# The shared options each command reads; every other one is a usage error.
+SHARED_VALUES = {"--seed": "1", "--samples": "10", "--tol": "1e-9", "--budget": "4",
+                 "--emit-plot": "plot.csv"}
+READS = {
+    "fidelity": {"--tol"},
+    "distance": {"--tol"},
+    "ncopies": {"--tol"},
+    "probe": {"--tol"},
+    "arc": set(),
+    "oracle": {"--tol", "--budget", "--seed"},
+    "state-fidelity": set(),
+    "classical-distance": set(),
+    "avg-fidelity": {"--tol", "--samples", "--seed", "--emit-plot"},
+    "haar-sample": {"--seed", "--emit-plot"},
+    "metric-check": {"--seed"},
+    "su3-example": set(),
+    "discriminate": {"--tol", "--seed"},
+}
+
+
+def test_commands_take_only_the_options_they_read(capsys, tmp_path, monkeypatch, gate_files):
+    from gatediscrim.cli import build_parser
+
+    monkeypatch.chdir(tmp_path)
+    a, b = gate_files
+    pair = ["--u1", a, "--u2", b]
+    complete = {  # every required argument of each command
+        "fidelity": pair, "distance": pair, "ncopies": pair, "probe": pair, "oracle": pair,
+        "avg-fidelity": pair, "arc": ["--phases", "[0.1, 0.4]"],
+        "state-fidelity": ["--rho1", a, "--rho2", b],
+        "classical-distance": ["--p", "[1]", "--q", "[1]"],
+        "haar-sample": [], "metric-check": [], "discriminate": ["--set", a, "--true", "0"],
+        "su3-example": ["--gamma1", "0", "--gamma2", "0", "--phi", "[0, 0, 0, 0, 0]"],
+    }
+    assert set(complete) == set(READS)
+    assert sum(len(flags) for flags in READS.values()) == 16
+    for command, flags in READS.items():
+        for flag, value in SHARED_VALUES.items():
+            argv = [command, *complete[command], flag, value]
+            if flag in flags:
+                build_parser().parse_args(argv)
+                continue
+            code, out, err = run(capsys, argv)
+            assert code == 64, argv
+            assert out == "" and f"unrecognized arguments: {flag}" in err
+    assert not (tmp_path / "plot.csv").exists()

@@ -168,6 +168,27 @@ def test_products_of_accepted_gates_are_not_revalidated():
     assert HypothesisSet((u1, u2)).distances[0, 1] == gate_distance(u1, u2)
 
 
+def test_accepted_gate_coincides_with_itself_up_to_phase():
+    # unitary only to ~1e-10, so U^dag U = diag(1 + 8e-11, 1) is not the identity;
+    # that error is not a rotation and must not read as a distance
+    for m in (np.diag([1.0 + 4e-11, 1.0]), np.array([[1.0, 4e-11], [4e-11, 1.0]])):
+        u = Gate(m)
+        for v in (u, Gate(np.exp(0.7j) * m), Gate(-1j * m)):
+            assert gate_distance(u, v) == 0.0 and gate_distance(v, u) == 0.0
+            with pytest.raises(IdenticalGatesError):
+                min_copies(u, v)
+            with pytest.raises(ValidationError):
+                HypothesisSet((u, v))
+
+
+def test_distance_table_matches_both_orders_bit_for_bit():
+    rng = np.random.default_rng(21)
+    for _ in range(30):
+        h = HypothesisSet(tuple(Gate(haar_unitary(2, rng)) for _ in range(12)))
+        for i, j in itertools.permutations(range(len(h)), 2):
+            assert h.distances[i, j] == gate_distance(h.gates[i], h.gates[j])
+
+
 def test_fidelity_su2_examples():
     u = Gate(haar_unitary(2, np.random.default_rng(3), special=True))
     assert gate_fidelity_su2(u, u) == 1.0
@@ -178,8 +199,6 @@ def test_fidelity_su2_examples():
 def test_fidelity_su2_rejects():
     with pytest.raises(DimensionError):
         gate_fidelity_su2(Gate.identity(3), Gate.identity(3))
-    with pytest.raises(ValidationError):
-        gate_fidelity_su2(Gate.identity(2), Gate(np.diag([1.0, -1.0])))
 
 
 def test_gate_distance_examples():
@@ -233,6 +252,50 @@ def test_qubit_closed_form_at_perfect_distinguishability():
     assert gate_distance(one, isx) == math.pi / 2
     assert gate_distance(isx, one) == math.pi / 2
     assert min_copies(one, isx) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.sampled_from([2, 3]),
+    a=st.floats(-math.pi, math.pi),
+    b=st.floats(-math.pi, math.pi),
+)
+def test_measures_ignore_global_phases(seed, dim, a, b):
+    """d(e^{ia} U1, e^{ib} U2) = d(U1, U2), whatever the determinants.
+
+    The second phased pair makes det(U1^dag U2) = -1, where the diagonal of
+    a qubit U1^dag U2 read as [[alpha, .], [., conj(alpha)]] cancels.
+    """
+    rng = np.random.default_rng(seed)
+    m1, m2 = haar_unitary(dim, rng), haar_unitary(dim, rng)
+    u1, u2 = Gate(m1), Gate(m2)
+    turn = np.exp(1j * (math.pi - np.angle(np.linalg.det(m1.conj().T @ m2))) / dim)
+    sep_ref = optimal_probe_separable(u1, u2)
+    for p1, p2 in ((Gate(np.exp(1j * a) * m1), Gate(np.exp(1j * b) * m2)), (u1, Gate(turn * m2))):
+        assert abs(gate_distance(p1, p2) - gate_distance(u1, u2)) <= 1e-13
+        assert min_copies(p1, p2) == min_copies(u1, u2)
+        assert abs(gate_fidelity_sud(p1, p2) - gate_fidelity_sud(u1, u2)) <= 1e-13
+        sep = optimal_probe_separable(p1, p2)
+        assert abs(probe_overlap(p1, p2, sep, 1) - probe_overlap(u1, u2, sep_ref, 1)) <= 1e-12
+        if dim == 2:
+            assert abs(gate_fidelity_su2(p1, p2) - gate_fidelity_su2(u1, u2)) <= 1e-13
+            probe = optimal_probe_ncopies(p1, p2)
+            assert probe.copies == min_copies(u1, u2)
+            assert probe_overlap(p1, p2, probe, probe.copies) <= 1e-16
+
+
+def test_pauli_x_vs_z_despite_determinant_minus_one():
+    x, z = Gate(SX), Gate(SZ)
+    assert not (x.special or z.special)
+    assert gate_distance(x, z) == math.pi / 2
+    assert min_copies(x, z) == 1
+    assert gate_fidelity_su2(x, z) == 0.0
+    assert relative_gate(x, x).special  # the identity, whatever the factors
+    # det(U1^dag U2) = -1 for the last two pairs
+    for u1, u2 in ((x, z), (Gate.identity(2), x), (Gate.identity(2), z)):
+        probe = optimal_probe_ncopies(u1, u2)
+        assert probe.copies == 1 and probe_overlap(u1, u2, probe, 1) <= 1e-30
 
 
 def test_su2_and_sud_fidelities_agree():

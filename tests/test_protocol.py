@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -42,12 +43,28 @@ def test_hypothesis_set_validation():
         HypothesisSet(gates=(Gate.identity(2), np.eye(2)))  # not a Gate
     with pytest.raises(ValidationError):
         HypothesisSet(gates=(Gate.identity(3), Gate.identity(3)))  # wrong dim
-    with pytest.raises(ValidationError):
-        HypothesisSet(gates=(Gate.identity(2), Gate(np.diag([1.0, -1.0]))))  # not special
     u = Gate(haar_unitary(2, np.random.default_rng(1), special=True))
     with pytest.raises(ValidationError):
         HypothesisSet(gates=(u, u))  # coincident pair
     assert len(PAULI_SET) == 3
+
+
+def test_set_with_determinant_minus_one_identifies_every_index():
+    h = HypothesisSet(gates=(Gate.identity(2), Gate(SX), Gate(SZ)))
+    plan = plan_elimination(h)
+    for true_index in range(len(h)):
+        for seed in range(5):
+            sim = simulate_elimination(plan, h, true_index=true_index, seed=seed)
+            assert sim.identified_index == true_index
+            assert sim.total_runs == 2
+
+
+def test_elimination_test_stores_pair_probe_and_gate():
+    for t in plan_elimination(FOUR_PAULI_SET).tests:
+        assert [f.name for f in dataclasses.fields(t)] == ["pair", "probe", "gate"]
+        assert t.gate is FOUR_PAULI_SET.gates[t.pair[0]]
+        assert t.copies == t.probe.copies
+        np.testing.assert_array_equal(t.target.system, _apply_copies(t.gate, t.probe).system)
 
 
 def test_plan_shape_and_orthogonal_images():
