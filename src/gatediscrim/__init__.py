@@ -38,7 +38,6 @@ from .gates import (
     optimal_probe_single,
     oracle_min_overlap,
     probe_overlap,
-    relative_gate,
     su2_from_params,
     su3_example_gate,
 )
@@ -131,7 +130,6 @@ __all__ = [
     "probe_overlap",
     "pure_fidelity",
     "relative_entropy",
-    "relative_gate",
     "simulate_elimination",
     "sphere_embed",
     "sqrt_psd",

@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from . import geometry, protocol, states
+from . import classical, geometry, protocol, states
 from .errors import ConvergenceError, ValidationError
 from .gates import (
     Gate,
@@ -36,6 +36,7 @@ from .gates import (
     su2_from_params,
     su3_example_gate,
 )
+from .numkit import DEFAULT_TOL, MAX_TENSOR_DIM
 
 
 class _UsageError(Exception):
@@ -106,7 +107,8 @@ def _parse_matrix(data, what: str = "matrix") -> np.ndarray:
         raise ValidationError(f'{what} must be an object with "dim" and "rows"')
     dim = data["dim"]
     rows = data["rows"]
-    if not isinstance(dim, int) or dim < 1:
+    # exact types: JSON true/false load as bool, a subclass of int
+    if type(dim) is not int or dim < 1:
         raise ValidationError(f'{what} "dim" must be a positive integer')
     if not isinstance(rows, list) or len(rows) != dim:
         raise ValidationError(f'{what} needs exactly {dim} rows')
@@ -118,7 +120,7 @@ def _parse_matrix(data, what: str = "matrix") -> np.ndarray:
             if (
                 not isinstance(entry, list)
                 or len(entry) != 2
-                or not all(isinstance(x, (int, float)) for x in entry)
+                or not all(type(x) in (int, float) for x in entry)
             ):
                 raise ValidationError(
                     f"{what} entry ({i},{j}) must be a [re, im] pair"
@@ -136,7 +138,7 @@ def _parse_float_list(text: str, what: str) -> list[float]:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{what} is not valid JSON: {exc}") from exc
-    if not isinstance(data, list) or not all(isinstance(x, (int, float)) for x in data):
+    if not isinstance(data, list) or not all(type(x) in (int, float) for x in data):
         raise ValidationError(f"{what} must be a JSON array of numbers")
     return [float(x) for x in data]
 
@@ -182,17 +184,11 @@ def _cmd_probe(args):
     if args.kind == "entangled":
         probe = optimal_probe_single(u1, u2, entangled=True)
     elif args.kind == "separable":
-        probe = (
-            optimal_probe_single(u1, u2, entangled=False)
-            if u1.dim == 2
-            else optimal_probe_separable(u1, u2)
-        )
+        probe = optimal_probe_separable(u1, u2)
     else:
         probe = optimal_probe_ncopies(u1, u2)
     overlap = probe_overlap(u1, u2, probe, probe.copies)
-    vector = None
-    if probe.total_dim <= 4096:
-        vector = _vector_obj(probe.to_vector())
+    vector = _vector_obj(probe.to_vector()) if probe.total_dim <= MAX_TENSOR_DIM else None
     result = {
         "copies": probe.copies,
         "separable": probe.separable,
@@ -239,8 +235,6 @@ def _cmd_state_fidelity(args):
 def _cmd_classical_distance(args):
     p = _parse_float_list(args.p, "--p")
     q = _parse_float_list(args.q, "--q")
-    from . import classical
-
     return {"p": p, "q": q}, classical.classical_distance(p, q)
 
 
@@ -340,7 +334,8 @@ def build_parser() -> _Parser:
     options = {
         "seed": dict(type=int, default=0, help="random seed (default 0)"),
         "samples": dict(type=int, default=100_000, help="Monte-Carlo sample count"),
-        "tol": dict(type=float, default=1e-10, help="validation tolerance (default 1e-10)"),
+        "tol": dict(type=float, default=DEFAULT_TOL,
+                    help="validation tolerance (default %(default)g)"),
         "budget": dict(type=int, default=32, help="number of random oracle probes (default 32)"),
         "emit-plot": dict(metavar="PATH", default=None, help="write a CSV (x,y) series"),
     }

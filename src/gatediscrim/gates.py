@@ -23,14 +23,11 @@ from .errors import (
     SizeLimitError,
     ValidationError,
 )
+from .numkit import DEFAULT_TOL, MAX_TENSOR_DIM
 
-DEFAULT_TOL = 1e-10
 # Gates whose distance falls below this are treated as identical (up to a
 # global phase) and admit no discriminating measurement.
 IDENTICAL_TOL = 1e-12
-# Largest dense dimension materialized for tensor powers and probe vectors.
-MAX_TENSOR_DIM = 4096
-
 _HALF_PI = math.pi / 2.0
 # Half-arcs computed from eigenphases in (-pi, pi] lie on a grid of half an
 # ulp of 2*pi, so the eigenphase path resolves nothing finer.  The qubit
@@ -46,48 +43,33 @@ _WOLFE_GAP_TOL = 1e-14
 _WOLFE_MAX_ITER = 100
 
 
-class Gate:
-    """A unitary operation on C^dim, optionally certified special-unitary.
+def _freeze(arr, dtype=complex) -> np.ndarray:
+    out = np.array(arr, dtype=dtype)
+    out.setflags(write=False)
+    return out
 
-    The matrix is validated on construction (unitarity within `tol`) and
-    stored read-only.  `special` defaults to auto-detection via
-    |det - 1| <= 1e-8; passing special=True makes the check mandatory.
-    The spectral decomposition is computed lazily and cached.
+
+class Gate:
+    """A unitary operation on C^dim: a validated, read-only matrix.
+
+    The matrix is checked for unitarity within `tol` on construction and
+    stored as a read-only copy; nothing else is computed or kept.  Callers
+    read what they need from `matrix`: the spectrum of a pair's relative
+    gate through `numkit.eig_unitary`, the determinant in `sphere_embed`.
     """
 
-    def __init__(self, matrix, special: bool | None = None, tol: float = DEFAULT_TOL):
+    def __init__(self, matrix, tol: float = DEFAULT_TOL):
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionError(f"gate matrix must be square, got {m.shape}")
         if not numkit.validate_unitary(m, tol):
             raise ValidationError("gate matrix is not unitary within tolerance")
-        det = complex(np.linalg.det(m))
-        if special is None:
-            special = abs(det - 1.0) <= 1e-8
-        elif special and abs(det - 1.0) > 1e-8:
-            raise ValidationError(f"determinant {det!r} is not 1; gate is not special-unitary")
-        m = m.copy()
-        m.setflags(write=False)
-        self.matrix = m
+        self.matrix = _freeze(m)
         self.dim = int(m.shape[0])
-        self.special = bool(special)
-        self._spectral: numkit.UnitaryEigen | None = None
 
     @classmethod
     def identity(cls, dim: int) -> "Gate":
-        return cls(np.eye(dim), special=True)
-
-    @property
-    def spectral(self) -> numkit.UnitaryEigen:
-        if self._spectral is None:
-            self._spectral = numkit.eig_unitary(self.matrix)
-        return self._spectral
-
-    def dagger(self) -> "Gate":
-        return Gate(self.matrix.conj().T, special=self.special)
-
-    def tensor_power(self, n: int, max_dim: int = MAX_TENSOR_DIM) -> "Gate":
-        return Gate(numkit.tensor_power(self.matrix, n, max_dim), special=self.special)
+        return cls(np.eye(dim))
 
     def __array__(self, dtype=None, copy=None):
         if copy:
@@ -95,7 +77,7 @@ class Gate:
         return self.matrix if dtype is None else self.matrix.astype(dtype, copy=False)
 
     def __repr__(self) -> str:
-        return f"Gate(dim={self.dim}, special={self.special})"
+        return f"Gate(dim={self.dim})"
 
 
 @dataclass(frozen=True)
@@ -120,11 +102,14 @@ class GateSU2Params:
 
 
 def su2_from_params(params: GateSU2Params) -> Gate:
-    """Qubit gate [[cos t1 e^{i t2}, sin t1 e^{i t3}], [-sin t1 e^{-i t3}, cos t1 e^{-i t2}]]."""
+    """Qubit gate [[cos t1 e^{i t2}, sin t1 e^{i t3}], [-sin t1 e^{-i t3}, cos t1 e^{-i t2}]].
+
+    Special-unitary by construction: det = cos^2 t1 + sin^2 t1 = 1.
+    """
     c, s = math.cos(params.theta1), math.sin(params.theta1)
     e2, e3 = np.exp(1j * params.theta2), np.exp(1j * params.theta3)
     m = np.array([[c * e2, s * e3], [-s / e3, c / e2]])
-    return Gate(m, special=True)
+    return Gate(m)
 
 
 def _check_pair(u1: Gate, u2: Gate, dim: int | None = None):
@@ -134,12 +119,6 @@ def _check_pair(u1: Gate, u2: Gate, dim: int | None = None):
         raise DimensionError(f"gate dimensions differ: {u1.dim} vs {u2.dim}")
     if dim is not None and u1.dim != dim:
         raise DimensionError(f"operation requires dimension {dim}, got {u1.dim}")
-
-
-def relative_gate(u1: Gate, u2: Gate) -> Gate:
-    """The gate U1^dag U2 whose spectrum controls distinguishability."""
-    _check_pair(u1, u2)
-    return Gate(u1.matrix.conj().T @ u2.matrix)
 
 
 def gate_fidelity_su2(u1: Gate, u2: Gate) -> float:
@@ -257,9 +236,11 @@ def _su2_half_arc(rel):
 def _relative_matrix(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
     """U1^dag U2 for matrices of shape (..., d, d) of already validated gates.
 
-    Validation stays at the `Gate` boundary, at the tolerance each gate was
-    accepted with; the product is not checked again.  A single pair and a
-    stack of pairs go through the same contraction, so they give the same bits.
+    The one place a pair's relative gate is formed (`gate_fidelity_su2` only
+    takes its trace).  Validation stays at the `Gate` boundary, at the
+    tolerance each gate was accepted with; the product is not checked again
+    here.  A single pair and a stack of pairs go through the same
+    contraction, so they give the same bits.
     """
     return np.einsum("...ji,...jk->...ik", m1.conj(), m2)
 
@@ -280,9 +261,10 @@ def gate_distance(u1: Gate, u2: Gate) -> float:
     dimensions diagonalize U1^dag U2 and take its minimal covering arc.
     """
     _check_pair(u1, u2)
+    rel = _relative_matrix(u1.matrix, u2.matrix)
     if u1.dim == 2:
-        return _su2_half_arc(_relative_matrix(u1.matrix, u2.matrix))
-    return min(minimal_covering_arc(relative_gate(u1, u2).spectral.phases).delta, _HALF_PI)
+        return _su2_half_arc(rel)
+    return min(minimal_covering_arc(numkit.eig_unitary(rel).phases).delta, _HALF_PI)
 
 
 def gate_fidelity_sud(u1: Gate, u2: Gate) -> float:
@@ -316,12 +298,6 @@ def _copies_for_distance(d: float) -> int:
 
 # ---------------------------------------------------------------------------
 # Probe states
-
-
-def _freeze(arr, dtype=complex) -> np.ndarray:
-    out = np.array(arr, dtype=dtype)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -504,10 +480,11 @@ def optimal_probe_separable(u1: Gate, u2: Gate) -> ProbeState:
     `_su2_folded_eigenbasis`, other dimensions diagonalize U1^dag U2.
     """
     _check_pair(u1, u2)
+    rel = _relative_matrix(u1.matrix, u2.matrix)
     if u1.dim == 2:
-        _, v_a, v_b = _su2_folded_eigenbasis(_relative_matrix(u1.matrix, u2.matrix))
+        _, v_a, v_b = _su2_folded_eigenbasis(rel)
     else:
-        eig = relative_gate(u1, u2).spectral
+        eig = numkit.eig_unitary(rel)
         arc = minimal_covering_arc(eig.phases)
         diffs = np.abs(numkit._principal(eig.phases - arc.extremes[0]))
         idx_a = int(np.argmin(diffs))
@@ -655,7 +632,7 @@ def oracle_min_overlap(
         raise ValidationError(f"budget must be >= 1, got {budget}")
     if n < 1:
         raise ValidationError(f"copy count must be >= 1, got {n}")
-    big = numkit.tensor_power(relative_gate(u1, u2).matrix, n)
+    big = numkit.tensor_power(_relative_matrix(u1.matrix, u2.matrix), n)
     best, _, _ = _wolfe_min_norm(numkit.eig_unitary(big).phases)
 
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(budget,)))
@@ -675,7 +652,7 @@ def oracle_min_overlap(
 
 
 def su3_example_gate(gamma1: float, gamma2: float, phases: Sequence[float]) -> Gate:
-    """Special-unitary 3x3 family whose (1,1) entry is identically zero.
+    """Special-unitary (by construction) 3x3 family with a (1,1) entry pinned to zero.
 
     Since <e1|U|e1> = 0, the probe e1 makes the outcome distribution of this
     gate disjoint from the identity's: the convex hull of its eigenvalues
@@ -704,4 +681,4 @@ def su3_example_gate(gamma1: float, gamma2: float, phases: Sequence[float]) -> G
             [-c2 * e(-(p2 + p4)), c1 * s2 * e(p5), -s1 * s2 * e(-(p3 - p4 - p5))],
         ]
     )
-    return Gate(m, special=True)
+    return Gate(m)

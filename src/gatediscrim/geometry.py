@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .gates import Gate, GateSU2Params, gate_fidelity_su2, su2_from_params
+from .gates import (Gate, GateSU2Params, _check_pair, _relative_matrix, gate_fidelity_su2,
+                    su2_from_params)
 
 
 @dataclass(frozen=True)
@@ -91,10 +92,10 @@ def su2_tangent(params: GateSU2Params, t: TangentIncrement) -> np.ndarray:
 
 
 def sphere_embed(u: Gate) -> SphereCoords:
-    """Top-row coordinates of a qubit special unitary on the unit 3-sphere."""
+    """Top-row coordinates of a qubit gate with |det - 1| <= 1e-8 on the unit 3-sphere."""
     if not isinstance(u, Gate) or u.dim != 2:
         raise DimensionError("sphere_embed expects a 2x2 Gate")
-    if not u.special:
+    if abs(np.linalg.det(u.matrix) - 1.0) > 1e-8:
         raise ValidationError("sphere_embed requires a special-unitary gate")
     a, b = complex(u.matrix[0, 0]), complex(u.matrix[0, 1])
     return SphereCoords(a_re=a.real, a_im=a.imag, b_re=b.real, b_im=b.imag)
@@ -167,13 +168,10 @@ def overlap_samples(u1: Gate, u2: Gate, samples: int, seed: int) -> np.ndarray:
     States are drawn as normalized complex Gaussian vectors, which is the
     unitarily invariant ensemble in any dimension.
     """
-    if not isinstance(u1, Gate) or not isinstance(u2, Gate):
-        raise ValidationError("expected Gate instances")
-    if u1.dim != u2.dim:
-        raise DimensionError(f"gate dimensions differ: {u1.dim} vs {u2.dim}")
+    _check_pair(u1, u2)
     if samples < 1:
         raise ValidationError(f"sample count must be >= 1, got {samples}")
-    rel = u1.matrix.conj().T @ u2.matrix
+    rel = _relative_matrix(u1.matrix, u2.matrix)
     rng = np.random.default_rng(seed)
     d = u1.dim
     z = rng.standard_normal((samples, d)) + 1j * rng.standard_normal((samples, d))

@@ -12,6 +12,8 @@ import numpy as np
 from .errors import ConvergenceError, DimensionError, SizeLimitError, ValidationError
 
 DEFAULT_TOL = 1e-10
+# Largest dense dimension materialized for tensor powers and probe vectors.
+MAX_TENSOR_DIM = 4096
 
 # Internal seed for the random Hermitian mixing weight used by eig_unitary.
 # Fixed so that the decomposition is a pure function of its input.
@@ -139,7 +141,7 @@ def sqrt_psd(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     return (root + root.conj().T) / 2.0
 
 
-def tensor_power(u, n: int, max_dim: int = 4096) -> np.ndarray:
+def tensor_power(u, n: int, max_dim: int = MAX_TENSOR_DIM) -> np.ndarray:
     """Kronecker power U^(x)n; refuses results larger than max_dim."""
     m = _as_square(u)
     if n < 1:

@@ -23,6 +23,7 @@ from .gates import (
     _term_amplitude,
     optimal_probe_ncopies,
 )
+from .numkit import MAX_TENSOR_DIM
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,7 +91,7 @@ class EliminationTest:
     def target(self) -> ProbeState:
         return _apply_copies(self.gate, self.probe)
 
-    def povm(self, max_dim: int = 4096) -> list[np.ndarray]:
+    def povm(self, max_dim: int = MAX_TENSOR_DIM) -> list[np.ndarray]:
         """Dense two-element projective measurement {P, 1 - P}."""
         v = self.target.to_vector(max_dim)
         proj = np.outer(v, v.conj())
@@ -203,7 +204,7 @@ def simulate_elimination(
             test = _build_test(h, *_most_distant_pair(h, surviving))
         i, j = test.pair
         # <target|U_true^(x)N|probe> = <probe|(U_i^dag U_true)^(x)N|probe>
-        rel = test.gate.matrix.conj().T @ g_true.matrix
+        rel = _relative_matrix(test.gate.matrix, g_true.matrix)
         p_target = min(1.0, abs(_term_amplitude(test.probe, test.probe, rel)) ** 2)
         outcome_target = bool(rng.random() < p_target)
         discarded = j if outcome_target else i

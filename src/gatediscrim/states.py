@@ -7,8 +7,7 @@ import numpy as np
 
 from . import classical, numkit
 from .errors import DimensionError, ValidationError
-
-DEFAULT_TOL = 1e-10
+from .numkit import DEFAULT_TOL
 
 
 def as_density(rho, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -295,6 +295,33 @@ def test_exit_codes(capsys, tmp_path, gate_files):
     assert code == 64
 
 
+BOOLEAN_INPUTS = {  # argv with one JSON boolean where a number belongs; "{bad}" is a file
+    "gate-dim": (["distance", "--u1", "{bad}", "--u2", "{bad}"],
+                 {"dim": True, "rows": [[[1, 0]]]}),
+    "gate-entry": (["distance", "--u1", "{bad}", "--u2", "{bad}"],
+                   {"dim": 2, "rows": [[[True, 0], [0, 0]], [[0, 0], [1, 0]]]}),
+    "state-entry": (["state-fidelity", "--rho1", "{bad}", "--rho2", "{bad}"],
+                    {"dim": 2, "rows": [[[True, 0], [0, 0]], [[0, 0], [0, 0]]]}),
+    "phases": (["arc", "--phases", "[true, 0.5]"], None),
+    "p": (["classical-distance", "--p", "[true, false]", "--q", "[0.5, 0.5]"], None),
+    "q": (["classical-distance", "--p", "[0.5, 0.5]", "--q", "[false, true]"], None),
+    "phi": (["su3-example", "--gamma1", "0", "--gamma2", "0", "--phi", "[0, 0, 0, 0, true]"],
+            None),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BOOLEAN_INPUTS))
+def test_json_booleans_are_not_numbers(capsys, tmp_path, kind):
+    # bool subclasses int in Python, but a JSON true/false is not a number:
+    # each of these inputs would be valid with 1/0 in place of the boolean
+    argv, doc = BOOLEAN_INPUTS[kind]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, [arg.format(bad=bad) for arg in argv])
+    assert code == 2
+    assert out == "" and "validation error" in err
+
+
 def test_convergence_exit_code(capsys, monkeypatch, gate_files):
     a, b = gate_files
     import gatediscrim.cli as cli_mod

@@ -27,8 +27,9 @@ from gatediscrim import (
     optimal_probe_separable,
     optimal_probe_single,
     oracle_min_overlap,
+    plan_elimination,
     probe_overlap,
-    relative_gate,
+    simulate_elimination,
     su2_from_params,
     su3_example_gate,
     tensor_power,
@@ -69,16 +70,6 @@ def test_gate_validation():
         Gate(np.ones((2, 2)))
     with pytest.raises(DimensionError):
         Gate(np.ones((2, 3)))
-    with pytest.raises(ValidationError):
-        Gate(np.diag([1j, 1.0]), special=True)  # det = i
-    assert not Gate(np.diag([1j, 1.0])).special
-
-
-def test_gate_special_detection():
-    assert Gate(np.eye(2)).special
-    assert Gate(1j * SX).special  # det(i sx) = 1
-    assert not Gate(np.diag([1.0, -1.0])).special
-    assert not Gate(np.diag([1j, 1.0])).special
 
 
 def test_gate_matrix_read_only_and_array():
@@ -86,20 +77,11 @@ def test_gate_matrix_read_only_and_array():
     with pytest.raises(ValueError):
         g.matrix[0, 0] = 2.0
     assert np.asarray(g).shape == (2, 2)
-    assert np.allclose(np.asarray(g.dagger()), np.eye(2))
 
 
 def test_gate_identity_and_tensor_power():
     g = Gate.identity(3)
     assert np.allclose(g.matrix, np.eye(3))
-    gg = rot(0.3).tensor_power(2)
-    assert gg.dim == 4
-    assert np.allclose(gg.matrix, np.kron(rot(0.3).matrix, rot(0.3).matrix))
-
-
-def test_gate_spectral_cached():
-    g = Gate(haar_unitary(3, np.random.default_rng(0)))
-    assert g.spectral is g.spectral
 
 
 def test_su2_params_validation():
@@ -120,7 +102,18 @@ def test_su2_from_params_examples():
     assert np.allclose(anti, np.array([[0, 1], [-1, 0]]), atol=1e-15)
     g = su2_from_params(GateSU2Params(0.3, 1.1, 2.0))
     assert abs(np.linalg.det(g.matrix) - 1.0) <= 1e-12
-    assert g.special
+
+
+def test_constructed_gates_are_special():
+    # Gate.identity and su3_example_gate have det 1 by construction (for
+    # su2_from_params see the next test); Gate itself takes no determinant
+    rng = np.random.default_rng(30)
+    gates = [Gate.identity(d) for d in (1, 2, 3, 8)]
+    for _ in range(50):
+        g1, g2 = rng.uniform(0, math.pi / 2, 2)
+        gates.append(su3_example_gate(g1, g2, rng.uniform(0, 2 * math.pi, 5)))
+    for g in gates:
+        assert abs(np.linalg.det(g.matrix) - 1.0) <= 1e-12
 
 
 def test_su2_from_params_random_always_special():
@@ -135,20 +128,31 @@ def test_su2_from_params_random_always_special():
         assert abs(np.linalg.det(g.matrix) - 1.0) <= 1e-12
 
 
-def test_relative_gate():
-    rng = np.random.default_rng(2)
-    u = Gate(haar_unitary(2, rng, special=True))
-    assert np.allclose(relative_gate(u, u).matrix, np.eye(2), atol=1e-12)
-    assert np.allclose(relative_gate(Gate.identity(2), u).matrix, u.matrix)
-    v = Gate(haar_unitary(2, rng, special=True))
-    r = relative_gate(u, v)
-    assert np.abs(r.matrix.conj().T @ r.matrix - np.eye(2)).max() <= 1e-10
-    with pytest.raises(DimensionError):
-        relative_gate(u, Gate.identity(3))
-
-
 # ---------------------------------------------------------------------------
 # Fidelity / distance closed forms
+
+
+def test_pair_functions_build_no_gate(monkeypatch):
+    # U1^dag U2 is a bare matrix from _relative_matrix: measuring a qutrit
+    # pair or simulating an elimination builds (and re-validates) no Gate
+    rng = np.random.default_rng(32)
+    u1, u2 = Gate(haar_unitary(3, rng)), Gate(haar_unitary(3, rng))
+    h = HypothesisSet(tuple(Gate(haar_unitary(2, rng)) for _ in range(5)))
+    plan, stranger = plan_elimination(h), Gate(haar_unitary(2, rng))
+    built, init = [], Gate.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Gate, "__init__", counting_init)
+    gate_distance(u1, u2)
+    optimal_probe_separable(u1, u2)
+    oracle_min_overlap(u1, u2, 2, budget=4)
+    for true_index in range(len(h)):
+        simulate_elimination(plan, h, true_index=true_index, seed=true_index)
+    simulate_elimination(plan, h, seed=1, true_gate=stranger)
+    assert built == []
 
 
 def test_products_of_accepted_gates_are_not_revalidated():
@@ -206,6 +210,8 @@ def test_gate_distance_examples():
     assert gate_distance(u, u) == 0.0
     assert abs(gate_distance(Gate.identity(2), Gate(1j * SX)) - math.pi / 2) <= 1e-12
     assert abs(gate_distance(Gate.identity(2), rot(math.pi / 3)) - math.pi / 3) <= 1e-12
+    with pytest.raises(DimensionError):
+        gate_distance(u, Gate.identity(3))
 
 
 def test_distance_equals_arccos_trace_on_qubits():
@@ -219,7 +225,7 @@ def test_distance_equals_arccos_trace_on_qubits():
 
 def eigenphase_distance(u1: Gate, u2: Gate) -> float:
     """Reference: the minimal arc covering the eigenphases of U1^dag U2."""
-    return minimal_covering_arc(relative_gate(u1, u2).spectral.phases).delta
+    return minimal_covering_arc(eig_unitary(u1.matrix.conj().T @ u2.matrix).phases).delta
 
 
 def pair_at_distance(delta: float, rng) -> tuple[Gate, Gate]:
@@ -287,11 +293,9 @@ def test_measures_ignore_global_phases(seed, dim, a, b):
 
 def test_pauli_x_vs_z_despite_determinant_minus_one():
     x, z = Gate(SX), Gate(SZ)
-    assert not (x.special or z.special)
     assert gate_distance(x, z) == math.pi / 2
     assert min_copies(x, z) == 1
     assert gate_fidelity_su2(x, z) == 0.0
-    assert relative_gate(x, x).special  # the identity, whatever the factors
     # det(U1^dag U2) = -1 for the last two pairs
     for u1, u2 in ((x, z), (Gate.identity(2), x), (Gate.identity(2), z)):
         probe = optimal_probe_ncopies(u1, u2)
@@ -433,7 +437,7 @@ def test_min_copies_identical_gates():
         min_copies(u, u)
     # a cube root of unity times the identity is still "the same gate"
     omega = np.exp(2j * math.pi / 3)
-    w = Gate(omega * np.eye(3), special=True)
+    w = Gate(omega * np.eye(3))
     assert gate_distance(Gate.identity(3), w) == 0.0
     with pytest.raises(IdenticalGatesError):
         min_copies(Gate.identity(3), w)
@@ -519,7 +523,7 @@ def test_separable_probe_reduced_weights_are_half():
     for entangled in (True, False):
         probe = optimal_probe_single(u1, u2, entangled=entangled)
         rho = probe.system_density()
-        eig = relative_gate(u1, u2).spectral
+        eig = eig_unitary(u1.matrix.conj().T @ u2.matrix)
         w = np.einsum("ik,ij,jk->k", eig.vectors.conj(), rho, eig.vectors).real
         assert np.allclose(w, 0.5, atol=1e-10)
 
@@ -575,7 +579,7 @@ def test_ncopies_probe_dense_agreement():
     probe = optimal_probe_ncopies(u1, u2)
     n = probe.copies
     vec = probe.to_vector()
-    dense = tensor_power(relative_gate(u1, u2).matrix, n) @ vec
+    dense = tensor_power(u1.matrix.conj().T @ u2.matrix, n) @ vec
     a = probe_overlap(u1, u2, probe, n)
     b = abs(np.vdot(vec, dense)) ** 2
     assert abs(a - b) <= 1e-12
@@ -744,7 +748,7 @@ def test_ncopies_probe_expands_to_its_product_terms():
 def _spectral_weight_overlap(u1: Gate, u2: Gate, probe: ProbeState) -> float:
     """|sum_i w_i exp(i phi_i)|^2, with phi_i the eigenphases of (U1^dag U2)^(x)n
     and w_i the weights of the probe's reduced state on their eigenvectors."""
-    eig = eig_unitary(relative_gate(u1, u2).matrix)
+    eig = eig_unitary(u1.matrix.conj().T @ u2.matrix)
     vecs, phases = eig.vectors, eig.phases
     for _ in range(probe.copies - 1):
         vecs = np.kron(vecs, eig.vectors)
@@ -800,7 +804,7 @@ def test_ncopies_probe_large_n(delta):
     assert abs(_loop_amplitude(probe, probe, np.eye(2)) - 1.0) <= 1e-10
     assert probe_overlap(u1, u2, probe, n) <= 1e-16
     # the contraction agrees with the factor-by-factor loop to n rounding steps
-    rel = relative_gate(u1, u2).matrix
+    rel = u1.matrix.conj().T @ u2.matrix
     assert abs(_term_amplitude(probe, probe, rel) - _loop_amplitude(probe, probe, rel)) <= 1e-12
 
 
@@ -865,9 +869,9 @@ def test_oracle_matches_closed_form_multi_copy():
     rng = np.random.default_rng(19)
     for k in range(34):
         u1, u2 = su2_pair(rng)
-        rel = relative_gate(u1, u2)
+        rel = u1.matrix.conj().T @ u2.matrix
         for n in (1, 2, 3):
-            phases_n = np.angle(np.linalg.eigvals(tensor_power(rel.matrix, n)))
+            phases_n = np.angle(np.linalg.eigvals(tensor_power(rel, n)))
             closed = convex_min_overlap(phases_n)
             got = oracle_min_overlap(u1, u2, n, budget=8, seed=100 + k)
             assert abs(closed - got) <= 1e-6
@@ -888,8 +892,8 @@ def test_oracle_certified_interval_haar_and_sud():
     rng = np.random.default_rng(23)
     for n in (1, 2, 3, 4):  # n >= 2: the repeated phases of tensor powers
         for _ in range(25):
-            rel = relative_gate(*su2_pair(rng))
-            _assert_certified(eig_unitary(tensor_power(rel.matrix, n)).phases)
+            u1, u2 = su2_pair(rng)
+            _assert_certified(eig_unitary(tensor_power(u1.matrix.conj().T @ u2.matrix, n)).phases)
     for d in (3, 8, 32):
         for _ in range(4):
             u1, u2 = Gate(haar_unitary(d, rng)), Gate(haar_unitary(d, rng))
@@ -959,7 +963,7 @@ def test_separable_probe_general_dimension():
         probe = optimal_probe_separable(u1, u2)
         got = probe_overlap(u1, u2, probe, 1)
         d = gate_distance(u1, u2)
-        eig = relative_gate(u1, u2).spectral
+        eig = eig_unitary(u1.matrix.conj().T @ u2.matrix)
         delta = minimal_covering_arc(eig.phases).delta
         # the two-extremal-eigenvector probe realizes cos^2(delta); when the
         # arc exceeds a half circle it still measures the chord of the

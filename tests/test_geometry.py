@@ -102,6 +102,8 @@ def test_sphere_embedding_is_isometric():
 def test_sphere_embed_validation():
     with pytest.raises(ValidationError):
         sphere_embed(Gate(np.diag([1.0, -1.0])))  # det -1
+    with pytest.raises(ValidationError):
+        sphere_embed(Gate(np.diag([1j, 1.0])))  # det i
     with pytest.raises(DimensionError):
         sphere_embed(Gate.identity(3))
     pt = sphere_embed(Gate.identity(2))
