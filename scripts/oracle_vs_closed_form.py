@@ -1,12 +1,13 @@
 """Pit the closed-form gate fidelity against the variational oracle.
 
 For seeded random qubit gate pairs, minimizes the branch overlap
-numerically (Wolfe's min-norm point over eigenweights plus random probes)
-and compares with cos^2 of the covering-arc half-width at one, two, and
-three parallel uses.  Prints worst-case error and timing per copy count.
+numerically (Wolfe's certified min-norm point over the eigenphases of the
+full tensor power) and compares with cos^2 of the covering-arc half-width
+at one, two, and three parallel uses.  Prints worst-case error and timing
+per copy count.
 
 Usage:
-    python scripts/oracle_vs_closed_form.py --pairs 25 --budget 8 --seed 3
+    python scripts/oracle_vs_closed_form.py --pairs 25 --seed 3
 """
 
 import argparse
@@ -19,7 +20,6 @@ from gatediscrim import gate_distance, haar_sample_su2, oracle_min_overlap, su2_
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--pairs", type=int, default=25)
-    ap.add_argument("--budget", type=int, default=8, help="random probes per oracle call")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
@@ -30,10 +30,10 @@ def main() -> None:
     for n in (1, 2, 3):
         worst = 0.0
         start = time.perf_counter()
-        for i, (u1, u2) in enumerate(pairs):
+        for u1, u2 in pairs:
             delta = gate_distance(u1, u2)
             closed = 0.0 if n * delta >= math.pi / 2 else math.cos(n * delta) ** 2
-            numeric = oracle_min_overlap(u1, u2, n=n, budget=args.budget, seed=i)
+            numeric = oracle_min_overlap(u1, u2, n=n)
             worst = max(worst, abs(closed - numeric))
         elapsed = time.perf_counter() - start
         print(f"{n:>3} {worst:>24.3e} {elapsed:>9.2f}")

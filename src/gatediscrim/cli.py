@@ -24,7 +24,6 @@ from .gates import (
     Gate,
     convex_min_overlap,
     gate_distance,
-    gate_fidelity_su2,
     gate_fidelity_sud,
     min_copies,
     minimal_covering_arc,
@@ -129,18 +128,27 @@ def _parse_matrix(data, what: str = "matrix") -> np.ndarray:
     return out
 
 
+def _parse_gate(data, what: str, tol: float) -> Gate:
+    if not math.isfinite(tol):
+        raise ValidationError(f"--tol must be finite, got {tol!r}")
+    return Gate(_parse_matrix(data, what=what), tol=tol)
+
+
 def _load_gate(path: str, tol: float) -> Gate:
-    return Gate(_parse_matrix(_load_json(path), what=f"gate file {path!r}"), tol=tol)
+    return _parse_gate(_load_json(path), f"gate file {path!r}", tol)
 
 
 def _parse_float_list(text: str, what: str) -> list[float]:
     try:
-        data = json.loads(text)
+        # integers parse as floats too, so a huge one reads as inf and is refused below
+        data = json.loads(text, parse_int=float)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{what} is not valid JSON: {exc}") from exc
-    if not isinstance(data, list) or not all(type(x) in (int, float) for x in data):
+    if not isinstance(data, list) or not all(type(x) is float for x in data):
         raise ValidationError(f"{what} must be a JSON array of numbers")
-    return [float(x) for x in data]
+    if not all(map(math.isfinite, data)):
+        raise ValidationError(f"{what} entries must be finite")
+    return data
 
 
 def _write_plot(path: str, xs, ys):
@@ -165,8 +173,7 @@ def _histogram_series(values: np.ndarray, lo: float, hi: float, bins: int = 64):
 
 def _cmd_fidelity(args):
     u1, u2 = _load_gate(args.u1, args.tol), _load_gate(args.u2, args.tol)
-    val = gate_fidelity_su2(u1, u2) if u1.dim == 2 else gate_fidelity_sud(u1, u2)
-    return {"u1": args.u1, "u2": args.u2, "tol": args.tol}, val
+    return {"u1": args.u1, "u2": args.u2, "tol": args.tol}, gate_fidelity_sud(u1, u2)
 
 
 def _cmd_distance(args):
@@ -214,16 +221,8 @@ def _cmd_arc(args):
 
 def _cmd_oracle(args):
     u1, u2 = _load_gate(args.u1, args.tol), _load_gate(args.u2, args.tol)
-    val = oracle_min_overlap(u1, u2, args.n, budget=args.budget, seed=args.seed)
-    inputs = {
-        "u1": args.u1,
-        "u2": args.u2,
-        "n": args.n,
-        "budget": args.budget,
-        "seed": args.seed,
-        "tol": args.tol,
-    }
-    return inputs, val
+    inputs = {"u1": args.u1, "u2": args.u2, "n": args.n, "tol": args.tol}
+    return inputs, oracle_min_overlap(u1, u2, args.n)
 
 
 def _cmd_state_fidelity(args):
@@ -299,10 +298,7 @@ def _cmd_discriminate(args):
     data = _load_json(args.set)
     if not isinstance(data, dict) or "gates" not in data or not isinstance(data["gates"], list):
         raise ValidationError('hypothesis set file must be {"gates": [matrix, ...]}')
-    gates = tuple(
-        Gate(_parse_matrix(g, what=f"gate {i}"), tol=args.tol)
-        for i, g in enumerate(data["gates"])
-    )
+    gates = tuple(_parse_gate(g, f"gate {i}", args.tol) for i, g in enumerate(data["gates"]))
     hyp = protocol.HypothesisSet(gates=gates)
     plan = protocol.plan_elimination(hyp)
     sim = protocol.simulate_elimination(plan, hyp, true_index=args.true, seed=args.seed)
@@ -336,7 +332,6 @@ def build_parser() -> _Parser:
         "samples": dict(type=int, default=100_000, help="Monte-Carlo sample count"),
         "tol": dict(type=float, default=DEFAULT_TOL,
                     help="validation tolerance (default %(default)g)"),
-        "budget": dict(type=int, default=32, help="number of random oracle probes (default 32)"),
         "emit-plot": dict(metavar="PATH", default=None, help="write a CSV (x,y) series"),
     }
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
@@ -370,8 +365,7 @@ def build_parser() -> _Parser:
     p = add("arc", _cmd_arc, "minimal covering arc of a phase list")
     p.add_argument("--phases", required=True, help="JSON array of phases (radians)")
 
-    p = add("oracle", _cmd_oracle, "numerical minimum overlap (brute force)",
-            "tol", "budget", "seed")
+    p = add("oracle", _cmd_oracle, "numerical minimum overlap (brute force)", "tol")
     p.add_argument("--u1", required=True)
     p.add_argument("--u2", required=True)
     p.add_argument("--n", type=int, default=1, help="copy count (default 1)")
@@ -423,6 +417,7 @@ def main(argv=None) -> int:
         return 64
     try:
         inputs, result = args.handler(args)
+        text = _to_json({"command": args.command, "inputs": inputs, "result": result})
     except json.JSONDecodeError as exc:
         where = getattr(exc, "args", [""])[0]
         print(f"malformed JSON: {where}", file=sys.stderr)
@@ -436,7 +431,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
-    print(_to_json({"command": args.command, "inputs": inputs, "result": result}))
+    print(text)
     return 0
 
 

@@ -126,12 +126,12 @@ def gate_fidelity_su2(u1: Gate, u2: Gate) -> float:
 
     This is the smallest overlap any probe (entangled probes included) can
     retain between the two branches, so 0 means one-shot perfect
-    distinguishability.  Only |tr| enters, so a global phase on either gate
-    leaves it unchanged.
+    distinguishability.  It is the d = 2 case of `gate_fidelity_sud`, cos^2
+    of the half-arc, whose cosine is |tr(U1^dag U2)|/2: a global phase on
+    either gate leaves it unchanged, and a gate against itself reads 1.
     """
     _check_pair(u1, u2, dim=2)
-    tr = np.trace(u1.matrix.conj().T @ u2.matrix)
-    return float(min(1.0, abs(tr) ** 2 / 4.0))
+    return gate_fidelity_sud(u1, u2)
 
 
 # ---------------------------------------------------------------------------
@@ -150,14 +150,6 @@ class ArcResult:
     delta: float
     center: float
     extremes: tuple[float, float]
-
-
-def _principal_scalar(x: float) -> float:
-    out = math.fmod(x + math.pi, 2.0 * math.pi)
-    if out < 0.0:
-        out += 2.0 * math.pi
-    out -= math.pi
-    return math.pi if out <= -math.pi else out
 
 
 def minimal_covering_arc(phases: Sequence[float]) -> ArcResult:
@@ -183,14 +175,12 @@ def minimal_covering_arc(phases: Sequence[float]) -> ArcResult:
     gmax = gaps.max()
     delta = (2.0 * math.pi - gmax) / 2.0
     delta = min(max(delta, 0.0), math.pi)
-    best: tuple[float, float, tuple[float, float]] | None = None
-    for i in np.flatnonzero(gaps == gmax):
-        start = float(s[(i + 1) % m])
-        end = float(s[i])
-        center = _principal_scalar(start + delta)
-        if best is None or center < best[1]:
-            best = (delta, center, (start, end))
-    return ArcResult(delta=best[0], center=best[1], extremes=best[2])
+    ties = np.flatnonzero(gaps == gmax)
+    starts = s[(ties + 1) % m]
+    centers = numkit._principal(starts + delta)
+    k = int(np.argmin(centers))  # the first smallest centre
+    return ArcResult(delta=delta, center=float(centers[k]),
+                     extremes=(float(starts[k]), float(s[ties[k]])))
 
 
 def convex_min_overlap(phases: Sequence[float]) -> float:
@@ -236,10 +226,9 @@ def _su2_half_arc(rel):
 def _relative_matrix(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
     """U1^dag U2 for matrices of shape (..., d, d) of already validated gates.
 
-    The one place a pair's relative gate is formed (`gate_fidelity_su2` only
-    takes its trace).  Validation stays at the `Gate` boundary, at the
-    tolerance each gate was accepted with; the product is not checked again
-    here.  A single pair and a stack of pairs go through the same
+    The one place a pair's relative gate is formed.  Validation stays at the
+    `Gate` boundary, at the tolerance each gate was accepted with; the
+    product is not checked again here.  A single pair and a stack of pairs go through the same
     contraction, so they give the same bits.
     """
     return np.einsum("...ji,...jk->...ik", m1.conj(), m2)
@@ -268,7 +257,7 @@ def gate_distance(u1: Gate, u2: Gate) -> float:
 
 
 def gate_fidelity_sud(u1: Gate, u2: Gate) -> float:
-    """cos^2 of the gate distance; generalizes gate_fidelity_su2 to any dimension."""
+    """cos^2 of the gate distance in any dimension; `gate_fidelity_su2` is its d = 2 case."""
     d = gate_distance(u1, u2)
     if d >= _HALF_PI:
         return 0.0  # perfectly distinguishable; avoid cos(pi/2) rounding dust
@@ -527,8 +516,8 @@ def optimal_probe_ncopies(u1: Gate, u2: Gate) -> ProbeState:
     copies and on the last floor(N/2): it is stored as at most two counted
     columns, each term picking w+ or w- per column, so its size does not
     grow with N.  U1^dag U2 is formed once: N, delta and (w+, w-) come from
-    its closed form (`_su2_folded_eigenbasis`), and the probe's residual
-    overlap under it is checked against 1e-8.
+    its closed form (`_su2_folded_eigenbasis`).  The tests check that the
+    residual overlap stays within 1e-8 and each branch weight within [0, 1/2].
     """
     _check_pair(u1, u2, dim=2)
     rel = _relative_matrix(u1.matrix, u2.matrix)
@@ -537,9 +526,7 @@ def optimal_probe_ncopies(u1: Gate, u2: Gate) -> ProbeState:
     parity = n % 2
     c_par, c_n = math.cos(parity * delta), math.cos(n * delta)
     q = 0.0 if n == 1 else c_par / (2.0 * (c_par - c_n))
-    if not -1e-12 <= q <= 0.5 + 1e-12:
-        raise RuntimeError(f"internal: branch weight q={q!r} outside [0, 1/2]")
-    q = min(max(q, 0.0), 0.5)
+    q = min(max(q, 0.0), 0.5)  # at N delta = pi/2, rounding puts q a few ulps past 1/2
     # (weight, label per column): the columns are the first ceil(N/2) copies and
     # the last floor(N/2); label 0 picks w+ and label 1 picks w-
     terms = [(q, (0, 0)), (q, (1, 1))] if q > 0.0 else []
@@ -548,17 +535,11 @@ def optimal_probe_ncopies(u1: Gate, u2: Gate) -> ProbeState:
         terms += [(rem, (0, 1)), (rem, (1, 0))] if parity == 1 else [(rem, (0, 1))]
     weights, labels = zip(*terms)
     counts = [(n + 1) // 2, n // 2] if n > 1 else [1]
-    probe = ProbeState(
+    return ProbeState(
         coeffs=np.sqrt(weights),
         system=np.stack([w_plus, w_minus])[np.array(labels)[:, : len(counts)]],
         counts=np.array(counts),
     )
-    amp = _term_amplitude(probe, probe, rel)
-    if abs(amp) > 1e-8:
-        raise RuntimeError(
-            f"internal: N-copy probe leaves residual overlap {abs(amp):.3e}"
-        )
-    return probe
 
 
 # ---------------------------------------------------------------------------
@@ -609,42 +590,24 @@ def _wolfe_min_norm(phases: np.ndarray) -> tuple[float, float, int]:
                            f"{_WOLFE_MAX_ITER} iterations")
 
 
-def oracle_min_overlap(
-    u1: Gate, u2: Gate, n: int, budget: int = 32, seed: int = 0
-) -> float:
+def oracle_min_overlap(u1: Gate, u2: Gate, n: int) -> float:
     """Numerical minimum branch overlap over probes, independent of closed forms.
 
-    Two searches run and the smaller result wins:
-
-    (a) Wolfe's min-norm-point algorithm for the squared distance from the
-        origin to the convex hull of exp(i phi_k), where phi_k are the
-        eigenphases of the n-fold tensor power of U1^dag U2; every weight
-        vector on the simplex is realizable by some entangled probe, so this
-        spans the true feasible set.  It stops on a duality gap of at most
-        1e-14 and raises ConvergenceError if that gap stays open;
-    (b) `budget` random normalized bipartite probe vectors, evaluated
-        directly, as an upper-bound sanity band.
-
-    Neither search sorts phases into a covering arc.
+    Wolfe's min-norm-point algorithm for the squared distance from the
+    origin to the convex hull of exp(i phi_k), where phi_k are the
+    eigenphases of the n-fold tensor power of U1^dag U2; every weight vector
+    on the simplex is realizable by some entangled probe, so this spans the
+    true feasible set.  It stops on a duality gap of at most 1e-14 and
+    raises ConvergenceError if that gap stays open.  The full tensor power is
+    diagonalized: single-copy phases are never added up, and no phases are
+    sorted into a covering arc.
     """
     _check_pair(u1, u2)
-    if budget < 1:
-        raise ValidationError(f"budget must be >= 1, got {budget}")
     if n < 1:
         raise ValidationError(f"copy count must be >= 1, got {n}")
     big = numkit.tensor_power(_relative_matrix(u1.matrix, u2.matrix), n)
-    best, _, _ = _wolfe_min_norm(numkit.eig_unitary(big).phases)
-
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(budget,)))
-    # Batches of <= 2**22 deviates continue one stream: they only bound memory.
-    batch = max(1, 2**22 // (2 * big.size))
-    for start in range(0, budget, batch):
-        z = rng.standard_normal((min(batch, budget - start), 2, *big.shape))
-        coeff = z[:, 0] + 1j * z[:, 1]
-        coeff /= np.linalg.norm(coeff, axis=(1, 2), keepdims=True)
-        vals = np.abs(np.einsum("bij,bij->b", coeff.conj(), big @ coeff)) ** 2
-        best = min(best, float(vals.min()))
-    return max(0.0, best)
+    upper, _, _ = _wolfe_min_norm(numkit.eig_unitary(big).phases)
+    return upper
 
 
 # ---------------------------------------------------------------------------

@@ -133,14 +133,13 @@ def _apply_copies(gate: Gate, probe: ProbeState) -> ProbeState:
 
 
 def _most_distant_pair(h: HypothesisSet, surviving: list[int]) -> tuple[int, int]:
-    best, best_d = None, -1.0
-    for ai in range(len(surviving)):
-        for bi in range(ai + 1, len(surviving)):
-            i, j = surviving[ai], surviving[bi]
-            d = h.distances[i, j]
-            if d > best_d:
-                best, best_d = (i, j), d
-    return best
+    """The survivors' most distant pair (i, j), i before j; ties go to the first row-major."""
+    # The block is symmetric with a zero diagonal and positive entries off it, so
+    # its first row-major maximum lies above the diagonal: an entry below comes
+    # after its mirror.
+    block = h.distances[surviving][:, surviving]
+    a, b = divmod(int(block.argmax()), len(surviving))
+    return surviving[a], surviving[b]
 
 
 def _build_test(h: HypothesisSet, i: int, j: int) -> EliminationTest:

@@ -33,7 +33,7 @@ def test_criterion_01_su2_closed_form_matches_oracle():
     for _ in range(100):
         u1, u2 = su2(rng), su2(rng)
         closed = gd.gate_fidelity_su2(u1, u2)
-        numeric = gd.oracle_min_overlap(u1, u2, n=1, budget=32, seed=int(rng.integers(2**31)))
+        numeric = gd.oracle_min_overlap(u1, u2, n=1)
         worst = max(worst, abs(closed - numeric))
     ok = worst <= 1e-6
     report(1, "single-use fidelity equals variational minimum", ok,

@@ -114,11 +114,17 @@ def test_tol_reaches_the_pair_commands(capsys, gate_files, tmp_path):
 
 def test_oracle_command(capsys, gate_files):
     a, b = gate_files
-    code, out, _ = run(
-        capsys, ["oracle", "--u1", a, "--u2", b, "--n", "1", "--budget", "8", "--seed", "3"]
-    )
+    code, out, _ = run(capsys, ["oracle", "--u1", a, "--u2", b, "--n", "1"])
     assert code == 0
     assert abs(json.loads(out)["result"] - 0.25) <= 1e-6
+
+
+def test_oracle_takes_no_budget(capsys, gate_files):
+    # the oracle reads --tol only; --seed is refused by the READS table below
+    a, b = gate_files
+    code, out, err = run(capsys, ["oracle", "--u1", a, "--u2", b, "--budget", "4"])
+    assert code == 64
+    assert out == "" and "unrecognized arguments: --budget" in err
 
 
 def test_state_fidelity_command(capsys, tmp_path):
@@ -249,7 +255,7 @@ def test_discriminate_example(capsys, tmp_path):
 
 def test_determinism_byte_identical(capsys, gate_files):
     a, b = gate_files
-    argv = ["oracle", "--u1", a, "--u2", b, "--n", "2", "--budget", "8", "--seed", "9"]
+    argv = ["oracle", "--u1", a, "--u2", b, "--n", "2"]
     _, out1, _ = run(capsys, argv)
     _, out2, _ = run(capsys, argv)
     assert out1 == out2
@@ -322,6 +328,27 @@ def test_json_booleans_are_not_numbers(capsys, tmp_path, kind):
     assert out == "" and "validation error" in err
 
 
+NON_FINITE_INPUTS = {  # argv with one non-finite number; "{set}" is a two-gate set file
+    "phi": ["su3-example", "--gamma1", "0.1", "--gamma2", "0.2", "--phi", "[NaN,0,0,0,0]"],
+    "huge-integer": ["arc", "--phases", "[1" + "0" * 400 + "]"],
+    "tol-inf": ["distance", "--u1", "{a}", "--u2", "{b}", "--tol", "inf"],
+    "tol-nan": ["distance", "--u1", "{a}", "--u2", "{b}", "--tol", "nan"],
+    "set-tol-inf": ["discriminate", "--set", "{set}", "--true", "0", "--tol", "inf"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NON_FINITE_INPUTS))
+def test_non_finite_inputs_exit_2(capsys, tmp_path, gate_files, kind):
+    a, b = gate_files
+    hyp = tmp_path / "set.json"
+    hyp.write_text('{"gates": [%s, %s]}' % ((tmp_path / "a.json").read_text(),
+                                             (tmp_path / "b.json").read_text()))
+    argv = [arg.format(a=a, b=b, set=hyp) for arg in NON_FINITE_INPUTS[kind]]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == "" and "validation error" in err
+
+
 def test_convergence_exit_code(capsys, monkeypatch, gate_files):
     a, b = gate_files
     import gatediscrim.cli as cli_mod
@@ -350,9 +377,7 @@ def test_oracle_iteration_cap_exit_code(capsys, monkeypatch, tmp_path):
 
     monkeypatch.setattr(gates_mod, "_WOLFE_MAX_ITER", 1)
     with pytest.raises(ConvergenceError, match="gap"):
-        gates_mod.oracle_min_overlap(
-            gates_mod.Gate(np.eye(2)), gates_mod.Gate(rot), 2, budget=4, seed=0
-        )
+        gates_mod.oracle_min_overlap(gates_mod.Gate(np.eye(2)), gates_mod.Gate(rot), 2)
     code, out, err = run(capsys, ["oracle", "--u1", a, "--u2", b, "--n", "2"])
     assert code == 3
     assert out == ""
@@ -367,15 +392,14 @@ def test_identical_gates_exit_code(capsys, gate_files):
 
 
 # The shared options each command reads; every other one is a usage error.
-SHARED_VALUES = {"--seed": "1", "--samples": "10", "--tol": "1e-9", "--budget": "4",
-                 "--emit-plot": "plot.csv"}
+SHARED_VALUES = {"--seed": "1", "--samples": "10", "--tol": "1e-9", "--emit-plot": "plot.csv"}
 READS = {
     "fidelity": {"--tol"},
     "distance": {"--tol"},
     "ncopies": {"--tol"},
     "probe": {"--tol"},
     "arc": set(),
-    "oracle": {"--tol", "--budget", "--seed"},
+    "oracle": {"--tol"},
     "state-fidelity": set(),
     "classical-distance": set(),
     "avg-fidelity": {"--tol", "--samples", "--seed", "--emit-plot"},
@@ -401,7 +425,7 @@ def test_commands_take_only_the_options_they_read(capsys, tmp_path, monkeypatch,
         "su3-example": ["--gamma1", "0", "--gamma2", "0", "--phi", "[0, 0, 0, 0, 0]"],
     }
     assert set(complete) == set(READS)
-    assert sum(len(flags) for flags in READS.values()) == 16
+    assert sum(len(flags) for flags in READS.values()) == 14
     for command, flags in READS.items():
         for flag, value in SHARED_VALUES.items():
             argv = [command, *complete[command], flag, value]

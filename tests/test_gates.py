@@ -148,7 +148,7 @@ def test_pair_functions_build_no_gate(monkeypatch):
     monkeypatch.setattr(Gate, "__init__", counting_init)
     gate_distance(u1, u2)
     optimal_probe_separable(u1, u2)
-    oracle_min_overlap(u1, u2, 2, budget=4)
+    oracle_min_overlap(u1, u2, 2)
     for true_index in range(len(h)):
         simulate_elimination(plan, h, true_index=true_index, seed=true_index)
     simulate_elimination(plan, h, seed=1, true_gate=stranger)
@@ -198,6 +198,13 @@ def test_fidelity_su2_examples():
     assert gate_fidelity_su2(u, u) == 1.0
     assert abs(gate_fidelity_su2(Gate.identity(2), rot(math.pi / 3)) - 0.25) <= 1e-15
     assert gate_fidelity_su2(Gate.identity(2), Gate(1j * SX)) <= 1e-30
+
+
+def test_fidelity_su2_of_a_gate_with_itself_is_one():
+    rng = np.random.default_rng(0)
+    for _ in range(5000):
+        u = Gate(haar_unitary(2, rng))
+        assert gate_fidelity_su2(u, u) == 1.0
 
 
 def test_fidelity_su2_rejects():
@@ -678,6 +685,37 @@ def test_ncopies_probe_term_count_at_exact_boundaries():
         assert probe_overlap(u1, u2, probe, probe.copies) <= 1e-16
 
 
+def _branch_amplitude_limits(probe: ProbeState) -> np.ndarray:
+    """Per term, the largest coefficient that keeps each branch weight <= 1/2.
+
+    The coefficients are square roots of the branch weights (q, q, 1/2 - q,
+    1/2 - q), so the limit is sqrt(1/2), compared without squaring.  At even
+    N the two mixed branches share one term, whose two columns hold
+    different vectors; its weight 1 - 2q covers both, so its limit is 1.
+    """
+    limits = np.full(probe.coeffs.size, math.sqrt(0.5))
+    if probe.copies % 2 == 0:
+        merged = [not np.array_equal(*factors) for factors in probe.system]
+        limits[merged] = 1.0
+    return limits
+
+
+def test_ncopies_probe_residual_and_branch_weights():
+    # Haar pairs, near-identity pairs (delta from 1e-3, N = 1571) and pairs
+    # with N delta = pi/2 exactly, where q reads 1/2 + ~5e-15 before its clamp
+    rng = np.random.default_rng(31)
+    pairs = [su2_pair(rng) for _ in range(200)]
+    pairs += [pair_at_distance(delta, rng) for delta in np.geomspace(1e-3, 0.1, 60)]
+    pairs += [pair_at_distance(math.pi / (2 * n), rng) for n in range(1, 200)]
+    assert max(min_copies(u1, u2) for u1, u2 in pairs) == 1571
+    for u1, u2 in pairs:
+        probe = optimal_probe_ncopies(u1, u2)
+        # |<psi| R^(x)N |psi>| <= 1e-8
+        assert probe_overlap(u1, u2, probe, probe.copies) <= 1e-16
+        # no NaN from a negative weight, none above 1/2
+        assert np.all(np.abs(probe.coeffs) <= _branch_amplitude_limits(probe))
+
+
 def test_probe_arrays_are_read_only():
     factor = np.array([1.0, 0.0], dtype=complex)
     counts = np.array([1])
@@ -856,24 +894,25 @@ def test_term_contraction_matches_dense(seed, n_terms, copies, dim, anc_factors,
 
 
 def test_oracle_trivial_cases():
-    u = Gate(haar_unitary(2, np.random.default_rng(18), special=True))
-    assert abs(oracle_min_overlap(u, u, 1, budget=4, seed=0) - 1.0) <= 1e-10
-    assert oracle_min_overlap(Gate.identity(2), Gate(1j * SX), 1, budget=4, seed=0) <= 1e-8
+    rng = np.random.default_rng(18)
+    for d, n in itertools.product((2, 3, 8), (1, 2)):
+        for _ in range(20):
+            u = Gate(haar_unitary(d, rng))
+            assert oracle_min_overlap(u, u, n) == 1.0
+    assert oracle_min_overlap(Gate.identity(2), Gate(1j * SX), 1) <= 1e-8
     with pytest.raises(ValidationError):
-        oracle_min_overlap(u, u, 1, budget=0)
-    with pytest.raises(ValidationError):
-        oracle_min_overlap(u, u, 0, budget=4)
+        oracle_min_overlap(u, u, 0)
 
 
 def test_oracle_matches_closed_form_multi_copy():
     rng = np.random.default_rng(19)
-    for k in range(34):
+    for _ in range(34):
         u1, u2 = su2_pair(rng)
         rel = u1.matrix.conj().T @ u2.matrix
         for n in (1, 2, 3):
             phases_n = np.angle(np.linalg.eigvals(tensor_power(rel, n)))
             closed = convex_min_overlap(phases_n)
-            got = oracle_min_overlap(u1, u2, n, budget=8, seed=100 + k)
+            got = oracle_min_overlap(u1, u2, n)
             assert abs(closed - got) <= 1e-6
 
 
@@ -911,7 +950,7 @@ def test_oracle_certified_interval_boundaries():
             phases = eig_unitary(tensor_power(rel, n)).phases
             upper, _ = _assert_certified(phases, closed)
             u1 = Gate.identity(2)
-            got = oracle_min_overlap(u1, Gate(rel), n, budget=4, seed=n)
+            got = oracle_min_overlap(u1, Gate(rel), n)
             assert got <= upper
     # identical gates: every phase equal, the minimum is 1
     assert _assert_certified(np.zeros(8), 1.0) == (1.0, 1.0)
@@ -922,11 +961,28 @@ def test_oracle_certified_interval_boundaries():
         _assert_certified(eig_unitary(tensor_power(np.diag(lam), n)).phases)
 
 
+def test_random_probes_never_undercut_certified_lower_bound():
+    # random bipartite probes, evaluated on the tensor power itself without
+    # its eigenphases, bound the minimum from above: none may read below
+    # Wolfe's certified lower bound by more than its gap tolerance
+    rng = np.random.default_rng(26)
+    cases = [(2, n) for n in (1, 2, 3, 4)] + [(3, 1), (3, 2), (8, 1)]
+    for d, n in cases:
+        for k in range(12):
+            u1 = Gate(haar_unitary(d, rng))
+            u2 = u1 if k == 0 else Gate(haar_unitary(d, rng))
+            big = tensor_power(u1.matrix.conj().T @ u2.matrix, n)
+            _, lower, _ = _wolfe_min_norm(eig_unitary(big).phases)
+            z = rng.standard_normal((32, 2, *big.shape))
+            coeff = z[:, 0] + 1j * z[:, 1]
+            coeff /= np.linalg.norm(coeff, axis=(1, 2), keepdims=True)
+            probes = np.abs(np.einsum("bij,bij->b", coeff.conj(), big @ coeff)) ** 2
+            assert probes.min() >= lower - 1e-14
+
+
 def test_oracle_deterministic():
     u1, u2 = su2_pair(np.random.default_rng(20))
-    a = oracle_min_overlap(u1, u2, 2, budget=8, seed=5)
-    b = oracle_min_overlap(u1, u2, 2, budget=8, seed=5)
-    assert a == b
+    assert oracle_min_overlap(u1, u2, 2) == oracle_min_overlap(u1, u2, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from gatediscrim import (
     simulate_elimination,
 )
 from gatediscrim.gates import _term_amplitude
-from gatediscrim.protocol import _apply_copies
+from gatediscrim.protocol import _apply_copies, _most_distant_pair
 from helpers import haar_unitary
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -279,6 +279,25 @@ def test_tied_sets_follow_greedy_scan_order(h, plan_pairs, traces):
             sim = simulate_elimination(plan, h, true_index=true_index, seed=seed)
             got = [(r.pair, r.outcome_target, r.discarded) for r in sim.trace]
             assert got == expect
+
+
+def test_most_distant_pair_matches_the_strict_scan():
+    # reference: the row-major scan that keeps the first strictly larger distance
+    def scan(h, surviving):
+        best, best_d = None, -1.0
+        for a, i in enumerate(surviving):
+            for j in surviving[a + 1:]:
+                if h.distances[i, j] > best_d:
+                    best, best_d = (i, j), h.distances[i, j]
+        return best
+
+    rng = np.random.default_rng(12)
+    sets = [PAULI_SET, FOUR_PAULI_SET] + [random_set(k, rng) for k in (3, 5, 8, 16)]
+    for h in sets:
+        for _ in range(20):
+            size = int(rng.integers(2, len(h) + 1))
+            surviving = sorted(rng.choice(len(h), size, replace=False).tolist())
+            assert _most_distant_pair(h, surviving) == scan(h, surviving)
 
 
 def test_round_probability_is_one_contraction_of_the_probe(monkeypatch):
