@@ -427,10 +427,11 @@ def probe_overlap(u1: Gate, u2: Gate, probe: ProbeState, n: int) -> float:
     return min(1.0, abs(amp) ** 2)
 
 
-def _su2_folded_eigenbasis(rel: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Half-arc delta and eigenvectors (w_plus, w_minus) of a relative qubit gate.
+def _su2_folded_eigenbasis(rel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvectors (w_plus, w_minus) of a relative qubit gate R, folded to its half-arc.
 
-    Closed form, no eigendecomposition; delta is `_su2_half_arc(rel)`.  Its
+    Closed form, no eigendecomposition.  The half-arc a itself is
+    `_su2_half_arc(rel)`, which callers read from wherever they hold it.
     S = conj(sqrt(det R)) R = cos a 1 + i sin a (n . sigma), rebuilt here in
     scalars, has sin a = s = |(Im alpha, beta)|, n_z = Im alpha / s and
     n_x + i n_y = i conj(beta) / s.  S has phase +a on w_plus, the +1
@@ -443,7 +444,6 @@ def _su2_folded_eigenbasis(rel: np.ndarray) -> tuple[float, np.ndarray, np.ndarr
     of `numkit.eig_unitary` (largest entry real positive).  For S = +/-1
     (s = 0) the standard basis is returned.
     """
-    delta = _su2_half_arc(rel)
     (r00, r01), (r10, r11) = rel.tolist()
     c = cmath.sqrt(r00 * r11 - r01 * r10).conjugate()
     alpha = (r00 * c + (r11 * c).conjugate()) * 0.5
@@ -455,7 +455,7 @@ def _su2_folded_eigenbasis(rel: np.ndarray) -> tuple[float, np.ndarray, np.ndarr
     for a, b in ((p, q), (-q.conjugate(), p.conjugate())):
         lead = a if abs(a) >= abs(b) else b  # numkit._fix_gauge's choice, in scalars
         vecs.append(np.array([a, b]) * (abs(lead) / (lead * norm)))
-    return (delta, *vecs[::-1]) if alpha.real < 0.0 else (delta, *vecs)
+    return (vecs[1], vecs[0]) if alpha.real < 0.0 else (vecs[0], vecs[1])
 
 
 def optimal_probe_separable(u1: Gate, u2: Gate) -> ProbeState:
@@ -471,7 +471,7 @@ def optimal_probe_separable(u1: Gate, u2: Gate) -> ProbeState:
     _check_pair(u1, u2)
     rel = _relative_matrix(u1.matrix, u2.matrix)
     if u1.dim == 2:
-        _, v_a, v_b = _su2_folded_eigenbasis(rel)
+        v_a, v_b = _su2_folded_eigenbasis(rel)
     else:
         eig = numkit.eig_unitary(rel)
         arc = minimal_covering_arc(eig.phases)
@@ -515,14 +515,24 @@ def optimal_probe_ncopies(u1: Gate, u2: Gate) -> ProbeState:
     with an ancilla, and every term is constant on the first ceil(N/2)
     copies and on the last floor(N/2): it is stored as at most two counted
     columns, each term picking w+ or w- per column, so its size does not
-    grow with N.  U1^dag U2 is formed once: N, delta and (w+, w-) come from
-    its closed form (`_su2_folded_eigenbasis`).  The tests check that the
+    grow with N.  U1^dag U2 is formed once: delta is its `_su2_half_arc`,
+    and `_ncopies_probe` builds the state from it.  The tests check that the
     residual overlap stays within 1e-8 and each branch weight within [0, 1/2].
     """
     _check_pair(u1, u2, dim=2)
     rel = _relative_matrix(u1.matrix, u2.matrix)
-    delta, w_plus, w_minus = _su2_folded_eigenbasis(rel)
+    return _ncopies_probe(rel, _su2_half_arc(rel))
+
+
+def _ncopies_probe(rel: np.ndarray, delta: float) -> ProbeState:
+    """The probe of `optimal_probe_ncopies` for relative gate R and its half-arc delta.
+
+    delta must be `_su2_half_arc(rel)`; callers that hold it already (the
+    distance table of `protocol.HypothesisSet`) pass it in.  N comes from
+    delta, and (w+, w-) from the closed form `_su2_folded_eigenbasis`.
+    """
     n = _copies_for_distance(delta)
+    w_plus, w_minus = _su2_folded_eigenbasis(rel)
     parity = n % 2
     c_par, c_n = math.cos(parity * delta), math.cos(n * delta)
     q = 0.0 if n == 1 else c_par / (2.0 * (c_par - c_n))

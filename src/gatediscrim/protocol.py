@@ -6,6 +6,10 @@ images orthogonal, so a two-outcome projective measurement removes exactly
 one candidate per round and never removes the true gate.  k candidates are
 identified in k-1 rounds with certainty.  Candidates are told apart up to a
 global phase only, so any qubit unitaries qualify, whatever their determinants.
+
+A plan is a schedule of pairs; it builds nothing.  Each pair's test is built
+the first time a simulation runs it (or `TestPlan.tests` is read) and kept
+in its hypothesis set, so every test is built at most once per set.
 """
 from __future__ import annotations
 
@@ -18,10 +22,10 @@ from .gates import (
     IDENTICAL_TOL,
     Gate,
     ProbeState,
+    _ncopies_probe,
     _relative_matrix,
     _su2_half_arc,
     _term_amplitude,
-    optimal_probe_ncopies,
 )
 from .numkit import MAX_TENSOR_DIM
 
@@ -35,11 +39,16 @@ class HypothesisSet:
     `distances` is the read-only k x k table of pairwise `gate_distance`
     values, symmetric with a zero diagonal.  It is computed once, on
     construction, and planning and simulation read it instead of
-    recomputing distances.
+    recomputing distances.  The set also keeps each pair's
+    `EliminationTest` once it is first built, so plans and simulations on
+    the set build every test at most once (at most k(k-1)/2 of them).
     """
 
     gates: tuple[Gate, ...]
     distances: np.ndarray = field(init=False, repr=False)
+    _tests: dict[tuple[int, int], EliminationTest] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
@@ -100,9 +109,19 @@ class EliminationTest:
 
 @dataclass(frozen=True, eq=False)
 class TestPlan:
-    """Scheduled rounds, assuming the nominal (second-index) discard each time."""
+    """Scheduled pairs of `hypotheses`, assuming the nominal (second-index) discard each time.
 
-    tests: tuple[EliminationTest, ...]
+    The plan holds pairs only.  `tests` gives the rounds' `EliminationTest`s,
+    read from the set's test cache and built there the first time a pair
+    is asked for.
+    """
+
+    pairs: tuple[tuple[int, int], ...]
+    hypotheses: HypothesisSet
+
+    @property
+    def tests(self) -> tuple[EliminationTest, ...]:
+        return tuple(_build_test(self.hypotheses, i, j) for i, j in self.pairs)
 
 
 @dataclass(frozen=True)
@@ -143,23 +162,34 @@ def _most_distant_pair(h: HypothesisSet, surviving: list[int]) -> tuple[int, int
 
 
 def _build_test(h: HypothesisSet, i: int, j: int) -> EliminationTest:
-    gi = h.gates[i]
-    return EliminationTest(pair=(i, j), probe=optimal_probe_ncopies(gi, h.gates[j]), gate=gi)
+    """Pair (i, j)'s test from the set's cache, built there on first use.
+
+    The probe is `optimal_probe_ncopies(h.gates[i], h.gates[j])`, bit for
+    bit, with delta read from the distance table instead of recomputed.
+    """
+    test = h._tests.get((i, j))
+    if test is None:
+        gi = h.gates[i]
+        rel = _relative_matrix(gi.matrix, h.gates[j].matrix)
+        probe = _ncopies_probe(rel, float(h.distances[i, j]))
+        test = h._tests[i, j] = EliminationTest(pair=(i, j), probe=probe, gate=gi)
+    return test
 
 
 def plan_elimination(h: HypothesisSet) -> TestPlan:
     """Greedy schedule: test the most-distant surviving pair, k-1 rounds total.
 
     The static plan assumes each round discards the second index of its
-    pair; the simulator re-plans whenever an actual outcome diverges.
+    pair; the simulator re-plans whenever an actual outcome diverges.  Only
+    the pairs are scheduled; no test is built here.
     """
     surviving = list(range(len(h)))
-    tests = []
+    pairs = []
     while len(surviving) > 1:
         i, j = _most_distant_pair(h, surviving)
-        tests.append(_build_test(h, i, j))
+        pairs.append((i, j))
         surviving.remove(j)
-    return TestPlan(tests=tuple(tests))
+    return TestPlan(pairs=tuple(pairs), hypotheses=h)
 
 
 def simulate_elimination(
@@ -174,9 +204,13 @@ def simulate_elimination(
     Outcomes are sampled from the exact measurement probabilities.  Exactly
     one of `true_index` / `true_gate` must be given; an out-of-set
     `true_gate` is allowed (robustness studies) and flagged in the result.
-    Planned tests are consumed while their pairs survive; otherwise the
-    round is re-planned greedily among the survivors.
+    `plan` must have been made for `h`.  Planned pairs are consumed while
+    both survive; otherwise the round is re-planned greedily among the
+    survivors.  Each round's test comes from the set's cache, so only the
+    rounds that run are built, each once per set.
     """
+    if plan.hypotheses is not h:
+        raise ValidationError("the plan was made for another hypothesis set")
     if (true_index is None) == (true_gate is None):
         raise ValidationError("give exactly one of true_index or true_gate")
     if true_index is not None:
@@ -189,19 +223,13 @@ def simulate_elimination(
         g_true, in_set = true_gate, False
     rng = np.random.default_rng(seed)
     surviving = list(range(len(h)))
-    pending = list(plan.tests)
+    pending = iter(plan.pairs)
     records: list[TestRecord] = []
     total_runs = 0
     while len(surviving) > 1:
-        test = None
-        while pending:
-            cand = pending.pop(0)
-            if cand.pair[0] in surviving and cand.pair[1] in surviving:
-                test = cand
-                break
-        if test is None:
-            test = _build_test(h, *_most_distant_pair(h, surviving))
-        i, j = test.pair
+        pair = next((p for p in pending if p[0] in surviving and p[1] in surviving), None)
+        i, j = pair or _most_distant_pair(h, surviving)
+        test = _build_test(h, i, j)
         # <target|U_true^(x)N|probe> = <probe|(U_i^dag U_true)^(x)N|probe>
         rel = _relative_matrix(test.gate.matrix, g_true.matrix)
         p_target = min(1.0, abs(_term_amplitude(test.probe, test.probe, rel)) ** 2)

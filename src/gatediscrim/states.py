@@ -10,11 +10,18 @@ from .errors import DimensionError, ValidationError
 from .numkit import DEFAULT_TOL
 
 
+def _require_finite(arr: np.ndarray, what: str) -> None:
+    # every comparison with NaN is false, so the checks below would pass it
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{what} has non-finite entries")
+
+
 def as_density(rho, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Validate a density matrix: Hermitian, unit trace, eigenvalues >= -tol."""
+    """Validate a density matrix: finite, Hermitian, unit trace, eigenvalues >= -tol."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise DimensionError(f"density matrix must be square, got {rho.shape}")
+    _require_finite(rho, "density matrix")
     if np.abs(rho - rho.conj().T).max() > tol:
         raise ValidationError("density matrix is not Hermitian within tolerance")
     if abs(np.trace(rho).real - 1.0) > tol or abs(np.trace(rho).imag) > tol:
@@ -26,17 +33,18 @@ def as_density(rho, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 
 def as_state_vector(psi, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Validate a normalized pure-state vector."""
+    """Validate a finite, normalized pure-state vector."""
     v = np.asarray(psi, dtype=complex).reshape(-1)
     if v.size == 0:
         raise DimensionError("empty state vector")
+    _require_finite(v, "state vector")
     if abs(np.linalg.norm(v) - 1.0) > tol:
         raise ValidationError("state vector is not normalized within tolerance")
     return v
 
 
 def as_povm(elements: Sequence, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
-    """Validate a POVM: Hermitian PSD elements that sum to the identity.
+    """Validate a POVM: finite Hermitian PSD elements that sum to the identity.
 
     Per-element checks use `tol`; the completeness sum is allowed a looser
     1e-9 since it accumulates error across elements.
@@ -48,6 +56,7 @@ def as_povm(elements: Sequence, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
     for m in mats:
         if m.ndim != 2 or m.shape != (d, d):
             raise DimensionError("POVM elements must be square and same-dimensional")
+        _require_finite(m, "POVM element")
         if np.abs(m - m.conj().T).max() > tol:
             raise ValidationError("POVM element is not Hermitian within tolerance")
         if np.linalg.eigvalsh((m + m.conj().T) / 2.0).min() < -tol:

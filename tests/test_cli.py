@@ -328,22 +328,28 @@ def test_json_booleans_are_not_numbers(capsys, tmp_path, kind):
     assert out == "" and "validation error" in err
 
 
-NON_FINITE_INPUTS = {  # argv with one non-finite number; "{set}" is a two-gate set file
+NON_FINITE_INPUTS = {  # argv with one non-finite number; "{set}" is a two-gate set file,
+    # "{rho_nan}" and "{rho_inf}" density files with one NaN or Infinity entry
     "phi": ["su3-example", "--gamma1", "0.1", "--gamma2", "0.2", "--phi", "[NaN,0,0,0,0]"],
     "huge-integer": ["arc", "--phases", "[1" + "0" * 400 + "]"],
     "tol-inf": ["distance", "--u1", "{a}", "--u2", "{b}", "--tol", "inf"],
     "tol-nan": ["distance", "--u1", "{a}", "--u2", "{b}", "--tol", "nan"],
     "set-tol-inf": ["discriminate", "--set", "{set}", "--true", "0", "--tol", "inf"],
+    "state-nan": ["state-fidelity", "--rho1", "{rho_nan}", "--rho2", "{half}"],
+    "state-inf": ["state-fidelity", "--rho1", "{half}", "--rho2", "{rho_inf}"],
 }
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("kind", sorted(NON_FINITE_INPUTS))
 def test_non_finite_inputs_exit_2(capsys, tmp_path, gate_files, kind):
     a, b = gate_files
     hyp = tmp_path / "set.json"
     hyp.write_text('{"gates": [%s, %s]}' % ((tmp_path / "a.json").read_text(),
                                              (tmp_path / "b.json").read_text()))
-    argv = [arg.format(a=a, b=b, set=hyp) for arg in NON_FINITE_INPUTS[kind]]
+    states = {name: write_matrix(tmp_path / f"{name}.json", np.diag([bad, 0.5]))
+              for name, bad in (("rho_nan", math.nan), ("rho_inf", math.inf), ("half", 0.5))}
+    argv = [arg.format(a=a, b=b, set=hyp, **states) for arg in NON_FINITE_INPUTS[kind]]
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == "" and "validation error" in err

@@ -628,9 +628,8 @@ def test_closed_form_basis_matches_eig_unitary():
         u1, u2 = su2_pair(rng)
         rel = _relative_matrix(u1.matrix, u2.matrix)
         for r in (rel, -rel):
-            delta, w_plus, w_minus = _su2_folded_eigenbasis(r)
+            delta, (w_plus, w_minus) = _su2_half_arc(r), _su2_folded_eigenbasis(r)
             ref_delta, ref_plus, ref_minus = _eig_folded_basis(r)
-            assert delta == _su2_half_arc(r)
             assert abs(delta - ref_delta) <= 1e-12
             # both carry the eig_unitary gauge, so the vectors compare entry by entry
             assert np.abs(w_plus - ref_plus).max() <= 1e-12
@@ -647,7 +646,7 @@ def test_closed_form_basis_at_boundaries(delta):
     for _ in range(20):
         w = haar_unitary(2, rng)
         rel = (w * np.exp([1j * delta, -1j * delta])) @ w.conj().T
-        got_delta, w_plus, w_minus = _su2_folded_eigenbasis(rel)
+        got_delta, (w_plus, w_minus) = _su2_half_arc(rel), _su2_folded_eigenbasis(rel)
         _, ref_plus, ref_minus = _eig_folded_basis(rel)
         assert abs(got_delta - delta) <= 1e-15
         if delta == math.pi / 2:

@@ -12,6 +12,7 @@ from gatediscrim import (
     ValidationError,
     gate_distance,
     min_copies,
+    optimal_probe_ncopies,
     plan_elimination,
     probe_overlap,
     simulate_elimination,
@@ -173,6 +174,18 @@ def test_simulate_argument_validation():
         simulate_elimination(plan, PAULI_SET, true_gate=Gate.identity(3), seed=0)
 
 
+def test_plan_for_another_set_is_refused():
+    # an equal set is still another set: its test cache and indices are its own
+    twin = HypothesisSet(gates=PAULI_SET.gates)
+    plan = plan_elimination(twin)
+    with pytest.raises(ValidationError, match="another hypothesis set"):
+        simulate_elimination(plan, PAULI_SET, true_index=0, seed=0)
+    with pytest.raises(ValidationError, match="another hypothesis set"):
+        simulate_elimination(plan_elimination(FOUR_PAULI_SET), PAULI_SET,
+                             true_gate=Gate.identity(2), seed=0)
+    assert simulate_elimination(plan, twin, true_index=0, seed=0).identified_index == 0
+
+
 def test_simulation_deterministic_given_seed():
     rng = np.random.default_rng(6)
     h = random_set(4, rng)
@@ -230,8 +243,11 @@ def test_planning_and_simulation_read_the_table(monkeypatch):
                 monkeypatch.setattr(module, name, boom)
     rng = np.random.default_rng(8)
     h = random_set(8, rng)
+    # tests take their half-arc from the table too
+    for module in (gatediscrim.gates, gatediscrim.protocol):
+        monkeypatch.setattr(module, "_su2_half_arc", boom)
     plan = plan_elimination(h)
-    planned = {t.pair for t in plan.tests}
+    planned = set(plan.pairs)
     replanned = 0
     for true_index in range(8):
         for seed in range(3):
@@ -330,3 +346,75 @@ def test_round_probability_is_one_contraction_of_the_probe(monkeypatch):
                 assert abs(amp - old) <= 1e-12
                 checked += 1
     assert checked > 100
+
+
+def test_planning_builds_no_probe(monkeypatch):
+    def boom(self):
+        raise AssertionError("a probe was built while planning")
+
+    monkeypatch.setattr(gatediscrim.gates.ProbeState, "__post_init__", boom)
+    rng = np.random.default_rng(13)
+    # fresh sets: the module-level ones may hold tests built by other tests
+    for gates in (PAULI_SET.gates, FOUR_PAULI_SET.gates,
+                  random_set(8, rng).gates, random_set(16, rng).gates):
+        h = HypothesisSet(gates=gates)
+        plan = plan_elimination(h)
+        assert plan.hypotheses is h
+        assert len(plan.pairs) == len(h) - 1
+        assert h._tests == {}
+
+
+def test_each_test_is_built_once_per_set(monkeypatch):
+    built = []
+    used = []
+    original_test = gatediscrim.protocol.EliminationTest
+    original_amplitude = gatediscrim.protocol._term_amplitude
+
+    def recorded_test(**kwargs):
+        built.append(original_test(**kwargs))
+        return built[-1]
+
+    def recorded_amplitude(a, b, op):
+        used.append(a)
+        return original_amplitude(a, b, op)
+
+    monkeypatch.setattr(gatediscrim.protocol, "EliminationTest", recorded_test)
+    monkeypatch.setattr(gatediscrim.protocol, "_term_amplitude", recorded_amplitude)
+    rng = np.random.default_rng(14)
+    h = random_set(8, rng)
+    plan = plan_elimination(h)
+    assert built == []
+    strangers = [{"true_gate": Gate(haar_unitary(2, rng))} for _ in range(3)]
+    for kwargs in [{"true_index": t} for t in range(len(h))] + strangers:
+        for seed in range(4):
+            used.clear()
+            sim = simulate_elimination(plan, h, seed=seed, **kwargs)
+            # each round ran the cached test of its pair, a planned one included
+            for record, probe in zip(sim.trace, used, strict=True):
+                assert probe is h._tests[record.pair].probe
+                if record.pair in plan.pairs:
+                    assert probe is plan.tests[plan.pairs.index(record.pair)].probe
+    # reading the plan builds what the runs skipped, once, and then only reads
+    tests = plan.tests
+    assert all(a is b for a, b in zip(tests, plan.tests, strict=True))
+    pairs = [t.pair for t in built]
+    assert len(pairs) == len(set(pairs)) == len(h._tests) <= len(h) * (len(h) - 1) // 2
+    assert all(h._tests[t.pair] is t for t in built)
+
+
+def test_cached_probes_match_the_public_builder():
+    rng = np.random.default_rng(15)
+    sets = [PAULI_SET, FOUR_PAULI_SET, HypothesisSet(gates=(Gate.identity(2), Gate(SX), Gate(SZ)))]
+    sets += [random_set(k, rng) for k in (3, 5, 8, 16) for _ in range(3)]
+    sets += [HypothesisSet(gates=tuple(Gate(haar_unitary(2, rng)) for _ in range(5)))]
+    for h in sets:
+        plan = plan_elimination(h)
+        for true_index in range(len(h)):
+            simulate_elimination(plan, h, true_index=true_index, seed=true_index)
+        assert len(plan.tests) == len(h) - 1  # builds the planned tests no run reached
+        for (i, j), test in h._tests.items():
+            assert test.pair == (i, j) and test.gate is h.gates[i]
+            ref = optimal_probe_ncopies(h.gates[i], h.gates[j])
+            for name in ("coeffs", "system", "counts"):
+                assert np.array_equal(getattr(test.probe, name), getattr(ref, name))
+            assert test.probe.ancilla is None and ref.ancilla is None

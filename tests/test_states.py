@@ -44,6 +44,21 @@ def test_as_povm_validation():
         as_povm([np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])])  # negative piece
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.5, math.nan)])
+def test_non_finite_entries_are_refused(bad):
+    # NaN passes every comparison-based check; inf warns inside them
+    rho = np.diag([bad, 0.5])
+    with pytest.raises(ValidationError, match="non-finite"):
+        as_density(rho)
+    with pytest.raises(ValidationError, match="non-finite"):
+        as_state_vector([bad, 0.0])
+    with pytest.raises(ValidationError, match="non-finite"):
+        as_povm([np.diag([0.5, 0.5]), np.diag([0.5, 0.5]), rho])
+    with pytest.raises(ValidationError, match="non-finite"):
+        mixed_fidelity(rho, np.eye(2) / 2)
+
+
 def test_povm_probabilities_is_valid_dist():
     rng = np.random.default_rng(21)
     for _ in range(50):
