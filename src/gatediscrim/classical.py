@@ -20,8 +20,8 @@ PROB_TOL = 1e-12
 ProbDist = np.ndarray
 
 
-def as_prob_dist(weights: Sequence[float], tol: float = PROB_TOL) -> ProbDist:
-    """Validate and return a probability vector (entries >= 0, sum 1 within tol)."""
+def as_prob_dist(weights: Sequence[float]) -> ProbDist:
+    """Validate and return a probability vector (entries >= 0, sum 1 within PROB_TOL)."""
     p = np.asarray(weights, dtype=float).reshape(-1)
     if p.size == 0:
         raise DimensionError("empty probability vector")
@@ -29,7 +29,7 @@ def as_prob_dist(weights: Sequence[float], tol: float = PROB_TOL) -> ProbDist:
         raise ValidationError("probability vector has non-finite entries")
     if p.min() < 0.0:
         raise ValidationError(f"negative probability {p.min():.3e}")
-    if abs(p.sum() - 1.0) > tol:
+    if abs(p.sum() - 1.0) > PROB_TOL:
         raise ValidationError(f"probabilities sum to {p.sum()!r}, not 1")
     return p
 

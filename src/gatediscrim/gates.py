@@ -23,7 +23,7 @@ from .errors import (
     SizeLimitError,
     ValidationError,
 )
-from .numkit import DEFAULT_TOL, MAX_TENSOR_DIM
+from .numkit import DEFAULT_TOL
 
 # Gates whose distance falls below this are treated as identical (up to a
 # global phase) and admit no discriminating measurement.
@@ -354,11 +354,11 @@ class ProbeState:
     def total_dim(self) -> int:
         return self.dim**self.copies * self.ancilla_dim
 
-    def to_vector(self, max_dim: int = MAX_TENSOR_DIM) -> np.ndarray:
-        """Dense vector of the probe; refuses dimensions above max_dim."""
-        if self.total_dim > max_dim:
+    def to_vector(self) -> np.ndarray:
+        """Dense vector of the probe; refuses dimensions above numkit.MAX_TENSOR_DIM."""
+        if self.total_dim > numkit.MAX_TENSOR_DIM:
             raise SizeLimitError(
-                f"probe dimension {self.total_dim} exceeds the cap {max_dim}"
+                f"probe dimension {self.total_dim} exceeds the cap {numkit.MAX_TENSOR_DIM}"
             )
         system = np.repeat(self.system, self.counts, axis=1)
         # without an ancilla each term has zero ancilla factors
@@ -371,10 +371,10 @@ class ProbeState:
             out += acc
         return out
 
-    def system_density(self, max_dim: int = MAX_TENSOR_DIM) -> np.ndarray:
-        """Reduced density matrix on the gate-side (system) factor."""
-        vec = self.to_vector(max_dim)
-        return numkit.partial_trace_b(vec, dim_a=self.dim**self.copies)
+    def system_density(self) -> np.ndarray:
+        """Reduced density matrix on the gate-side (system) factor, through
+        `to_vector` and so within numkit.MAX_TENSOR_DIM."""
+        return numkit.partial_trace_b(self.to_vector(), dim_a=self.dim**self.copies)
 
 
 def _factor_gram(x: np.ndarray, y: np.ndarray, counts=1) -> np.ndarray:

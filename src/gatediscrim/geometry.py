@@ -51,11 +51,16 @@ class SphereCoords:
         return np.array([self.a_re, self.a_im, self.b_re, self.b_im])
 
 
-def metric_form_matrix(u: Gate, du, soft_tol: float = 1e-6) -> float:
+# Relative anti-Hermitian residual above which metric_form_matrix warns.
+_TANGENT_SOFT_TOL = 1e-6
+
+
+def metric_form_matrix(u: Gate, du) -> float:
     """Squared line element (1/4)(2 tr(dU dU^dag) - |tr(U^dag dU)|^2).
 
     `du` should be (close to) a tangent matrix, i.e. U^dag dU
-    anti-Hermitian; a large Hermitian residual only triggers a warning since
+    anti-Hermitian; a Hermitian residual above `_TANGENT_SOFT_TOL` (relative
+    to the largest entry of dU, at least 1) only triggers a warning since
     finite-difference increments violate it at second order.
     """
     if not isinstance(u, Gate) or u.dim != 2:
@@ -66,7 +71,7 @@ def metric_form_matrix(u: Gate, du, soft_tol: float = 1e-6) -> float:
     rel = u.matrix.conj().T @ dm
     herm_residual = np.abs(rel + rel.conj().T).max()
     scale = max(1.0, float(np.abs(dm).max()))
-    if herm_residual > soft_tol * scale:
+    if herm_residual > _TANGENT_SOFT_TOL * scale:
         warnings.warn(
             f"increment is far from tangent: anti-Hermitian residual {herm_residual:.3e}",
             stacklevel=2,
@@ -156,9 +161,11 @@ class MonteCarloEstimate:
 
     @classmethod
     def from_samples(cls, vals: np.ndarray) -> "MonteCarloEstimate":
-        """Mean and standard error of a 1-D array of samples."""
+        """Mean and standard error of a 1-D array of at least two samples."""
         n = vals.size
-        err = float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else float("inf")
+        if n < 2:
+            raise ValidationError(f"a standard error needs at least 2 samples, got {n}")
+        err = float(vals.std(ddof=1) / math.sqrt(n))
         return cls(estimate=float(vals.mean()), stderr=err, samples=n)
 
 

@@ -14,6 +14,8 @@ from .errors import ConvergenceError, DimensionError, SizeLimitError, Validation
 DEFAULT_TOL = 1e-10
 # Largest dense dimension materialized for tensor powers and probe vectors.
 MAX_TENSOR_DIM = 4096
+# Mixing weights eig_unitary draws before raising ConvergenceError.
+_EIG_ATTEMPTS = 6
 
 # Internal seed for the random Hermitian mixing weight used by eig_unitary.
 # Fixed so that the decomposition is a pure function of its input.
@@ -79,7 +81,7 @@ def _split_clusters(values: np.ndarray, gap: float) -> list[slice]:
     return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
 
 
-def eig_unitary(u, tol: float = DEFAULT_TOL, max_attempts: int = 6) -> UnitaryEigen:
+def eig_unitary(u, tol: float = DEFAULT_TOL) -> UnitaryEigen:
     """Eigenphases and orthonormal eigenvectors of a unitary matrix.
 
     Reduces to a Hermitian problem: with H1 = (U + U^dag)/2 and
@@ -89,7 +91,8 @@ def eig_unitary(u, tol: float = DEFAULT_TOL, max_attempts: int = 6) -> UnitaryEi
     collide), so inside each cluster the compression of H2 is diagonalized as
     a second stage; the pair (cos, sin) separates any two distinct phases.
     Phases come from Rayleigh quotients and every pair (phase, vector) must
-    pass the residual check ||U v - exp(i*phi) v|| <= tol.
+    pass the residual check ||U v - exp(i*phi) v|| <= tol.  Up to
+    `_EIG_ATTEMPTS` mixing weights are tried before ConvergenceError.
     """
     m = _as_square(u)
     if not validate_unitary(m, tol):
@@ -99,7 +102,7 @@ def eig_unitary(u, tol: float = DEFAULT_TOL, max_attempts: int = 6) -> UnitaryEi
     h2 = (m - m.conj().T) / 2.0j
     rng = np.random.default_rng(_MIX_SEED)
     last_residual = np.inf
-    for _ in range(max_attempts):
+    for _ in range(_EIG_ATTEMPTS):
         gamma = rng.uniform(0.3, 1.7)
         w, vecs = np.linalg.eigh(h1 + gamma * h2)
         for cl in _split_clusters(w, 1e-8):
@@ -124,14 +127,14 @@ def eig_unitary(u, tol: float = DEFAULT_TOL, max_attempts: int = 6) -> UnitaryEi
         last_residual = residual
     raise ConvergenceError(
         f"eigendecomposition residual {last_residual:.3e} above {tol:.1e} "
-        f"after {max_attempts} attempts (dim {d})"
+        f"after {_EIG_ATTEMPTS} attempts (dim {d})"
     )
 
 
-def sqrt_psd(m, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Hermitian square root of a positive semidefinite matrix."""
+def sqrt_psd(m) -> np.ndarray:
+    """Hermitian square root of a positive semidefinite matrix, Hermitian within DEFAULT_TOL."""
     m = _as_square(m)
-    if np.abs(m - m.conj().T).max() > tol:
+    if np.abs(m - m.conj().T).max() > DEFAULT_TOL:
         raise ValidationError("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
     if w.min() < -1e-8:
@@ -141,14 +144,14 @@ def sqrt_psd(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     return (root + root.conj().T) / 2.0
 
 
-def tensor_power(u, n: int, max_dim: int = MAX_TENSOR_DIM) -> np.ndarray:
-    """Kronecker power U^(x)n; refuses results larger than max_dim."""
+def tensor_power(u, n: int) -> np.ndarray:
+    """Kronecker power U^(x)n; refuses results larger than MAX_TENSOR_DIM."""
     m = _as_square(u)
     if n < 1:
         raise ValidationError(f"tensor power needs n >= 1, got {n}")
-    if m.shape[0] ** n > max_dim:
+    if m.shape[0] ** n > MAX_TENSOR_DIM:
         raise SizeLimitError(
-            f"dimension {m.shape[0]}^{n} exceeds the cap {max_dim}"
+            f"dimension {m.shape[0]}^{n} exceeds the cap {MAX_TENSOR_DIM}"
         )
     out = m
     for _ in range(n - 1):
@@ -156,21 +159,16 @@ def tensor_power(u, n: int, max_dim: int = MAX_TENSOR_DIM) -> np.ndarray:
     return out
 
 
-def partial_trace_b(psi, dim_a: int | None = None, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Reduced density matrix on subsystem A of a normalized pure state.
+def partial_trace_b(psi, dim_a: int) -> np.ndarray:
+    """Reduced density matrix on subsystem A of a pure state normalized within DEFAULT_TOL.
 
-    `psi` lives on C^dim_a (x) C^dim_b with dim_b inferred from the length;
-    when dim_a is omitted the split is assumed square (dim_a = dim_b).
+    `psi` lives on C^dim_a (x) C^dim_b with dim_b inferred from the length.
     """
     vec = np.asarray(psi, dtype=complex).reshape(-1)
     size = vec.size
-    if dim_a is None:
-        dim_a = int(round(np.sqrt(size)))
-        if dim_a * dim_a != size:
-            raise DimensionError(f"state of length {size} is not a square bipartite split")
     if dim_a < 1 or size % dim_a != 0:
         raise DimensionError(f"length {size} does not factor through dim_a={dim_a}")
-    if abs(np.linalg.norm(vec) - 1.0) > tol:
+    if abs(np.linalg.norm(vec) - 1.0) > DEFAULT_TOL:
         raise ValidationError("state is not normalized within tolerance")
     coeff = vec.reshape(dim_a, size // dim_a)
     rho = coeff @ coeff.conj().T

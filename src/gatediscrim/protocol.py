@@ -27,7 +27,6 @@ from .gates import (
     _su2_half_arc,
     _term_amplitude,
 )
-from .numkit import MAX_TENSOR_DIM
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,9 +99,9 @@ class EliminationTest:
     def target(self) -> ProbeState:
         return _apply_copies(self.gate, self.probe)
 
-    def povm(self, max_dim: int = MAX_TENSOR_DIM) -> list[np.ndarray]:
-        """Dense two-element projective measurement {P, 1 - P}."""
-        v = self.target.to_vector(max_dim)
+    def povm(self) -> list[np.ndarray]:
+        """Dense two-element projective measurement {P, 1 - P}, within numkit.MAX_TENSOR_DIM."""
+        v = self.target.to_vector()
         proj = np.outer(v, v.conj())
         return [proj, np.eye(v.size) - proj]
 

@@ -16,37 +16,37 @@ def _require_finite(arr: np.ndarray, what: str) -> None:
         raise ValidationError(f"{what} has non-finite entries")
 
 
-def as_density(rho, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Validate a density matrix: finite, Hermitian, unit trace, eigenvalues >= -tol."""
+def as_density(rho) -> np.ndarray:
+    """Validate a density matrix: finite; Hermitian, unit trace and PSD within DEFAULT_TOL."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise DimensionError(f"density matrix must be square, got {rho.shape}")
     _require_finite(rho, "density matrix")
-    if np.abs(rho - rho.conj().T).max() > tol:
+    if np.abs(rho - rho.conj().T).max() > DEFAULT_TOL:
         raise ValidationError("density matrix is not Hermitian within tolerance")
-    if abs(np.trace(rho).real - 1.0) > tol or abs(np.trace(rho).imag) > tol:
+    if abs(np.trace(rho).real - 1.0) > DEFAULT_TOL or abs(np.trace(rho).imag) > DEFAULT_TOL:
         raise ValidationError(f"density matrix has trace {np.trace(rho)!r}")
     w = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
-    if w.min() < -tol:
+    if w.min() < -DEFAULT_TOL:
         raise ValidationError(f"density matrix has eigenvalue {w.min():.3e}")
     return rho
 
 
-def as_state_vector(psi, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Validate a finite, normalized pure-state vector."""
+def as_state_vector(psi) -> np.ndarray:
+    """Validate a finite pure-state vector, normalized within DEFAULT_TOL."""
     v = np.asarray(psi, dtype=complex).reshape(-1)
     if v.size == 0:
         raise DimensionError("empty state vector")
     _require_finite(v, "state vector")
-    if abs(np.linalg.norm(v) - 1.0) > tol:
+    if abs(np.linalg.norm(v) - 1.0) > DEFAULT_TOL:
         raise ValidationError("state vector is not normalized within tolerance")
     return v
 
 
-def as_povm(elements: Sequence, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
+def as_povm(elements: Sequence) -> list[np.ndarray]:
     """Validate a POVM: finite Hermitian PSD elements that sum to the identity.
 
-    Per-element checks use `tol`; the completeness sum is allowed a looser
+    Per-element checks use DEFAULT_TOL; the completeness sum is allowed a looser
     1e-9 since it accumulates error across elements.
     """
     if len(elements) == 0:
@@ -57,9 +57,9 @@ def as_povm(elements: Sequence, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
         if m.ndim != 2 or m.shape != (d, d):
             raise DimensionError("POVM elements must be square and same-dimensional")
         _require_finite(m, "POVM element")
-        if np.abs(m - m.conj().T).max() > tol:
+        if np.abs(m - m.conj().T).max() > DEFAULT_TOL:
             raise ValidationError("POVM element is not Hermitian within tolerance")
-        if np.linalg.eigvalsh((m + m.conj().T) / 2.0).min() < -tol:
+        if np.linalg.eigvalsh((m + m.conj().T) / 2.0).min() < -DEFAULT_TOL:
             raise ValidationError("POVM element has a negative eigenvalue")
     if np.abs(sum(mats) - np.eye(d)).max() > 1e-9:
         raise ValidationError("POVM elements do not sum to the identity")

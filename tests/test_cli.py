@@ -165,6 +165,16 @@ def test_avg_fidelity_command(capsys, gate_files, tmp_path):
     assert all(0.0 <= x <= 1.0 for x in xs)
 
 
+def test_avg_fidelity_one_sample_exits_2(capsys, gate_files, tmp_path):
+    a, b = gate_files
+    plot = tmp_path / "hist.csv"
+    code, out, err = run(capsys, ["avg-fidelity", "--u1", a, "--u2", b, "--samples", "1",
+                                  "--emit-plot", str(plot)])
+    assert code == 2
+    assert out == "" and not plot.exists()
+    assert "validation error: a standard error needs at least 2 samples, got 1" in err
+
+
 def test_avg_fidelity_plot_draws_samples_once(capsys, gate_files, tmp_path, monkeypatch):
     a, b = gate_files
     u2 = Gate(np.diag([np.exp(1j * math.pi / 3), np.exp(-1j * math.pi / 3)]))

@@ -790,7 +790,7 @@ def _spectral_weight_overlap(u1: Gate, u2: Gate, probe: ProbeState) -> float:
     for _ in range(probe.copies - 1):
         vecs = np.kron(vecs, eig.vectors)
         phases = (phases[:, None] + eig.phases[None, :]).reshape(-1)
-    rho = probe.system_density(max_dim=256)
+    rho = probe.system_density()
     weights = np.clip(np.einsum("ik,ij,jk->k", vecs.conj(), rho, vecs).real, 0.0, None)
     return abs((weights * np.exp(1j * phases)).sum()) ** 2
 

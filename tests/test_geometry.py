@@ -227,6 +227,11 @@ def test_avg_fidelity_mc_determinism_and_validation():
         avg_fidelity_mc(u1, u2, samples=0, seed=5)
     with pytest.raises(DimensionError):
         avg_fidelity_mc(u1, Gate.identity(3), samples=10, seed=5)
+    # one sample has no standard error; overlap_samples still draws it
+    with pytest.raises(ValidationError, match="at least 2 samples, got 1"):
+        avg_fidelity_mc(u1, u2, samples=1, seed=5)
+    assert overlap_samples(u1, u2, samples=1, seed=5).shape == (1,)
+    assert math.isfinite(avg_fidelity_mc(u1, u2, samples=2, seed=5).stderr)
 
 
 def test_overlap_samples_match_pointwise_formula():

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,11 +11,13 @@ from gatediscrim import (
     SizeLimitError,
     ValidationError,
     eig_unitary,
+    numkit,
     partial_trace_b,
     sqrt_psd,
     tensor_power,
     validate_unitary,
 )
+import gatediscrim as gd
 from helpers import haar_unitary, rand_state
 
 
@@ -80,11 +84,12 @@ def test_eig_unitary_output_is_read_only():
         eig.vectors[0, 0] = 1.0
 
 
-def test_eig_unitary_convergence_error_path():
+def test_eig_unitary_convergence_error_path(monkeypatch):
     # An honest non-convergence is hard to trigger; exercise the guard by
     # exhausting the attempt budget before any attempt is made.
+    monkeypatch.setattr(numkit, "_EIG_ATTEMPTS", 0)
     with pytest.raises(ConvergenceError):
-        eig_unitary(haar_unitary(3, np.random.default_rng(0)), max_attempts=0)
+        eig_unitary(haar_unitary(3, np.random.default_rng(0)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -139,7 +144,6 @@ def test_tensor_power_validation():
         tensor_power(u, 0)
     with pytest.raises(SizeLimitError):
         tensor_power(u, 13)  # 2^13 > 4096
-    assert tensor_power(u, 13, max_dim=2**13).shape == (8192, 8192)
 
 
 def test_sqrt_psd():
@@ -160,7 +164,7 @@ def test_sqrt_psd():
 def test_partial_trace_product_state():
     rng = np.random.default_rng(9)
     a, b = rand_state(3, rng), rand_state(3, rng)
-    rho = partial_trace_b(np.kron(a, b))
+    rho = partial_trace_b(np.kron(a, b), dim_a=3)
     assert np.allclose(rho, np.outer(a, a.conj()), atol=1e-12)
 
 
@@ -183,8 +187,31 @@ def test_partial_trace_properties_random():
 
 def test_partial_trace_validation():
     with pytest.raises(DimensionError):
-        partial_trace_b(np.ones(6) / np.sqrt(6.0))  # 6 is not a square
-    with pytest.raises(DimensionError):
         partial_trace_b(np.ones(6) / np.sqrt(6.0), dim_a=4)
     with pytest.raises(ValidationError):
         partial_trace_b(np.ones(4), dim_a=2)  # unnormalized
+
+
+def test_fixed_settings_are_constants_not_parameters():
+    # each of these reads a module constant at call time; only Gate,
+    # validate_unitary and eig_unitary take a tolerance
+    removed = {
+        gd.eig_unitary: "max_attempts",
+        gd.tensor_power: "max_dim",
+        gd.ProbeState.to_vector: "max_dim",
+        gd.ProbeState.system_density: "max_dim",
+        gd.EliminationTest.povm: "max_dim",
+        gd.sqrt_psd: "tol",
+        gd.partial_trace_b: "tol",
+        gd.as_density: "tol",
+        gd.as_state_vector: "tol",
+        gd.as_povm: "tol",
+        gd.as_prob_dist: "tol",
+        gd.metric_form_matrix: "soft_tol",
+    }
+    for func, name in removed.items():
+        assert name not in inspect.signature(func).parameters, func.__qualname__
+    dim_a = inspect.signature(gd.partial_trace_b).parameters["dim_a"]
+    assert dim_a.default is inspect.Parameter.empty
+    for func in (gd.Gate, gd.validate_unitary, gd.eig_unitary):
+        assert "tol" in inspect.signature(func).parameters
