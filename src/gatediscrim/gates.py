@@ -41,6 +41,10 @@ _WEIGHT_DUST = 1e-15
 # The oracle's duality-gap tolerance and major-iteration cap.
 _WOLFE_GAP_TOL = 1e-14
 _WOLFE_MAX_ITER = 100
+# Largest tensor-power dimension the oracle diagonalizes.  Its cost grows as
+# the cube of the dimension: a qubit pair took 0.7 / 5.6 / 49 s at n = 9 / 10
+# / 11 (dimension 512 / 1024 / 2048) on a 2-core x86-64 host.
+_ORACLE_MAX_DIM = 1024
 
 
 def _freeze(arr, dtype=complex) -> np.ndarray:
@@ -53,9 +57,11 @@ class Gate:
     """A unitary operation on C^dim: a validated, read-only matrix.
 
     The matrix is checked for unitarity within `tol` on construction and
-    stored as a read-only copy; nothing else is computed or kept.  Callers
-    read what they need from `matrix`: the spectrum of a pair's relative
-    gate through `numkit.eig_unitary`, the determinant in `sphere_embed`.
+    stored as a read-only copy, and `tol` is kept as a read-only attribute:
+    a pair's spectrum is checked at a tolerance its gates can meet
+    (`_pair_tol`).  Callers read what they need from `matrix`: the spectrum
+    of a pair's relative gate through `numkit.eig_unitary`, the determinant
+    in `sphere_embed`.
     """
 
     def __init__(self, matrix, tol: float = DEFAULT_TOL):
@@ -66,6 +72,12 @@ class Gate:
             raise ValidationError("gate matrix is not unitary within tolerance")
         self.matrix = _freeze(m)
         self.dim = int(m.shape[0])
+        self._tol = float(tol)
+
+    @property
+    def tol(self) -> float:
+        """The unitarity tolerance the matrix was accepted at."""
+        return self._tol
 
     @classmethod
     def identity(cls, dim: int) -> "Gate":
@@ -119,6 +131,16 @@ def _check_pair(u1: Gate, u2: Gate, dim: int | None = None):
         raise DimensionError(f"gate dimensions differ: {u1.dim} vs {u2.dim}")
     if dim is not None and u1.dim != dim:
         raise DimensionError(f"operation requires dimension {dim}, got {u1.dim}")
+
+
+def _pair_tol(u1: Gate, u2: Gate) -> float:
+    """Unitarity tolerance for U1^dag U2: 2 max(tol1, tol2) + DEFAULT_TOL.
+
+    Each factor's deviation from unitarity carries into the product, so a
+    pair of gates accepted at a loose `tol` is diagonalized at a tolerance
+    its relative gate can meet; the DEFAULT_TOL term covers rounding.
+    """
+    return 2.0 * max(u1.tol, u2.tol) + DEFAULT_TOL
 
 
 def gate_fidelity_su2(u1: Gate, u2: Gate) -> float:
@@ -253,7 +275,8 @@ def gate_distance(u1: Gate, u2: Gate) -> float:
     rel = _relative_matrix(u1.matrix, u2.matrix)
     if u1.dim == 2:
         return _su2_half_arc(rel)
-    return min(minimal_covering_arc(numkit.eig_unitary(rel).phases).delta, _HALF_PI)
+    phases = numkit.eig_unitary(rel, _pair_tol(u1, u2)).phases
+    return min(minimal_covering_arc(phases).delta, _HALF_PI)
 
 
 def gate_fidelity_sud(u1: Gate, u2: Gate) -> float:
@@ -473,7 +496,7 @@ def optimal_probe_separable(u1: Gate, u2: Gate) -> ProbeState:
     if u1.dim == 2:
         v_a, v_b = _su2_folded_eigenbasis(rel)
     else:
-        eig = numkit.eig_unitary(rel)
+        eig = numkit.eig_unitary(rel, _pair_tol(u1, u2))
         arc = minimal_covering_arc(eig.phases)
         diffs = np.abs(numkit._principal(eig.phases - arc.extremes[0]))
         idx_a = int(np.argmin(diffs))
@@ -610,13 +633,21 @@ def oracle_min_overlap(u1: Gate, u2: Gate, n: int) -> float:
     true feasible set.  It stops on a duality gap of at most 1e-14 and
     raises ConvergenceError if that gap stays open.  The full tensor power is
     diagonalized: single-copy phases are never added up, and no phases are
-    sorted into a covering arc.
+    sorted into a covering arc.  The power's deviation from unitarity grows
+    n-fold, so it is checked at n times the pair's `_pair_tol`.  Powers above
+    `_ORACLE_MAX_DIM` are refused with SizeLimitError before any is formed.
     """
     _check_pair(u1, u2)
     if n < 1:
         raise ValidationError(f"copy count must be >= 1, got {n}")
+    # for d >= 2 a power past the cap's bit length exceeds it, so a huge n
+    # never forms a huge integer d**n
+    if u1.dim > 1 and n > _ORACLE_MAX_DIM.bit_length() or u1.dim**n > _ORACLE_MAX_DIM:
+        raise SizeLimitError(
+            f"oracle dimension {u1.dim}^{n} exceeds the cap {_ORACLE_MAX_DIM}"
+        )
     big = numkit.tensor_power(_relative_matrix(u1.matrix, u2.matrix), n)
-    upper, _, _ = _wolfe_min_norm(numkit.eig_unitary(big).phases)
+    upper, _, _ = _wolfe_min_norm(numkit.eig_unitary(big, n * _pair_tol(u1, u2)).phases)
     return upper
 
 

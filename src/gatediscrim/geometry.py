@@ -53,6 +53,11 @@ class SphereCoords:
 
 # Relative anti-Hermitian residual above which metric_form_matrix warns.
 _TANGENT_SOFT_TOL = 1e-6
+# Samples overlap_samples evaluates at a time (at least 2).  A block's
+# temporaries are small next to the draw: at d = 2 and 2e4 samples, calls in
+# a loop fault no pages in, where temporaries for all samples at once made
+# glibc hand the heap top back after each call and fault ~500 pages in again.
+_MC_BLOCK = 1024
 
 
 def metric_form_matrix(u: Gate, du) -> float:
@@ -172,18 +177,34 @@ class MonteCarloEstimate:
 def overlap_samples(u1: Gate, u2: Gate, samples: int, seed: int) -> np.ndarray:
     """Draw |<psi|U1^dag U2|psi>|^2 over uniform pure states.
 
-    States are drawn as normalized complex Gaussian vectors, which is the
-    unitarily invariant ensemble in any dimension.
+    States are complex Gaussian vectors z = x[0] + i x[1], the unitarily
+    invariant ensemble in any dimension, with x drawn in one call of shape
+    (2, samples, d); those are the same values, in the same order, as a draw
+    of the real parts followed by a draw of the imaginary parts.  z is never
+    normalized: each sample is |z^dag R z|^2 / |z|^4 with R = U1^dag U2.
+    Samples are evaluated in blocks of `_MC_BLOCK`, so the temporaries stay
+    small next to the draw, and a sample does not depend on the block size.
     """
     _check_pair(u1, u2)
     if samples < 1:
         raise ValidationError(f"sample count must be >= 1, got {samples}")
-    rel = _relative_matrix(u1.matrix, u2.matrix)
-    rng = np.random.default_rng(seed)
-    d = u1.dim
-    z = rng.standard_normal((samples, d)) + 1j * rng.standard_normal((samples, d))
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
-    return np.abs(np.einsum("si,si->s", z.conj(), z @ rel.T)) ** 2
+    rel_t = _relative_matrix(u1.matrix, u2.matrix).T
+    x = np.random.default_rng(seed).standard_normal((2, samples, u1.dim))
+    out = np.empty(samples)
+    block, start = _MC_BLOCK, 0
+    while start < samples:
+        # BLAS takes a one-row product through its matrix-vector kernel, whose
+        # last bits differ: a one-sample tail joins the block before it
+        stop = start + block if samples - start > block + 1 else samples
+        xb = x[:, start:stop]
+        z = np.empty(xb.shape[1:], dtype=complex)
+        z.real, z.imag = xb
+        amp = np.einsum("si,si->s", z.conj(), z @ rel_t)
+        zv = z.view(float)
+        norm2 = np.einsum("si,si->s", zv, zv)
+        np.divide(amp.real ** 2 + amp.imag ** 2, norm2 * norm2, out=out[start:stop])
+        start = stop
+    return out
 
 
 def avg_fidelity_mc(u1: Gate, u2: Gate, samples: int, seed: int) -> MonteCarloEstimate:

@@ -14,12 +14,16 @@ from .errors import ConvergenceError, DimensionError, SizeLimitError, Validation
 DEFAULT_TOL = 1e-10
 # Largest dense dimension materialized for tensor powers and probe vectors.
 MAX_TENSOR_DIM = 4096
-# Mixing weights eig_unitary draws before raising ConvergenceError.
+# Mixing weights eig_unitary tries before raising ConvergenceError.
 _EIG_ATTEMPTS = 6
 
-# Internal seed for the random Hermitian mixing weight used by eig_unitary.
-# Fixed so that the decomposition is a pure function of its input.
-_MIX_SEED = 0x1D5A3
+# The Hermitian mixing weights eig_unitary tries, in order.  Fixed so that
+# the decomposition is a pure function of its input: they are the scalar
+# draws np.random.default_rng(0x1D5A3).uniform(0.3, 1.7), written out so that
+# neither a call nor the import builds a generator (importing numpy.random
+# alone takes ~14 ms).
+_MIX_WEIGHTS = (1.5082927390849898, 1.2087984074136136, 0.5729704267355618,
+                0.74334567301566, 0.30234106209316886, 1.4212000157430702)
 
 
 def _as_square(m) -> np.ndarray:
@@ -92,7 +96,8 @@ def eig_unitary(u, tol: float = DEFAULT_TOL) -> UnitaryEigen:
     a second stage; the pair (cos, sin) separates any two distinct phases.
     Phases come from Rayleigh quotients and every pair (phase, vector) must
     pass the residual check ||U v - exp(i*phi) v|| <= tol.  Up to
-    `_EIG_ATTEMPTS` mixing weights are tried before ConvergenceError.
+    `_EIG_ATTEMPTS` mixing weights (`_MIX_WEIGHTS`) are tried before
+    ConvergenceError.
     """
     m = _as_square(u)
     if not validate_unitary(m, tol):
@@ -100,10 +105,8 @@ def eig_unitary(u, tol: float = DEFAULT_TOL) -> UnitaryEigen:
     d = m.shape[0]
     h1 = (m + m.conj().T) / 2.0
     h2 = (m - m.conj().T) / 2.0j
-    rng = np.random.default_rng(_MIX_SEED)
     last_residual = np.inf
-    for _ in range(_EIG_ATTEMPTS):
-        gamma = rng.uniform(0.3, 1.7)
+    for gamma in _MIX_WEIGHTS[:_EIG_ATTEMPTS]:
         w, vecs = np.linalg.eigh(h1 + gamma * h2)
         for cl in _split_clusters(w, 1e-8):
             if cl.stop - cl.start < 2:

@@ -112,6 +112,25 @@ def test_tol_reaches_the_pair_commands(capsys, gate_files, tmp_path):
     assert code == 2  # the default tolerance still rejects the scaled gate itself
 
 
+def test_tol_reaches_the_oracle(capsys, gate_files, tmp_path):
+    # the n-fold power of U1^dag U2 drifts from unitarity n-fold (~2e-9 n
+    # here); the oracle diagonalizes it at n times the pair's tolerance
+    a, _ = gate_files
+    scaled = (1.0 + 1e-9) * np.diag([np.exp(1j * math.pi / 3), np.exp(-1j * math.pi / 3)])
+    b = write_matrix(tmp_path / "scaled.json", scaled)
+    for n, closed in (("1", 0.25), ("2", 0.0)):
+        code, out, err = run(capsys, ["oracle", "--u1", a, "--u2", b, "--n", n, "--tol", "1e-6"])
+        assert code == 0, err
+        assert abs(json.loads(out)["result"] - closed) <= 1e-9
+
+
+def test_oracle_cap_is_bad_input(capsys, gate_files):
+    a, b = gate_files
+    code, out, err = run(capsys, ["oracle", "--u1", a, "--u2", b, "--n", "11"])
+    assert code == 2
+    assert out == "" and "2^11 exceeds the cap 1024" in err
+
+
 def test_oracle_command(capsys, gate_files):
     a, b = gate_files
     code, out, _ = run(capsys, ["oracle", "--u1", a, "--u2", b, "--n", "1"])

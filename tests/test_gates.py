@@ -42,6 +42,8 @@ from gatediscrim.gates import (
     _term_amplitude,
     _wolfe_min_norm,
 )
+from gatediscrim import gates as gates_mod
+from gatediscrim import numkit
 from gatediscrim.protocol import _apply_copies
 from helpers import haar_unitary
 
@@ -77,6 +79,14 @@ def test_gate_matrix_read_only_and_array():
     with pytest.raises(ValueError):
         g.matrix[0, 0] = 2.0
     assert np.asarray(g).shape == (2, 2)
+
+
+def test_gate_keeps_its_tolerance_read_only():
+    assert Gate(np.eye(2)).tol == numkit.DEFAULT_TOL
+    g = Gate(np.eye(2), tol=1e-6)
+    assert g.tol == 1e-6
+    with pytest.raises(AttributeError):
+        g.tol = 1e-3
 
 
 def test_gate_identity_and_tensor_power():
@@ -170,6 +180,26 @@ def test_products_of_accepted_gates_are_not_revalidated():
     assert abs(probe_overlap(u1, u2, optimal_probe_separable(u1, u2), 1)
                - math.cos(0.3) ** 2) <= 1e-9
     assert HypothesisSet((u1, u2)).distances[0, 1] == gate_distance(u1, u2)
+
+
+def test_pair_spectra_are_taken_at_the_gates_tolerance():
+    # s = 1 + 1e-9 passes Gate(tol=1e-6) but not the default 1e-10, and U1^dag U2
+    # (and its n-fold power, n times as far) is off unitary by ~2e-9: every
+    # eigendecomposition of the pair runs at a tolerance the pair can meet
+    s = 1.0 + 1e-9
+    u1 = Gate(s * np.eye(3), tol=1e-6)
+    u2 = Gate(s * np.diag(np.exp(1j * np.array([0.3, 0.1, -0.4]))), tol=1e-6)
+    assert abs(gate_distance(u1, u2) - 0.35) <= 1e-9
+    assert abs(gate_fidelity_sud(u1, u2) - math.cos(0.35) ** 2) <= 1e-9
+    probe = optimal_probe_separable(u1, u2)
+    assert abs(probe_overlap(u1, u2, probe, 1) - math.cos(0.35) ** 2) <= 1e-8
+    for n in (1, 2, 3):  # extremes 0.3 n and -0.4 n
+        assert abs(oracle_min_overlap(u1, u2, n) - math.cos(0.35 * n) ** 2) <= 1e-9
+    q1 = Gate(np.eye(2), tol=1e-6)
+    q2 = Gate(s * np.diag([np.exp(1j * math.pi / 3), np.exp(-1j * math.pi / 3)]), tol=1e-6)
+    for n in (1, 2, 3, 4):
+        closed = 0.0 if n > 1 else 0.25
+        assert abs(oracle_min_overlap(q1, q2, n) - closed) <= 1e-9
 
 
 def test_accepted_gate_coincides_with_itself_up_to_phase():
@@ -977,6 +1007,27 @@ def test_random_probes_never_undercut_certified_lower_bound():
             coeff /= np.linalg.norm(coeff, axis=(1, 2), keepdims=True)
             probes = np.abs(np.einsum("bij,bij->b", coeff.conj(), big @ coeff)) ** 2
             assert probes.min() >= lower - 1e-14
+
+
+def test_oracle_refuses_powers_above_its_cap(monkeypatch):
+    # the cap is checked before U1^dag U2 or its power is formed
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle built a power above its cap")
+
+    u1, u2 = Gate.identity(2), Gate(SX)
+    monkeypatch.setattr(numkit, "tensor_power", forbidden)
+    monkeypatch.setattr(gates_mod, "_relative_matrix", forbidden)
+    for d, n in ((2, 11), (2, 12), (2, 10**12), (3, 7)):
+        with pytest.raises(SizeLimitError, match="exceeds the cap 1024"):
+            oracle_min_overlap(Gate.identity(d), Gate.identity(d), n)
+    monkeypatch.setattr(gates_mod, "_ORACLE_MAX_DIM", 4)  # read at call time
+    with pytest.raises(SizeLimitError, match=r"2\^3 exceeds the cap 4"):
+        oracle_min_overlap(u1, u2, 3)
+    monkeypatch.undo()
+    monkeypatch.setattr(gates_mod, "_ORACLE_MAX_DIM", 4)
+    assert oracle_min_overlap(u1, u2, 2) <= 1e-16
+    # a one-dimensional power never grows
+    assert oracle_min_overlap(Gate.identity(1), Gate(-np.eye(1)), 12) == 1.0
 
 
 def test_oracle_deterministic():

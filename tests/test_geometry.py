@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from gatediscrim import (
     su2_from_params,
     su2_tangent,
 )
+from gatediscrim import geometry
 from helpers import haar_unitary
 
 
@@ -243,6 +245,56 @@ def test_overlap_samples_match_pointwise_formula():
     # against the closed-form average
     expect = avg_fidelity_su2_closed(u1, u2)
     assert abs(vals.mean() - expect) <= 0.02
+
+
+def _reference_overlaps(u1, u2, samples, seed):
+    """The sampler's states drawn the plain way: the real parts, then the
+    imaginary parts, each state normalized; |z^dag R z|^2 with R = U1^dag U2."""
+    rng = np.random.default_rng(seed)
+    d = u1.dim
+    z = rng.standard_normal((samples, d)) + 1j * rng.standard_normal((samples, d))
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    rel = u1.matrix.conj().T @ u2.matrix
+    return np.abs(np.einsum("si,si->s", z.conj(), z @ rel.T)) ** 2
+
+
+def test_overlap_samples_match_normalized_states():
+    # 2500 samples: not a multiple of the block
+    rng = np.random.default_rng(43)
+    for d in (2, 3, 8):
+        u1, u2 = Gate(haar_unitary(d, rng)), Gate(haar_unitary(d, rng))
+        ref = _reference_overlaps(u1, u2, 2500, seed=d)
+        assert np.abs(overlap_samples(u1, u2, samples=2500, seed=d) - ref).max() <= 1e-14
+    # one draw of shape (2, S, d) holds the two draws of shape (S, d)
+    x = np.random.default_rng(7).standard_normal((2, 2500, 3))
+    rng = np.random.default_rng(7)
+    assert np.array_equal(x, [rng.standard_normal((2500, 3)), rng.standard_normal((2500, 3))])
+
+
+def test_overlap_samples_do_not_depend_on_the_block(monkeypatch):
+    # 2500 = 7 * 357 + 1 and 2049 = 2 * 1024 + 1 leave one-sample tails
+    rng = np.random.default_rng(44)
+    for d in (2, 3, 8):
+        u1, u2 = Gate(haar_unitary(d, rng)), Gate(haar_unitary(d, rng))
+        for samples in (2500, 2049):
+            runs = set()
+            for block in (7, 1024, samples):
+                monkeypatch.setattr(geometry, "_MC_BLOCK", block)
+                runs.add(overlap_samples(u1, u2, samples=samples, seed=d).tobytes())
+            assert len(runs) == 1
+
+
+def test_overlap_samples_peak_memory():
+    # the draw and the result, plus blocks that are small next to them
+    u1, u2 = Gate.identity(2), Gate(np.diag([1j, -1j]))
+    samples, d = 200_000, 2
+    tracemalloc.start()
+    try:
+        overlap_samples(u1, u2, samples=samples, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * (2 * samples * d + samples) * 8
 
 
 def test_mean_trace_squared_is_one():

@@ -92,6 +92,20 @@ def test_eig_unitary_convergence_error_path(monkeypatch):
         eig_unitary(haar_unitary(3, np.random.default_rng(0)))
 
 
+def test_eig_unitary_mixing_weights_are_fixed_draws(monkeypatch):
+    # the scalar draws of a generator seeded 0x1D5A3, and no call builds one
+    rng = np.random.default_rng(0x1D5A3)
+    scalar = [rng.uniform(0.3, 1.7) for _ in range(numkit._EIG_ATTEMPTS)]
+    assert list(numkit._MIX_WEIGHTS) == scalar
+    u = haar_unitary(3, np.random.default_rng(1))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("eig_unitary built a generator")
+
+    monkeypatch.setattr(np.random, "default_rng", forbidden)
+    assert np.abs(eig_unitary(u).reconstruct() - u).max() <= 1e-12
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 3, 4]))
 def test_eig_unitary_reconstruction_property(seed, dim):
