@@ -20,7 +20,6 @@ from .errors import (
     ConvergenceError,
     DimensionError,
     IdenticalGatesError,
-    SizeLimitError,
     ValidationError,
 )
 from .numkit import DEFAULT_TOL
@@ -379,10 +378,8 @@ class ProbeState:
 
     def to_vector(self) -> np.ndarray:
         """Dense vector of the probe; refuses dimensions above numkit.MAX_TENSOR_DIM."""
-        if self.total_dim > numkit.MAX_TENSOR_DIM:
-            raise SizeLimitError(
-                f"probe dimension {self.total_dim} exceeds the cap {numkit.MAX_TENSOR_DIM}"
-            )
+        numkit._check_size(self.dim, self.copies, numkit.MAX_TENSOR_DIM // self.ancilla_dim,
+                           "probe system dimension")
         system = np.repeat(self.system, self.counts, axis=1)
         # without an ancilla each term has zero ancilla factors
         ancilla = self.ancilla if self.ancilla is not None else system[:, :0]
@@ -640,12 +637,7 @@ def oracle_min_overlap(u1: Gate, u2: Gate, n: int) -> float:
     _check_pair(u1, u2)
     if n < 1:
         raise ValidationError(f"copy count must be >= 1, got {n}")
-    # for d >= 2 a power past the cap's bit length exceeds it, so a huge n
-    # never forms a huge integer d**n
-    if u1.dim > 1 and n > _ORACLE_MAX_DIM.bit_length() or u1.dim**n > _ORACLE_MAX_DIM:
-        raise SizeLimitError(
-            f"oracle dimension {u1.dim}^{n} exceeds the cap {_ORACLE_MAX_DIM}"
-        )
+    numkit._check_size(u1.dim, n, _ORACLE_MAX_DIM, "oracle dimension")
     big = numkit.tensor_power(_relative_matrix(u1.matrix, u2.matrix), n)
     upper, _, _ = _wolfe_min_norm(numkit.eig_unitary(big, n * _pair_tol(u1, u2)).phases)
     return upper

@@ -33,12 +33,21 @@ def _as_square(m) -> np.ndarray:
     return m
 
 
-def validate_unitary(m, tol: float = DEFAULT_TOL) -> bool:
-    """True when ||M^dag M - 1||_max <= tol. Raises only on non-square input.
+def _check_size(base: int, n: int, cap: int, what: str) -> None:
+    """Refuse base**n > cap with SizeLimitError.  A base >= 2 exceeds the cap once n
+    passes its bit length, so base**n is only formed for small n."""
+    if base > 1 and n > cap.bit_length() or base**n > cap:
+        raise SizeLimitError(f"{what} {base}^{n} exceeds the cap {cap}")
 
-    A stack of shape (..., d, d) is checked in one pass: True when every
-    matrix in it passes.
+
+def validate_unitary(m, tol: float = DEFAULT_TOL) -> bool:
+    """True when ||M^dag M - 1||_max <= tol, for every matrix of a (..., d, d) stack.
+
+    Raises DimensionError on non-square input, ValidationError unless `tol`
+    is finite and >= 0 (Gate and eig_unitary check `tol` through here).
     """
+    if not 0.0 <= tol < np.inf:
+        raise ValidationError(f"tolerance must be finite and >= 0, got {tol!r}")
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
@@ -117,9 +126,9 @@ def eig_unitary(u, tol: float = DEFAULT_TOL) -> UnitaryEigen:
             _, rot = np.linalg.eigh(block.conj().T @ h2 @ block)
             q, _ = np.linalg.qr(block @ rot)
             vecs[:, cl] = q
-        rayleigh = np.einsum("ik,ij,jk->k", vecs.conj(), m, vecs)
-        phases = _principal(np.angle(rayleigh))
-        residual = np.abs(m @ vecs - vecs * np.exp(1j * phases)).max()
+        mv = m @ vecs
+        phases = _principal(np.angle(np.einsum("ik,ik->k", vecs.conj(), mv)))
+        residual = np.abs(mv - vecs * np.exp(1j * phases)).max()
         if residual <= tol:
             order = np.argsort(phases, kind="stable")
             out_vecs = _fix_gauge(vecs[:, order])
@@ -152,10 +161,7 @@ def tensor_power(u, n: int) -> np.ndarray:
     m = _as_square(u)
     if n < 1:
         raise ValidationError(f"tensor power needs n >= 1, got {n}")
-    if m.shape[0] ** n > MAX_TENSOR_DIM:
-        raise SizeLimitError(
-            f"dimension {m.shape[0]}^{n} exceeds the cap {MAX_TENSOR_DIM}"
-        )
+    _check_size(m.shape[0], n, MAX_TENSOR_DIM, "dimension")
     out = m
     for _ in range(n - 1):
         out = np.kron(out, m)

@@ -92,6 +92,18 @@ def test_probe_kinds(capsys, gate_files):
             assert abs(doc["overlap"] - 0.25) <= 1e-10
 
 
+def test_probe_ncopies_far_past_the_cap(capsys, tmp_path):
+    # N = 15707963268 copies: the dense vector, of dimension 2^N, is refused
+    # by the size rule without the integer 2^N ever being formed
+    a = write_matrix(tmp_path / "a.json", np.eye(2))
+    b = write_matrix(tmp_path / "b.json", np.diag(np.exp([1e-10j, -1e-10j])))
+    code, out, err = run(capsys, ["probe", "--u1", a, "--u2", b, "--kind", "ncopies"])
+    assert code == 0, err
+    doc = json.loads(out)["result"]
+    assert doc["copies"] == 15707963268 and doc["vector"] is None
+    assert doc["overlap"] <= 1e-16
+
+
 def test_tol_reaches_the_pair_commands(capsys, gate_files, tmp_path):
     # a gate accepted at --tol is accepted by every command that pairs it:
     # U1^dag U2 of two accepted gates is not validated a second time

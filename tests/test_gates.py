@@ -516,10 +516,11 @@ def test_probe_state_validation():
 
 def test_probe_to_vector_size_cap():
     e0 = np.array([1.0, 0.0], dtype=complex)
-    big = ProbeState(coeffs=np.ones(1), system=e0[None, None, :], counts=np.array([20]))
-    assert big.copies == 20
-    with pytest.raises(SizeLimitError):
-        big.to_vector()
+    for n in (20, 10**12):  # 2^(10^12) is refused without being formed
+        big = ProbeState(coeffs=np.ones(1), system=e0[None, None, :], counts=np.array([n]))
+        assert big.copies == n
+        with pytest.raises(SizeLimitError, match=f"2\\^{n} exceeds the cap 4096"):
+            big.to_vector()
 
 
 def test_probe_overlap_trivial_and_errors():

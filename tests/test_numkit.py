@@ -30,6 +30,17 @@ def test_validate_unitary_basic():
         validate_unitary(np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("tol", [np.inf, np.nan, -1.0])
+def test_tolerance_must_be_finite_and_nonnegative(tol):
+    # an infinite tolerance would accept any square matrix as unitary
+    for check in (gd.Gate, validate_unitary, eig_unitary):
+        with pytest.raises(ValidationError, match="tolerance"):
+            check(np.ones((2, 2)), tol=tol)
+    assert validate_unitary(np.eye(2), tol=0.0)
+    assert gd.Gate(np.eye(2), tol=0.0).tol == 0.0
+    assert np.array_equal(eig_unitary(np.eye(2), tol=0.0).phases, [0.0, 0.0])
+
+
 def test_eig_unitary_rejects_non_unitary():
     with pytest.raises(ValidationError):
         eig_unitary(np.diag([1.0, 0.5]))
@@ -158,6 +169,8 @@ def test_tensor_power_validation():
         tensor_power(u, 0)
     with pytest.raises(SizeLimitError):
         tensor_power(u, 13)  # 2^13 > 4096
+    with pytest.raises(SizeLimitError, match=r"2\^1000000000000 exceeds the cap 4096"):
+        tensor_power(u, 10**12)  # refused without forming 2^(10^12)
 
 
 def test_sqrt_psd():
