@@ -136,6 +136,11 @@ def _load_gate(path: str, tol: float) -> Gate:
     return _parse_gate(_load_json(path), f"gate file {path!r}", tol)
 
 
+def _load_pair(args) -> tuple[Gate, Gate]:
+    """The gates of a pair command's --u1 and --u2, both accepted at --tol."""
+    return _load_gate(args.u1, args.tol), _load_gate(args.u2, args.tol)
+
+
 def _parse_float_list(text: str, what: str) -> list[float]:
     try:
         # integers parse as floats too, so a huge one reads as inf and is refused below
@@ -170,22 +175,22 @@ def _histogram_series(values: np.ndarray, lo: float, hi: float, bins: int = 64):
 
 
 def _cmd_fidelity(args):
-    u1, u2 = _load_gate(args.u1, args.tol), _load_gate(args.u2, args.tol)
+    u1, u2 = _load_pair(args)
     return {"u1": args.u1, "u2": args.u2, "tol": args.tol}, gate_fidelity_sud(u1, u2)
 
 
 def _cmd_distance(args):
-    u1, u2 = _load_gate(args.u1, args.tol), _load_gate(args.u2, args.tol)
+    u1, u2 = _load_pair(args)
     return {"u1": args.u1, "u2": args.u2, "tol": args.tol}, gate_distance(u1, u2)
 
 
 def _cmd_ncopies(args):
-    u1, u2 = _load_gate(args.u1, args.tol), _load_gate(args.u2, args.tol)
+    u1, u2 = _load_pair(args)
     return {"u1": args.u1, "u2": args.u2, "tol": args.tol}, min_copies(u1, u2)
 
 
 def _cmd_probe(args):
-    u1, u2 = _load_gate(args.u1, args.tol), _load_gate(args.u2, args.tol)
+    u1, u2 = _load_pair(args)
     if args.kind == "entangled":
         probe = optimal_probe_single(u1, u2, entangled=True)
     elif args.kind == "separable":
@@ -221,7 +226,7 @@ def _cmd_arc(args):
 
 
 def _cmd_oracle(args):
-    u1, u2 = _load_gate(args.u1, args.tol), _load_gate(args.u2, args.tol)
+    u1, u2 = _load_pair(args)
     inputs = {"u1": args.u1, "u2": args.u2, "n": args.n, "tol": args.tol}
     return inputs, oracle_min_overlap(u1, u2, args.n)
 
@@ -239,7 +244,7 @@ def _cmd_classical_distance(args):
 
 
 def _cmd_avg_fidelity(args):
-    u1, u2 = _load_gate(args.u1, args.tol), _load_gate(args.u2, args.tol)
+    u1, u2 = _load_pair(args)
     vals = geometry.overlap_samples(u1, u2, samples=args.samples, seed=args.seed)
     est = geometry.MonteCarloEstimate.from_samples(vals)
     closed = geometry.avg_fidelity_su2_closed(u1, u2) if u1.dim == 2 else None
@@ -334,6 +339,8 @@ def build_parser() -> _Parser:
         "tol": dict(type=float, default=DEFAULT_TOL,
                     help="validation tolerance (default %(default)g)"),
         "emit-plot": dict(metavar="PATH", default=None, help="write a CSV (x,y) series"),
+        "u1": dict(required=True),
+        "u2": dict(required=True),
     }
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
@@ -344,21 +351,11 @@ def build_parser() -> _Parser:
             p.add_argument(f"--{opt}", **options[opt])
         return p
 
-    p = add("fidelity", _cmd_fidelity, "statistical fidelity between two gates", "tol")
-    p.add_argument("--u1", required=True)
-    p.add_argument("--u2", required=True)
+    add("fidelity", _cmd_fidelity, "statistical fidelity between two gates", "tol", "u1", "u2")
+    add("distance", _cmd_distance, "statistical angle between two gates", "tol", "u1", "u2")
+    add("ncopies", _cmd_ncopies, "copies needed for perfect discrimination", "tol", "u1", "u2")
 
-    p = add("distance", _cmd_distance, "statistical angle between two gates", "tol")
-    p.add_argument("--u1", required=True)
-    p.add_argument("--u2", required=True)
-
-    p = add("ncopies", _cmd_ncopies, "copies needed for perfect discrimination", "tol")
-    p.add_argument("--u1", required=True)
-    p.add_argument("--u2", required=True)
-
-    p = add("probe", _cmd_probe, "optimal probe state for a gate pair", "tol")
-    p.add_argument("--u1", required=True)
-    p.add_argument("--u2", required=True)
+    p = add("probe", _cmd_probe, "optimal probe state for a gate pair", "tol", "u1", "u2")
     p.add_argument(
         "--kind", choices=["entangled", "separable", "ncopies"], default="entangled"
     )
@@ -366,9 +363,7 @@ def build_parser() -> _Parser:
     p = add("arc", _cmd_arc, "minimal covering arc of a phase list")
     p.add_argument("--phases", required=True, help="JSON array of phases (radians)")
 
-    p = add("oracle", _cmd_oracle, "numerical minimum overlap (brute force)", "tol")
-    p.add_argument("--u1", required=True)
-    p.add_argument("--u2", required=True)
+    p = add("oracle", _cmd_oracle, "numerical minimum overlap (brute force)", "tol", "u1", "u2")
     p.add_argument("--n", type=int, default=1, help="copy count (default 1)")
 
     p = add("state-fidelity", _cmd_state_fidelity, "fidelity between density matrices")
@@ -379,10 +374,8 @@ def build_parser() -> _Parser:
     p.add_argument("--p", required=True, help="JSON array of probabilities")
     p.add_argument("--q", required=True, help="JSON array of probabilities")
 
-    p = add("avg-fidelity", _cmd_avg_fidelity, "Monte-Carlo average fidelity",
-            "tol", "samples", "seed", "emit-plot")
-    p.add_argument("--u1", required=True)
-    p.add_argument("--u2", required=True)
+    add("avg-fidelity", _cmd_avg_fidelity, "Monte-Carlo average fidelity",
+        "tol", "samples", "seed", "emit-plot", "u1", "u2")
 
     p = add("haar-sample", _cmd_haar_sample, "invariant-measure parameter draws",
             "seed", "emit-plot")

@@ -8,7 +8,6 @@ arc covering the eigenphases of the relative gate U1^dag U2.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -220,28 +219,29 @@ def convex_min_overlap(phases: Sequence[float]) -> float:
     return float(min(1.0, amp * amp))
 
 
-def _su2_half_arc(rel):
-    """Gate distance carried by relative gates R = U1^dag U2 in U(2).
+def _su2_frame(rel):
+    """The qubit frame (delta, 2 alpha, 2 beta) of relative gates R = U1^dag U2 in U(2).
 
-    Takes one 2x2 matrix (returns a float) or a stack of shape (..., 2, 2)
-    (returns an array).  c = conj(sqrt(det R)) removes the global phase:
-    c R = [[alpha, beta], [-conj(beta), conj(alpha)]] is in SU(2) with
-    eigenphases +/-a, cos a = Re alpha and sin a = |(Im alpha, beta)|, so the
-    covering half-arc min(a, pi - a) <= pi/2 is atan2(hypot(Im alpha, |beta|),
-    |Re alpha|); the other root negates alpha and beta.  Reading them from
-    both rows drops the part of R that is not unitary (rounding, or a looser
-    `Gate` tolerance), so U^dag U reads 0.  A pair and a stack take one numpy
-    path and give the same bits; half-arcs below _ARC_RESOLUTION read as 0.
+    Takes one 2x2 matrix or a stack of shape (..., 2, 2) and returns three
+    arrays of shape (...).  The one place the frame is formed: c =
+    conj(sqrt(det R)) removes the global phase, and c R = [[alpha, beta],
+    [-conj(beta), conj(alpha)]] is in SU(2) with eigenphases +/-a, cos a =
+    Re alpha and sin a = |(Im alpha, beta)|, so the covering half-arc delta =
+    min(a, pi - a) <= pi/2 is atan2(hypot(Im alpha, |beta|), |Re alpha|); the
+    other root negates alpha and beta.  Reading them from both rows drops the
+    part of R that is not unitary (rounding, or a looser `Gate` tolerance), so
+    U^dag U reads 0.  A pair and a stack take one numpy path and give the same
+    bits; half-arcs below _ARC_RESOLUTION read as 0.  The eigenbasis is
+    `_su2_folded_eigenbasis(2 alpha, 2 beta)`.
     """
     rel = np.asarray(rel)
     r00, r01, r10, r11 = rel[..., 0, 0], rel[..., 0, 1], rel[..., 1, 0], rel[..., 1, 1]
     # both orders of r01 r10, so that U2^dag U1 = R^dag gives the same bits
-    c = np.sqrt(r00 * r11 - (r01 * r10 + r10 * r01) / 2.0).conj()
-    alpha2 = r00 * c + (r11 * c).conj()  # 2 alpha
-    beta2 = r01 * c - (r10 * c).conj()  # 2 beta
+    c = np.conj(np.sqrt(r00 * r11 - (r01 * r10 + r10 * r01) / 2.0))
+    alpha2 = r00 * c + np.conj(r11 * c)
+    beta2 = r01 * c - np.conj(r10 * c)
     delta = np.arctan2(np.hypot(alpha2.imag, np.abs(beta2)), np.abs(alpha2.real))
-    delta = delta * (delta >= _ARC_RESOLUTION)
-    return float(delta) if delta.ndim == 0 else delta
+    return delta * (delta >= _ARC_RESOLUTION), alpha2, beta2
 
 
 def _relative_matrix(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
@@ -273,7 +273,7 @@ def gate_distance(u1: Gate, u2: Gate) -> float:
     _check_pair(u1, u2)
     rel = _relative_matrix(u1.matrix, u2.matrix)
     if u1.dim == 2:
-        return _su2_half_arc(rel)
+        return float(_su2_frame(rel)[0])
     phases = numkit.eig_unitary(rel, _pair_tol(u1, u2)).phases
     return min(minimal_covering_arc(phases).delta, _HALF_PI)
 
@@ -447,35 +447,31 @@ def probe_overlap(u1: Gate, u2: Gate, probe: ProbeState, n: int) -> float:
     return min(1.0, abs(amp) ** 2)
 
 
-def _su2_folded_eigenbasis(rel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _su2_folded_eigenbasis(alpha2, beta2) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvectors (w_plus, w_minus) of a relative qubit gate R, folded to its half-arc.
 
-    Closed form, no eigendecomposition.  The half-arc a itself is
-    `_su2_half_arc(rel)`, which callers read from wherever they hold it.
-    S = conj(sqrt(det R)) R = cos a 1 + i sin a (n . sigma), rebuilt here in
-    scalars, has sin a = s = |(Im alpha, beta)|, n_z = Im alpha / s and
-    n_x + i n_y = i conj(beta) / s.  S has phase +a on w_plus, the +1
-    eigenvector of n . sigma, read from (1 + n_z, n_x + i n_y) or
-    (n_x - i n_y, 1 - n_z), whichever is longer, and phase -a on its
-    orthogonal partner w_minus.  When a > pi/2 (Re alpha < 0) S is a global
-    phase away from one with phases +/-(pi - a), so the vectors trade roles.
-    The other root negates S, which only swaps w_plus and w_minus; no
-    probe's overlap changes under that swap.  Both vectors carry the gauge
-    of `numkit.eig_unitary` (largest entry real positive).  For S = +/-1
-    (s = 0) the standard basis is returned.
+    Closed form, no eigendecomposition, read from the frame (2 alpha, 2 beta)
+    of `_su2_frame(R)`, one pair's scalars.  S = c R = cos a 1 + i sin a
+    (n . sigma) has sin a = s = |(Im alpha, beta)|, n_z = Im alpha / s and
+    n_x + i n_y = i conj(beta) / s, ratios that the factor 2 leaves alone.
+    S has phase +a on w_plus, the +1 eigenvector of n . sigma, read from
+    (1 + n_z, n_x + i n_y) or (n_x - i n_y, 1 - n_z), whichever is longer,
+    and phase -a on its orthogonal partner w_minus.  When a > pi/2 (Re alpha
+    < 0) S is a global phase away from one with phases +/-(pi - a), so the
+    vectors trade roles.  The other root negates S, which only swaps w_plus
+    and w_minus; no probe's overlap changes under that swap.  Both vectors
+    carry the gauge of `numkit.eig_unitary` (largest entry real positive).
+    For S = +/-1 (s = 0) the standard basis is returned.
     """
-    (r00, r01), (r10, r11) = rel.tolist()
-    c = cmath.sqrt(r00 * r11 - r01 * r10).conjugate()
-    alpha = (r00 * c + (r11 * c).conjugate()) * 0.5
-    beta = (r01 * c - (r10 * c).conjugate()) * 0.5
-    s = math.hypot(alpha.imag, abs(beta))
-    n_z, n_xy = (alpha.imag / s, 1j * beta.conjugate() / s) if s > 0.0 else (1.0, 0j)
+    alpha2, beta2 = complex(alpha2), complex(beta2)
+    s = math.hypot(alpha2.imag, abs(beta2))
+    n_z, n_xy = (alpha2.imag / s, 1j * beta2.conjugate() / s) if s > 0.0 else (1.0, 0j)
     p, q = (1.0 + n_z, n_xy) if n_z >= 0.0 else (n_xy.conjugate(), 1.0 - n_z)
     norm, vecs = math.hypot(abs(p), abs(q)), []
     for a, b in ((p, q), (-q.conjugate(), p.conjugate())):
         lead = a if abs(a) >= abs(b) else b  # numkit._fix_gauge's choice, in scalars
         vecs.append(np.array([a, b]) * (abs(lead) / (lead * norm)))
-    return (vecs[1], vecs[0]) if alpha.real < 0.0 else (vecs[0], vecs[1])
+    return (vecs[1], vecs[0]) if alpha2.real < 0.0 else (vecs[0], vecs[1])
 
 
 def optimal_probe_separable(u1: Gate, u2: Gate) -> ProbeState:
@@ -491,7 +487,7 @@ def optimal_probe_separable(u1: Gate, u2: Gate) -> ProbeState:
     _check_pair(u1, u2)
     rel = _relative_matrix(u1.matrix, u2.matrix)
     if u1.dim == 2:
-        v_a, v_b = _su2_folded_eigenbasis(rel)
+        v_a, v_b = _su2_folded_eigenbasis(*_su2_frame(rel)[1:])
     else:
         eig = numkit.eig_unitary(rel, _pair_tol(u1, u2))
         arc = minimal_covering_arc(eig.phases)
@@ -535,24 +531,25 @@ def optimal_probe_ncopies(u1: Gate, u2: Gate) -> ProbeState:
     with an ancilla, and every term is constant on the first ceil(N/2)
     copies and on the last floor(N/2): it is stored as at most two counted
     columns, each term picking w+ or w- per column, so its size does not
-    grow with N.  U1^dag U2 is formed once: delta is its `_su2_half_arc`,
-    and `_ncopies_probe` builds the state from it.  The tests check that the
-    residual overlap stays within 1e-8 and each branch weight within [0, 1/2].
+    grow with N.  U1^dag U2 and its `_su2_frame` are formed once, and
+    `_ncopies_probe` builds the state from that frame.  The tests check that
+    the residual overlap stays within 1e-8 and each branch weight within
+    [0, 1/2].
     """
     _check_pair(u1, u2, dim=2)
-    rel = _relative_matrix(u1.matrix, u2.matrix)
-    return _ncopies_probe(rel, _su2_half_arc(rel))
+    return _ncopies_probe(*_su2_frame(_relative_matrix(u1.matrix, u2.matrix)))
 
 
-def _ncopies_probe(rel: np.ndarray, delta: float) -> ProbeState:
-    """The probe of `optimal_probe_ncopies` for relative gate R and its half-arc delta.
+def _ncopies_probe(delta, alpha2, beta2) -> ProbeState:
+    """The probe of `optimal_probe_ncopies` for one pair's frame `_su2_frame(R)`.
 
-    delta must be `_su2_half_arc(rel)`; callers that hold it already (the
-    distance table of `protocol.HypothesisSet`) pass it in.  N comes from
-    delta, and (w+, w-) from the closed form `_su2_folded_eigenbasis`.
+    Callers that hold the frame already (the table of
+    `protocol.HypothesisSet`) pass it in.  N comes from delta, and (w+, w-)
+    from the closed form `_su2_folded_eigenbasis(alpha2, beta2)`.
     """
+    delta = float(delta)  # a numpy scalar would make every step below a numpy call
     n = _copies_for_distance(delta)
-    w_plus, w_minus = _su2_folded_eigenbasis(rel)
+    w_plus, w_minus = _su2_folded_eigenbasis(alpha2, beta2)
     parity = n % 2
     c_par, c_n = math.cos(parity * delta), math.cos(n * delta)
     q = 0.0 if n == 1 else c_par / (2.0 * (c_par - c_n))

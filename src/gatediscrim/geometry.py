@@ -17,6 +17,7 @@ import numpy as np
 from .errors import DimensionError, ValidationError
 from .gates import (Gate, GateSU2Params, _check_pair, _relative_matrix, gate_fidelity_su2,
                     su2_from_params)
+from .numkit import _rng
 
 
 @dataclass(frozen=True)
@@ -102,13 +103,19 @@ def su2_tangent(params: GateSU2Params, t: TangentIncrement) -> np.ndarray:
 
 
 def sphere_embed(u: Gate) -> SphereCoords:
-    """Top-row coordinates of a qubit gate with |det - 1| <= 1e-8 on the unit 3-sphere."""
+    """Top-row coordinates of a qubit gate with |det - 1| <= 1e-8 on the unit 3-sphere.
+
+    The gate's unitarity was checked at its own `tol`, looser than the
+    sphere's 1e-12, so the row (a, b) is scaled to unit norm first.
+    """
     if not isinstance(u, Gate) or u.dim != 2:
         raise DimensionError("sphere_embed expects a 2x2 Gate")
     if abs(np.linalg.det(u.matrix) - 1.0) > 1e-8:
         raise ValidationError("sphere_embed requires a special-unitary gate")
     a, b = complex(u.matrix[0, 0]), complex(u.matrix[0, 1])
-    return SphereCoords(a_re=a.real, a_im=a.imag, b_re=b.real, b_im=b.imag)
+    norm = math.hypot(abs(a), abs(b))
+    return SphereCoords(a_re=a.real / norm, a_im=a.imag / norm, b_re=b.real / norm,
+                        b_im=b.imag / norm)
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,11 +143,12 @@ def haar_sample_su2(seed: int, n: int) -> SU2ParamSample:
     """n invariant-measure draws of qubit gate parameters.
 
     theta1 = arcsin(sqrt(u)) realizes the marginal density sin(2 theta1) on
-    [0, pi/2] by inverse transform; the two phases are uniform.
+    [0, pi/2] by inverse transform; the two phases are uniform.  A negative
+    seed raises ValidationError.
     """
     if n < 1:
         raise ValidationError(f"sample count must be >= 1, got {n}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     t1 = np.arcsin(np.sqrt(rng.random(n)))
     t2 = rng.uniform(0.0, 2.0 * math.pi, n)
     t3 = rng.uniform(0.0, 2.0 * math.pi, n)
@@ -184,12 +192,13 @@ def overlap_samples(u1: Gate, u2: Gate, samples: int, seed: int) -> np.ndarray:
     normalized: each sample is |z^dag R z|^2 / |z|^4 with R = U1^dag U2.
     Samples are evaluated in blocks of `_MC_BLOCK`, so the temporaries stay
     small next to the draw, and a sample does not depend on the block size.
+    A negative seed raises ValidationError.
     """
     _check_pair(u1, u2)
     if samples < 1:
         raise ValidationError(f"sample count must be >= 1, got {samples}")
     rel_t = _relative_matrix(u1.matrix, u2.matrix).T
-    x = np.random.default_rng(seed).standard_normal((2, samples, u1.dim))
+    x = _rng(seed).standard_normal((2, samples, u1.dim))
     out = np.empty(samples)
     block, start = _MC_BLOCK, 0
     while start < samples:

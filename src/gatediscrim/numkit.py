@@ -40,6 +40,14 @@ def _check_size(base: int, n: int, cap: int, what: str) -> None:
         raise SizeLimitError(f"{what} {base}^{n} exceeds the cap {cap}")
 
 
+def _rng(seed: int) -> np.random.Generator:
+    """numpy's generator for `seed`.  A negative seed, which numpy refuses with
+    a plain ValueError, raises ValidationError (CLI exit 2)."""
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def validate_unitary(m, tol: float = DEFAULT_TOL) -> bool:
     """True when ||M^dag M - 1||_max <= tol, for every matrix of a (..., d, d) stack.
 

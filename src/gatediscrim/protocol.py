@@ -24,9 +24,10 @@ from .gates import (
     ProbeState,
     _ncopies_probe,
     _relative_matrix,
-    _su2_half_arc,
+    _su2_frame,
     _term_amplitude,
 )
+from .numkit import _rng
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,13 +39,16 @@ class HypothesisSet:
     `distances` is the read-only k x k table of pairwise `gate_distance`
     values, symmetric with a zero diagonal.  It is computed once, on
     construction, and planning and simulation read it instead of
-    recomputing distances.  The set also keeps each pair's
-    `EliminationTest` once it is first built, so plans and simulations on
-    the set build every test at most once (at most k(k-1)/2 of them).
+    recomputing distances.  The same `gates._su2_frame` call gives each
+    ordered pair its (2 alpha, 2 beta), kept privately for the pair's probe.
+    The set also keeps each pair's `EliminationTest` once it is first built,
+    so plans and simulations on the set build every test at most once (at
+    most k(k-1)/2 of them).
     """
 
     gates: tuple[Gate, ...]
     distances: np.ndarray = field(init=False, repr=False)
+    _frames: np.ndarray = field(init=False, repr=False, compare=False)
     _tests: dict[tuple[int, int], EliminationTest] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
@@ -61,16 +65,18 @@ class HypothesisSet:
         k = len(self.gates)
         mats = np.stack([g.matrix for g in self.gates])
         rows, cols = np.triu_indices(k, 1)
-        table = np.zeros((k, k))
-        table[rows, cols] = _su2_half_arc(_relative_matrix(mats[rows], mats[cols]))
-        table[cols, rows] = table[rows, cols]
-        table.setflags(write=False)
-        object.__setattr__(self, "distances", table)
-        for i, j in zip(rows.tolist(), cols.tolist()):
-            if table[i, j] <= IDENTICAL_TOL:
-                raise ValidationError(
-                    f"hypotheses {i} and {j} coincide up to global phase"
-                )
+        delta, alpha2, beta2 = _su2_frame(_relative_matrix(mats[rows], mats[cols]))
+        table, frames = np.zeros((k, k)), np.zeros((2, k, k), dtype=complex)
+        table[rows, cols] = table[cols, rows] = delta
+        # U_j^dag U_i = R^dag: the same delta, conj(2 alpha) and -2 beta
+        frames[:, rows, cols], frames[:, cols, rows] = (alpha2, beta2), (alpha2.conj(), -beta2)
+        for name, value in (("distances", table), ("_frames", frames)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        close = np.flatnonzero(delta <= IDENTICAL_TOL)
+        if close.size:  # the first such pair in row-major order
+            i, j = rows[close[0]], cols[close[0]]
+            raise ValidationError(f"hypotheses {i} and {j} coincide up to global phase")
 
     def __len__(self) -> int:
         return len(self.gates)
@@ -163,15 +169,17 @@ def _most_distant_pair(h: HypothesisSet, surviving: list[int]) -> tuple[int, int
 def _build_test(h: HypothesisSet, i: int, j: int) -> EliminationTest:
     """Pair (i, j)'s test from the set's cache, built there on first use.
 
-    The probe is `optimal_probe_ncopies(h.gates[i], h.gates[j])`, bit for
-    bit, with delta read from the distance table instead of recomputed.
+    The probe is `optimal_probe_ncopies(h.gates[i], h.gates[j])`, built
+    from the frame the set stored for the pair, so no relative gate is
+    formed here.  It matches bit for bit, except that for a hand-made pair
+    with i > j whose det R is real and negative (the branch cut of the
+    square root) the mirrored frame may be the other root: w+ and w- trade
+    places, an equally good probe.
     """
     test = h._tests.get((i, j))
     if test is None:
-        gi = h.gates[i]
-        rel = _relative_matrix(gi.matrix, h.gates[j].matrix)
-        probe = _ncopies_probe(rel, float(h.distances[i, j]))
-        test = h._tests[i, j] = EliminationTest(pair=(i, j), probe=probe, gate=gi)
+        probe = _ncopies_probe(h.distances[i, j], *h._frames[:, i, j])
+        test = h._tests[i, j] = EliminationTest(pair=(i, j), probe=probe, gate=h.gates[i])
     return test
 
 
@@ -206,7 +214,8 @@ def simulate_elimination(
     `plan` must have been made for `h`.  Planned pairs are consumed while
     both survive; otherwise the round is re-planned greedily among the
     survivors.  Each round's test comes from the set's cache, so only the
-    rounds that run are built, each once per set.
+    rounds that run are built, each once per set.  A negative seed raises
+    ValidationError.
     """
     if plan.hypotheses is not h:
         raise ValidationError("the plan was made for another hypothesis set")
@@ -220,11 +229,10 @@ def simulate_elimination(
         if not isinstance(true_gate, Gate) or true_gate.dim != 2:
             raise ValidationError("true_gate must be a qubit Gate")
         g_true, in_set = true_gate, False
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     surviving = list(range(len(h)))
     pending = iter(plan.pairs)
     records: list[TestRecord] = []
-    total_runs = 0
     while len(surviving) > 1:
         pair = next((p for p in pending if p[0] in surviving and p[1] in surviving), None)
         i, j = pair or _most_distant_pair(h, surviving)
@@ -235,12 +243,11 @@ def simulate_elimination(
         outcome_target = bool(rng.random() < p_target)
         discarded = j if outcome_target else i
         surviving.remove(discarded)
-        total_runs += test.copies
         records.append(TestRecord(pair=test.pair, copies=test.copies,
                                   outcome_target=outcome_target, discarded=discarded))
     return SimResult(
         identified_index=surviving[0],
-        total_runs=total_runs,
+        total_runs=sum(r.copies for r in records),
         trace=tuple(records),
         true_in_set=in_set,
     )

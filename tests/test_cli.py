@@ -396,6 +396,19 @@ def test_non_finite_inputs_exit_2(capsys, tmp_path, gate_files, kind):
     assert out == "" and "validation error" in err
 
 
+@pytest.mark.parametrize("command", ["haar-sample", "metric-check", "avg-fidelity", "discriminate"])
+def test_negative_seed_exits_2(capsys, tmp_path, gate_files, command):
+    a, b = gate_files
+    hyp = tmp_path / "set.json"
+    hyp.write_text('{"gates": [%s, %s]}' % ((tmp_path / "a.json").read_text(),
+                                             (tmp_path / "b.json").read_text()))
+    required = {"avg-fidelity": ["--u1", a, "--u2", b, "--samples", "10"],
+                "discriminate": ["--set", str(hyp), "--true", "0"]}
+    code, out, err = run(capsys, [command, *required.get(command, []), "--seed", "-1"])
+    assert code == 2
+    assert out == "" and "validation error: seed must be >= 0, got -1" in err
+
+
 def test_convergence_exit_code(capsys, monkeypatch, gate_files):
     a, b = gate_files
     import gatediscrim.cli as cli_mod

@@ -38,7 +38,7 @@ from gatediscrim import (
 from gatediscrim.gates import (
     _relative_matrix,
     _su2_folded_eigenbasis,
-    _su2_half_arc,
+    _su2_frame,
     _term_amplitude,
     _wolfe_min_norm,
 )
@@ -659,7 +659,8 @@ def test_closed_form_basis_matches_eig_unitary():
         u1, u2 = su2_pair(rng)
         rel = _relative_matrix(u1.matrix, u2.matrix)
         for r in (rel, -rel):
-            delta, (w_plus, w_minus) = _su2_half_arc(r), _su2_folded_eigenbasis(r)
+            delta, alpha2, beta2 = _su2_frame(r)
+            w_plus, w_minus = _su2_folded_eigenbasis(alpha2, beta2)
             ref_delta, ref_plus, ref_minus = _eig_folded_basis(r)
             assert abs(delta - ref_delta) <= 1e-12
             # both carry the eig_unitary gauge, so the vectors compare entry by entry
@@ -677,7 +678,8 @@ def test_closed_form_basis_at_boundaries(delta):
     for _ in range(20):
         w = haar_unitary(2, rng)
         rel = (w * np.exp([1j * delta, -1j * delta])) @ w.conj().T
-        got_delta, (w_plus, w_minus) = _su2_half_arc(rel), _su2_folded_eigenbasis(rel)
+        got_delta, alpha2, beta2 = _su2_frame(rel)
+        w_plus, w_minus = _su2_folded_eigenbasis(alpha2, beta2)
         _, ref_plus, ref_minus = _eig_folded_basis(rel)
         assert abs(got_delta - delta) <= 1e-15
         if delta == math.pi / 2:

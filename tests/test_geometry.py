@@ -110,6 +110,11 @@ def test_sphere_embed_validation():
         sphere_embed(Gate.identity(3))
     pt = sphere_embed(Gate.identity(2))
     assert np.allclose(pt.as_array(), [1, 0, 0, 0])
+    # |det - 1| = 4e-11: the gate passes its own 1e-10, and the row is scaled onto the sphere
+    pt = sphere_embed(Gate((1.0 + 2e-11) * np.eye(2)))
+    assert np.array_equal(pt.as_array(), [1, 0, 0, 0])
+    with pytest.raises(ValidationError, match="norm"):
+        geometry.SphereCoords(1.0 + 2e-11, 0.0, 0.0, 0.0)  # user-built coordinates are checked
 
 
 def test_haar_sample_ranges_and_determinism():
@@ -123,6 +128,8 @@ def test_haar_sample_ranges_and_determinism():
     assert all(a == b for a, b in zip(params, again))
     with pytest.raises(ValidationError):
         haar_sample_su2(7, 0)
+    with pytest.raises(ValidationError, match="seed must be >= 0"):
+        haar_sample_su2(-1, 5)
 
 
 def test_haar_sample_arrays_back_the_sequence(monkeypatch):
@@ -233,6 +240,8 @@ def test_avg_fidelity_mc_determinism_and_validation():
     with pytest.raises(ValidationError, match="at least 2 samples, got 1"):
         avg_fidelity_mc(u1, u2, samples=1, seed=5)
     assert overlap_samples(u1, u2, samples=1, seed=5).shape == (1,)
+    with pytest.raises(ValidationError, match="seed must be >= 0"):
+        overlap_samples(u1, u2, samples=10, seed=-1)
     assert math.isfinite(avg_fidelity_mc(u1, u2, samples=2, seed=5).stderr)
 
 

@@ -17,7 +17,7 @@ from gatediscrim import (
     probe_overlap,
     simulate_elimination,
 )
-from gatediscrim.gates import _term_amplitude
+from gatediscrim.gates import _relative_matrix, _su2_frame, _term_amplitude
 from gatediscrim.protocol import _apply_copies, _most_distant_pair
 from helpers import haar_unitary
 
@@ -172,6 +172,8 @@ def test_simulate_argument_validation():
         simulate_elimination(plan, PAULI_SET, true_index=7, seed=0)
     with pytest.raises(ValidationError):
         simulate_elimination(plan, PAULI_SET, true_gate=Gate.identity(3), seed=0)
+    with pytest.raises(ValidationError, match="seed must be >= 0"):
+        simulate_elimination(plan, PAULI_SET, true_index=0, seed=-1)
 
 
 def test_plan_for_another_set_is_refused():
@@ -233,6 +235,55 @@ def test_distance_table():
             assert d[i, j] == gate_distance(h.gates[i], h.gates[j])
 
 
+def _same_bits(got, ref) -> bool:
+    return all(np.array_equal(g, r) for g, r in zip(got, ref, strict=True))
+
+
+def test_a_pair_read_alone_gives_the_stored_frame():
+    # the set keeps (2 alpha, 2 beta) from its stacked frame call; builds read
+    # them there, so they must be what a single pair's _su2_frame gives
+    rng = np.random.default_rng(16)
+    tiny = np.diag(np.exp([1e-9j, -1e-9j]))
+    mats = [np.eye(2), SX, SY, SZ, tiny, 1j * SX @ tiny]
+    mats += [haar_unitary(2, rng) for _ in range(10)]
+    stack, (rows, cols) = np.stack(mats), np.triu_indices(len(mats), 1)
+    rels = _relative_matrix(stack[rows], stack[cols])
+    # U against itself, and -R, which negates 2 alpha and 2 beta and keeps delta
+    rels = np.concatenate([rels, -rels, [m.conj().T @ m for m in mats]])
+    stacked = _su2_frame(rels)
+    for m, rel in enumerate(rels):
+        assert _same_bits(_su2_frame(rel), [x[m] for x in stacked])
+    delta, alpha2, beta2 = _su2_frame(rels[: rows.size])
+    assert _same_bits(_su2_frame(rels[rows.size: 2 * rows.size]), (delta, -alpha2, -beta2))
+    assert np.all(stacked[0][2 * rows.size:] == 0.0)
+    assert np.any(delta == math.pi / 2) and np.any(np.abs(delta / 1e-9 - 1.0) < 1e-6)
+    h = HypothesisSet(gates=tuple(Gate(m) for m in mats))
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        ref = _su2_frame(_relative_matrix(h.gates[i].matrix, h.gates[j].matrix))
+        assert _same_bits((h.distances[i, j], *h._frames[:, i, j]), ref)
+    assert not h._frames.flags.writeable
+
+
+def test_reversed_pairs_read_the_mirrored_frame():
+    # a plan made by hand may test pair (j, i) with j > i; the set stores the
+    # frame of U_j^dag U_i = R^dag beside that of R
+    rng = np.random.default_rng(17)
+    for k in (3, 5, 8):
+        h = random_set(k, rng)
+        reversed_pairs = tuple((j, i) for i, j in plan_elimination(h).pairs)
+        plan = gatediscrim.protocol.TestPlan(pairs=reversed_pairs, hypotheses=h)
+        for true_index in range(k):
+            sim = simulate_elimination(plan, h, true_index=true_index, seed=true_index)
+            assert sim.identified_index == true_index
+        for test in plan.tests:
+            j, i = test.pair
+            assert test.gate is h.gates[j] and j > i
+            assert probe_overlap(h.gates[j], h.gates[i], test.probe, test.copies) <= 1e-16
+            ref = optimal_probe_ncopies(h.gates[j], h.gates[i])
+            for name in ("coeffs", "system", "counts"):
+                assert np.array_equal(getattr(test.probe, name), getattr(ref, name))
+
+
 def test_planning_and_simulation_read_the_table(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("distance recomputed outside the table")
@@ -243,9 +294,9 @@ def test_planning_and_simulation_read_the_table(monkeypatch):
                 monkeypatch.setattr(module, name, boom)
     rng = np.random.default_rng(8)
     h = random_set(8, rng)
-    # tests take their half-arc from the table too
+    # tests take their half-arc and frame from the set too
     for module in (gatediscrim.gates, gatediscrim.protocol):
-        monkeypatch.setattr(module, "_su2_half_arc", boom)
+        monkeypatch.setattr(module, "_su2_frame", boom)
     plan = plan_elimination(h)
     planned = set(plan.pairs)
     replanned = 0
