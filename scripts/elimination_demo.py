@@ -2,7 +2,9 @@
 
 Builds a hypothesis set of qubit gates (random, or the orthogonal triple
 {1, i*sigma_x, i*sigma_z} with --triple), runs one narrated simulation,
-then aggregates identification statistics over many seeded trials.
+then aggregates identification statistics over many seeded trials.  Every
+true gate is drawn from the set, so the protocol must identify it each
+time: the script exits 1 if any run (the narrated one included) does not.
 
 Usage:
     python scripts/elimination_demo.py --k 4 --trials 200 --seed 11
@@ -10,6 +12,7 @@ Usage:
 """
 
 import argparse
+import sys
 from collections import Counter
 
 import numpy as np
@@ -67,6 +70,10 @@ def main() -> None:
         runs[out.total_runs] += 1
     print(f"\n{args.trials} trials: {wrong} misidentifications")
     print("total-use distribution:", dict(sorted(runs.items())))
+    wrong += res.identified_index != true_idx
+    if wrong:
+        print(f"error: {wrong} runs misidentified an in-set true gate", file=sys.stderr)
+        sys.exit(1)
 
 
 if __name__ == "__main__":

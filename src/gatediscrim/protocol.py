@@ -9,7 +9,10 @@ global phase only, so any qubit unitaries qualify, whatever their determinants.
 
 A plan is a schedule of pairs; it builds nothing.  Each pair's test is built
 the first time a simulation runs it (or `TestPlan.tests` is read) and kept
-in its hypothesis set, so every test is built at most once per set.
+in its hypothesis set, so every test is built at most once per set.  A test
+also keeps the target-outcome probability of each in-set true gate it has
+run against, so repeated simulations on a set contract each (pair, truth)
+only once; an out-of-set true gate is contracted every round.
 """
 from __future__ import annotations
 
@@ -43,7 +46,8 @@ class HypothesisSet:
     ordered pair its (2 alpha, 2 beta), kept privately for the pair's probe.
     The set also keeps each pair's `EliminationTest` once it is first built,
     so plans and simulations on the set build every test at most once (at
-    most k(k-1)/2 of them).
+    most k(k-1)/2 of them), and each test keeps at most k round
+    probabilities, one per in-set true gate.  A new set starts with none.
     """
 
     gates: tuple[Gate, ...]
@@ -90,12 +94,18 @@ class EliminationTest:
     probe's image under `gate`, are read from the stored fields when asked
     for.  The measurement is the projective pair {P, 1 - P} with P onto
     `target`.  Landing on P rules out `pair[1]` (the images are orthogonal),
-    the complement rules out `pair[0]`.
+    the complement rules out `pair[0]`.  The probability of landing on P
+    when candidate t is the true gate depends only on the test and t, so
+    `simulate_elimination` keeps it privately, keyed by t, the first time
+    it runs the test against t (at most k entries).
     """
 
     pair: tuple[int, int]
     probe: ProbeState
     gate: Gate
+    _p_target: dict[int, float] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     @property
     def copies(self) -> int:
@@ -118,11 +128,23 @@ class TestPlan:
 
     The plan holds pairs only.  `tests` gives the rounds' `EliminationTest`s,
     read from the set's test cache and built there the first time a pair
-    is asked for.
+    is asked for.  Each pair (i, j) must name two different candidates,
+    0 <= i, j < k; any other pair raises ValidationError.
     """
 
     pairs: tuple[tuple[int, int], ...]
     hypotheses: HypothesisSet
+
+    def __post_init__(self):
+        object.__setattr__(self, "pairs", tuple(self.pairs))
+        k = len(self.hypotheses)
+        for pair in self.pairs:
+            if not (isinstance(pair, tuple) and len(pair) == 2
+                    and isinstance(pair[0], (int, np.integer)) and 0 <= pair[0] < k
+                    and isinstance(pair[1], (int, np.integer)) and 0 <= pair[1] < k
+                    and pair[0] != pair[1]):
+                raise ValidationError(
+                    f"plan pair {pair!r} must be two different indices in 0..{k - 1}")
 
     @property
     def tests(self) -> tuple[EliminationTest, ...]:
@@ -131,10 +153,20 @@ class TestPlan:
 
 @dataclass(frozen=True)
 class TestRecord:
+    """One simulated round.
+
+    `p_target` is the probability of the target outcome (P onto the test's
+    target, which discards `pair[1]`) that the round's outcome was drawn
+    from: 1 when the true gate is `pair[0]`, 0 up to rounding when it is
+    `pair[1]`.  For an out-of-set true gate, where neither outcome is
+    guaranteed, it is the round's real risk of discarding `pair[1]`.
+    """
+
     pair: tuple[int, int]
     copies: int
     outcome_target: bool
     discarded: int
+    p_target: float
 
 
 @dataclass(frozen=True)
@@ -214,8 +246,12 @@ def simulate_elimination(
     `plan` must have been made for `h`.  Planned pairs are consumed while
     both survive; otherwise the round is re-planned greedily among the
     survivors.  Each round's test comes from the set's cache, so only the
-    rounds that run are built, each once per set.  A negative seed raises
-    ValidationError.
+    rounds that run are built, each once per set.  For an in-set true gate
+    the round's target probability is read from the test's memo, filled the
+    first time the test runs against that `true_index`; an out-of-set
+    `true_gate` is contracted with the probe every round and never stored.
+    Cold or warm, the probabilities and outcomes are the same bits.  A
+    negative seed raises ValidationError.
     """
     if plan.hypotheses is not h:
         raise ValidationError("the plan was made for another hypothesis set")
@@ -237,14 +273,19 @@ def simulate_elimination(
         pair = next((p for p in pending if p[0] in surviving and p[1] in surviving), None)
         i, j = pair or _most_distant_pair(h, surviving)
         test = _build_test(h, i, j)
-        # <target|U_true^(x)N|probe> = <probe|(U_i^dag U_true)^(x)N|probe>
-        rel = _relative_matrix(test.gate.matrix, g_true.matrix)
-        p_target = min(1.0, abs(_term_amplitude(test.probe, test.probe, rel)) ** 2)
+        p_target = test._p_target.get(true_index)  # None for an out-of-set gate
+        if p_target is None:
+            # <target|U_true^(x)N|probe> = <probe|(U_i^dag U_true)^(x)N|probe>
+            rel = _relative_matrix(test.gate.matrix, g_true.matrix)
+            p_target = min(1.0, abs(_term_amplitude(test.probe, test.probe, rel)) ** 2)
+            if in_set:
+                test._p_target[true_index] = p_target
         outcome_target = bool(rng.random() < p_target)
         discarded = j if outcome_target else i
         surviving.remove(discarded)
         records.append(TestRecord(pair=test.pair, copies=test.copies,
-                                  outcome_target=outcome_target, discarded=discarded))
+                                  outcome_target=outcome_target, discarded=discarded,
+                                  p_target=p_target))
     return SimResult(
         identified_index=surviving[0],
         total_runs=sum(r.copies for r in records),

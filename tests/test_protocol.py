@@ -62,7 +62,11 @@ def test_set_with_determinant_minus_one_identifies_every_index():
 
 def test_elimination_test_stores_pair_probe_and_gate():
     for t in plan_elimination(FOUR_PAULI_SET).tests:
-        assert [f.name for f in dataclasses.fields(t)] == ["pair", "probe", "gate"]
+        fields = dataclasses.fields(t)
+        assert [f.name for f in fields if f.init] == ["pair", "probe", "gate"]
+        # the one other field is the private memo of round probabilities
+        (memo,) = [f for f in fields if not f.init]
+        assert memo.name == "_p_target" and not (memo.repr or memo.compare)
         assert t.gate is FOUR_PAULI_SET.gates[t.pair[0]]
         assert t.copies == t.probe.copies
         np.testing.assert_array_equal(t.target.system, _apply_copies(t.gate, t.probe).system)
@@ -367,18 +371,9 @@ def test_most_distant_pair_matches_the_strict_scan():
             assert _most_distant_pair(h, surviving) == scan(h, surviving)
 
 
-def test_round_probability_is_one_contraction_of_the_probe(monkeypatch):
-    # each round's p_target, <probe|(U_i^dag U_true)^(x)N|probe>, equals the
+def test_round_probability_is_one_contraction_of_the_probe():
+    # each round's p_target, |<probe|(U_i^dag U_true)^(x)N|probe>|^2, equals the
     # overlap of the test's target with the probe's image under the true gate
-    amplitudes = []
-    original = gatediscrim.protocol._term_amplitude
-
-    def recorded(a, b, op):
-        amp = original(a, b, op)
-        amplitudes.append((a, amp))
-        return amp
-
-    monkeypatch.setattr(gatediscrim.protocol, "_term_amplitude", recorded)
     rng = np.random.default_rng(9)
     checked = 0
     for k in (3, 5, 8):
@@ -388,13 +383,17 @@ def test_round_probability_is_one_contraction_of_the_probe(monkeypatch):
         strangers = [Gate(haar_unitary(2, rng, special=True)) for _ in range(2)]
         truths += [(g, {"true_gate": g}) for g in strangers]
         for seed, (g_true, kwargs) in enumerate(truths):
-            amplitudes.clear()
             sim = simulate_elimination(plan, h, seed=seed, **kwargs)
-            assert len(amplitudes) == len(sim.trace)
-            for record, (probe, amp) in zip(sim.trace, amplitudes):
-                target = _apply_copies(h.gates[record.pair[0]], probe)
-                old = _term_amplitude(target, _apply_copies(g_true, probe), None)
-                assert abs(amp - old) <= 1e-12
+            for record in sim.trace:
+                test = h._tests[record.pair]
+                target = _apply_copies(test.gate, test.probe)
+                old = _term_amplitude(target, _apply_copies(g_true, test.probe), None)
+                assert abs(record.p_target - abs(old) ** 2) <= 1e-12
+                assert 0.0 <= record.p_target <= 1.0
+                if "true_index" in kwargs and kwargs["true_index"] in record.pair:
+                    # the true gate is one of the pair: the outcome is certain
+                    certain = float(kwargs["true_index"] == record.pair[0])
+                    assert abs(record.p_target - certain) <= 1e-12
                 checked += 1
     assert checked > 100
 
@@ -419,18 +418,18 @@ def test_each_test_is_built_once_per_set(monkeypatch):
     built = []
     used = []
     original_test = gatediscrim.protocol.EliminationTest
-    original_amplitude = gatediscrim.protocol._term_amplitude
+    original_build = gatediscrim.protocol._build_test
 
     def recorded_test(**kwargs):
         built.append(original_test(**kwargs))
         return built[-1]
 
-    def recorded_amplitude(a, b, op):
-        used.append(a)
-        return original_amplitude(a, b, op)
+    def recorded_build(h, i, j):
+        used.append(original_build(h, i, j))
+        return used[-1]
 
     monkeypatch.setattr(gatediscrim.protocol, "EliminationTest", recorded_test)
-    monkeypatch.setattr(gatediscrim.protocol, "_term_amplitude", recorded_amplitude)
+    monkeypatch.setattr(gatediscrim.protocol, "_build_test", recorded_build)
     rng = np.random.default_rng(14)
     h = random_set(8, rng)
     plan = plan_elimination(h)
@@ -440,17 +439,99 @@ def test_each_test_is_built_once_per_set(monkeypatch):
         for seed in range(4):
             used.clear()
             sim = simulate_elimination(plan, h, seed=seed, **kwargs)
+            ran = list(used)
+            planned = dict(zip(plan.pairs, plan.tests, strict=True))
             # each round ran the cached test of its pair, a planned one included
-            for record, probe in zip(sim.trace, used, strict=True):
-                assert probe is h._tests[record.pair].probe
-                if record.pair in plan.pairs:
-                    assert probe is plan.tests[plan.pairs.index(record.pair)].probe
+            for record, test in zip(sim.trace, ran, strict=True):
+                assert test is h._tests[record.pair]
+                if record.pair in planned:
+                    assert test is planned[record.pair]
+                if "true_index" in kwargs:
+                    assert test._p_target[kwargs["true_index"]] == record.p_target
     # reading the plan builds what the runs skipped, once, and then only reads
     tests = plan.tests
     assert all(a is b for a, b in zip(tests, plan.tests, strict=True))
     pairs = [t.pair for t in built]
     assert len(pairs) == len(set(pairs)) == len(h._tests) <= len(h) * (len(h) - 1) // 2
     assert all(h._tests[t.pair] is t for t in built)
+
+
+def test_in_set_round_probability_is_computed_once_per_pair_and_truth(monkeypatch):
+    calls = []
+    original = gatediscrim.protocol._term_amplitude
+
+    def recorded(a, b, op):
+        calls.append(a)
+        return original(a, b, op)
+
+    monkeypatch.setattr(gatediscrim.protocol, "_term_amplitude", recorded)
+    rng = np.random.default_rng(21)
+    for k in (3, 8):
+        h = random_set(k, rng)
+        plan = plan_elimination(h)
+        contracted = {}  # (pair, truth) -> contractions
+        seen = {}  # (pair, truth) -> the round's p_target
+        for seed in range(6):
+            for t in range(k):
+                calls.clear()
+                sim = simulate_elimination(plan, h, true_index=t, seed=seed)
+                assert len(calls) <= len(sim.trace)
+                for probe in calls:
+                    pair = next(p for p, test in h._tests.items() if test.probe is probe)
+                    contracted[pair, t] = contracted.get((pair, t), 0) + 1
+                for record in sim.trace:
+                    assert seen.setdefault((record.pair, t), record.p_target) == record.p_target
+        assert set(contracted) == set(seen)
+        assert all(n == 1 for n in contracted.values())
+        stored = {(pair, t): p for pair, test in h._tests.items()
+                  for t, p in test._p_target.items()}
+        assert stored == seen
+        assert all(len(test._p_target) <= k for test in h._tests.values())
+        # an out-of-set true gate is contracted every round and never stored
+        for seed in range(4):
+            stranger = Gate(haar_unitary(2, rng))
+            calls.clear()
+            sim = simulate_elimination(plan, h, true_gate=stranger, seed=seed)
+            assert len(calls) == len(sim.trace) == k - 1
+            assert all(c is h._tests[r.pair].probe for c, r in zip(calls, sim.trace))
+            assert {(pair, t): p for pair, test in h._tests.items()
+                    for t, p in test._p_target.items()} == stored
+
+
+def test_a_warm_set_gives_the_results_of_a_cold_one():
+    rng = np.random.default_rng(22)
+    for k in (3, 8, 16):
+        gates = random_set(k, rng).gates
+        strangers = [Gate(haar_unitary(2, rng)) for _ in range(2)]
+        warm = HypothesisSet(gates=gates)
+        warm_plan = plan_elimination(warm)
+        # warm the memo with other seeds and with out-of-set runs
+        for seed in range(100, 106):
+            for t in range(k):
+                simulate_elimination(warm_plan, warm, true_index=t, seed=seed)
+            for g in strangers:
+                simulate_elimination(warm_plan, warm, true_gate=g, seed=seed)
+        assert any(test._p_target for test in warm._tests.values())
+        runs = [{"true_index": t} for t in range(k)] + [{"true_gate": g} for g in strangers]
+        for kwargs in runs:
+            for seed in (0, 1, 7):
+                cold = HypothesisSet(gates=gates)
+                expect = simulate_elimination(plan_elimination(cold), cold, seed=seed, **kwargs)
+                got = simulate_elimination(warm_plan, warm, seed=seed, **kwargs)
+                assert got == expect  # every field, each round's p_target included
+
+
+def test_plan_pairs_must_name_two_hypotheses_of_the_set():
+    h = HypothesisSet(gates=PAULI_SET.gates)
+    TestPlan = gatediscrim.protocol.TestPlan
+    for pairs in (((0, 7),), ((0, 0),), ((-1, 0),), ((0, 1), (1, 3)), ((0,),),
+                  ((0, 1, 2),), ((0.0, 1),), ([0, 1],), ("01",)):
+        with pytest.raises(ValidationError):
+            TestPlan(pairs=pairs, hypotheses=h)
+    assert h._tests == {}
+    plan = TestPlan(pairs=[(2, 0), (np.int64(1), 0)], hypotheses=h)
+    assert plan.pairs == ((2, 0), (1, 0))
+    assert [t.pair for t in plan.tests] == [(2, 0), (1, 0)]
 
 
 def test_cached_probes_match_the_public_builder():
