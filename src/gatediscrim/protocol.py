@@ -13,10 +13,16 @@ in its hypothesis set, so every test is built at most once per set.  A test
 also keeps the target-outcome probability of each in-set true gate it has
 run against, so repeated simulations on a set contract each (pair, truth)
 only once; an out-of-set true gate is contracted every round.
+
+The most distant surviving pair is read from a ranked list of all pairs,
+built once per hypothesis set.  Survivors only shrink, so a pair that is
+skipped once is never alive again, and planning or re-planning walks that
+list once per plan or simulation, from front to back.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -44,15 +50,20 @@ class HypothesisSet:
     construction, and planning and simulation read it instead of
     recomputing distances.  The same `gates._su2_frame` call gives each
     ordered pair its (2 alpha, 2 beta), kept privately for the pair's probe.
-    The set also keeps each pair's `EliminationTest` once it is first built,
-    so plans and simulations on the set build every test at most once (at
-    most k(k-1)/2 of them), and each test keeps at most k round
-    probabilities, one per in-set true gate.  A new set starts with none.
+    The same table ranks every pair (i, j), i < j, once: by distance, largest
+    first, ties in row-major order.  Planning and re-planning take the first
+    ranked pair whose two members survive, which is the survivors' most
+    distant pair.  The set also keeps each pair's `EliminationTest` once it
+    is first built, so plans and simulations on the set build every test at
+    most once (at most k(k-1)/2 of them), and each test keeps at most k
+    round probabilities, one per in-set true gate.  A new set starts with
+    none.
     """
 
     gates: tuple[Gate, ...]
     distances: np.ndarray = field(init=False, repr=False)
     _frames: np.ndarray = field(init=False, repr=False, compare=False)
+    _ranked: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
     _tests: dict[tuple[int, int], EliminationTest] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
@@ -77,6 +88,9 @@ class HypothesisSet:
         for name, value in (("distances", table), ("_frames", frames)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
+        order = np.argsort(-delta, kind="stable")  # stable: ties keep row-major order
+        ranked = zip(rows[order].tolist(), cols[order].tolist())
+        object.__setattr__(self, "_ranked", tuple(ranked))
         close = np.flatnonzero(delta <= IDENTICAL_TOL)
         if close.size:  # the first such pair in row-major order
             i, j = rows[close[0]], cols[close[0]]
@@ -90,8 +104,8 @@ class HypothesisSet:
 class EliminationTest:
     """One pairwise discrimination round.
 
-    `gate` is candidate `pair[0]`.  `copies` (the probe's) and `target`, the
-    probe's image under `gate`, are read from the stored fields when asked
+    `gate` is candidate `pair[0]`.  `copies`, the probe's, is read once and
+    kept; `target`, the probe's image under `gate`, is formed when asked
     for.  The measurement is the projective pair {P, 1 - P} with P onto
     `target`.  Landing on P rules out `pair[1]` (the images are orthogonal),
     the complement rules out `pair[0]`.  The probability of landing on P
@@ -107,7 +121,7 @@ class EliminationTest:
         init=False, repr=False, compare=False, default_factory=dict
     )
 
-    @property
+    @cached_property
     def copies(self) -> int:
         return self.probe.copies
 
@@ -188,14 +202,18 @@ def _apply_copies(gate: Gate, probe: ProbeState) -> ProbeState:
     return replace(probe, system=probe.system @ gate.matrix.T)
 
 
-def _most_distant_pair(h: HypothesisSet, surviving: list[int]) -> tuple[int, int]:
-    """The survivors' most distant pair (i, j), i before j; ties go to the first row-major."""
-    # The block is symmetric with a zero diagonal and positive entries off it, so
-    # its first row-major maximum lies above the diagonal: an entry below comes
-    # after its mirror.
-    block = h.distances[surviving][:, surviving]
-    a, b = divmod(int(block.argmax()), len(surviving))
-    return surviving[a], surviving[b]
+def _next_alive(pairs, alive: set[int]) -> tuple[int, int] | None:
+    """Advance the iterator `pairs` past its first pair with both members in `alive`.
+
+    Returns that pair, or None once `pairs` runs out.  On an iterator over a
+    set's `_ranked` it is the survivors' most distant pair, ties going to the
+    first in row-major order, as long as `alive` has only shrunk since the
+    iterator was made: every pair it skipped has a member already gone.
+    """
+    for pair in pairs:
+        if pair[0] in alive and pair[1] in alive:
+            return pair
+    return None
 
 
 def _build_test(h: HypothesisSet, i: int, j: int) -> EliminationTest:
@@ -219,15 +237,17 @@ def plan_elimination(h: HypothesisSet) -> TestPlan:
     """Greedy schedule: test the most-distant surviving pair, k-1 rounds total.
 
     The static plan assumes each round discards the second index of its
-    pair; the simulator re-plans whenever an actual outcome diverges.  Only
-    the pairs are scheduled; no test is built here.
+    pair; the simulator re-plans whenever an actual outcome diverges.  Each
+    round's pair is the first pair of the set's ranked list whose two
+    members survive, found by one pass over that list for the whole plan.
+    Only the pairs are scheduled; no test is built here.
     """
-    surviving = list(range(len(h)))
+    alive, ranked = set(range(len(h))), iter(h._ranked)
     pairs = []
-    while len(surviving) > 1:
-        i, j = _most_distant_pair(h, surviving)
+    while len(alive) > 1:
+        i, j = _next_alive(ranked, alive)
         pairs.append((i, j))
-        surviving.remove(j)
+        alive.remove(j)
     return TestPlan(pairs=tuple(pairs), hypotheses=h)
 
 
@@ -245,13 +265,19 @@ def simulate_elimination(
     `true_gate` is allowed (robustness studies) and flagged in the result.
     `plan` must have been made for `h`.  Planned pairs are consumed while
     both survive; otherwise the round is re-planned greedily among the
-    survivors.  Each round's test comes from the set's cache, so only the
-    rounds that run are built, each once per set.  For an in-set true gate
-    the round's target probability is read from the test's memo, filled the
-    first time the test runs against that `true_index`; an out-of-set
-    `true_gate` is contracted with the probe every round and never stored.
-    Cold or warm, the probabilities and outcomes are the same bits.  A
-    negative seed raises ValidationError.
+    survivors, from the set's ranked list of pairs as in `plan_elimination`,
+    with one pass over that list per simulation.  Each round's test comes
+    from the set's cache, so only the rounds that run are built, each once
+    per set.  For an in-set true gate the round's target probability is read
+    from the test's memo, filled the first time the test runs against that
+    `true_index`; an out-of-set
+    `true_gate` is contracted with the probe every round and never stored,
+    its relative matrices to all k candidates formed in one stacked call.
+    The k-1 uniforms that decide the rounds are drawn in one call: round r
+    lands on the target when u[r] < p_target, with
+    u = numpy.random.default_rng(seed).random(k - 1).  Cold or warm, the
+    probabilities and outcomes are the same bits.  A negative seed raises
+    ValidationError.
     """
     if plan.hypotheses is not h:
         raise ValidationError("the plan was made for another hypothesis set")
@@ -265,29 +291,31 @@ def simulate_elimination(
         if not isinstance(true_gate, Gate) or true_gate.dim != 2:
             raise ValidationError("true_gate must be a qubit Gate")
         g_true, in_set = true_gate, False
-    rng = _rng(seed)
-    surviving = list(range(len(h)))
-    pending = iter(plan.pairs)
+    k = len(h)
+    uniforms = _rng(seed).random(k - 1).tolist()
+    if not in_set:
+        # <target|U_true^(x)N|probe> = <probe|(U_i^dag U_true)^(x)N|probe>
+        rels = _relative_matrix(np.stack([g.matrix for g in h.gates]), g_true.matrix)
+    alive, pending, ranked = set(range(k)), iter(plan.pairs), iter(h._ranked)
     records: list[TestRecord] = []
-    while len(surviving) > 1:
-        pair = next((p for p in pending if p[0] in surviving and p[1] in surviving), None)
-        i, j = pair or _most_distant_pair(h, surviving)
+    for u in uniforms:
+        i, j = _next_alive(pending, alive) or _next_alive(ranked, alive)
         test = _build_test(h, i, j)
         p_target = test._p_target.get(true_index)  # None for an out-of-set gate
         if p_target is None:
-            # <target|U_true^(x)N|probe> = <probe|(U_i^dag U_true)^(x)N|probe>
-            rel = _relative_matrix(test.gate.matrix, g_true.matrix)
+            rel = _relative_matrix(test.gate.matrix, g_true.matrix) if in_set else rels[i]
             p_target = min(1.0, abs(_term_amplitude(test.probe, test.probe, rel)) ** 2)
             if in_set:
                 test._p_target[true_index] = p_target
-        outcome_target = bool(rng.random() < p_target)
+        outcome_target = u < p_target
         discarded = j if outcome_target else i
-        surviving.remove(discarded)
+        alive.remove(discarded)
         records.append(TestRecord(pair=test.pair, copies=test.copies,
                                   outcome_target=outcome_target, discarded=discarded,
                                   p_target=p_target))
+    (identified,) = alive
     return SimResult(
-        identified_index=surviving[0],
+        identified_index=identified,
         total_runs=sum(r.copies for r in records),
         trace=tuple(records),
         true_in_set=in_set,

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from gatediscrim import (
     simulate_elimination,
 )
 from gatediscrim.gates import _relative_matrix, _su2_frame, _term_amplitude
-from gatediscrim.protocol import _apply_copies, _most_distant_pair
+from gatediscrim.protocol import _apply_copies, _next_alive
 from helpers import haar_unitary
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -69,6 +70,7 @@ def test_elimination_test_stores_pair_probe_and_gate():
         assert memo.name == "_p_target" and not (memo.repr or memo.compare)
         assert t.gate is FOUR_PAULI_SET.gates[t.pair[0]]
         assert t.copies == t.probe.copies
+        assert type(t.copies) is int
         np.testing.assert_array_equal(t.target.system, _apply_copies(t.gate, t.probe).system)
 
 
@@ -365,10 +367,89 @@ def test_most_distant_pair_matches_the_strict_scan():
     rng = np.random.default_rng(12)
     sets = [PAULI_SET, FOUR_PAULI_SET] + [random_set(k, rng) for k in (3, 5, 8, 16)]
     for h in sets:
+        k = len(h)
+        # every pair once, i < j, largest distance first
+        assert sorted(h._ranked) == [(i, j) for i in range(k) for j in range(i + 1, k)]
+        d = [h.distances[p] for p in h._ranked]
+        assert all(a >= b for a, b in zip(d, d[1:]))
+        # any survivor set: the first alive ranked pair is the scan's pair
         for _ in range(20):
-            size = int(rng.integers(2, len(h) + 1))
-            surviving = sorted(rng.choice(len(h), size, replace=False).tolist())
-            assert _most_distant_pair(h, surviving) == scan(h, surviving)
+            size = int(rng.integers(2, k + 1))
+            surviving = sorted(rng.choice(k, size, replace=False).tolist())
+            assert _next_alive(iter(h._ranked), set(surviving)) == scan(h, surviving)
+        # shrinking survivors: one cursor, never rewound, agrees with a fresh scan
+        # at every step.  As in a simulation, each pair it returns loses a member
+        # before the next query, and planned rounds may remove anyone in between.
+        for _ in range(10):
+            alive, cursor = set(range(k)), iter(h._ranked)
+            while len(alive) > 1:
+                pair = _next_alive(cursor, alive)
+                assert pair == scan(h, sorted(alive))
+                alive.remove(pair[int(rng.integers(2))])
+                while len(alive) > 2 and rng.random() < 0.3:
+                    alive.remove(int(rng.choice(sorted(alive))))
+            assert _next_alive(cursor, alive) is None
+
+
+def _schedule_digest() -> str:
+    """sha256 over the integer fields of a seeded corpus of plans and simulations."""
+    rng = np.random.default_rng(18)
+    sets = [PAULI_SET.gates, FOUR_PAULI_SET.gates]
+    sets += [random_set(k, rng).gates for k in range(3, 17) for _ in range(2)]
+    record = []
+    for gates in sets:
+        h = HypothesisSet(gates=gates)
+        plan = plan_elimination(h)
+        runs = [{"true_index": t} for t in range(len(h))]
+        runs += [{"true_gate": Gate(haar_unitary(2, rng))} for _ in range(2)]
+        sims = [simulate_elimination(plan, h, seed=seed, **kwargs)
+                for kwargs in runs for seed in range(4)]
+        record.append((
+            [(int(i), int(j)) for i, j in plan.pairs],
+            [([((int(r.pair[0]), int(r.pair[1])), r.outcome_target, int(r.discarded))
+               for r in sim.trace], int(sim.identified_index), int(sim.total_runs))
+             for sim in sims],
+        ))
+    return hashlib.sha256(repr(record).encode()).hexdigest()
+
+
+def test_schedules_match_the_recorded_corpus():
+    # 30 sets (the two Pauli sets and two Haar sets for each k = 3..16), every
+    # in-set truth and two out-of-set gates, seeds 0..3: 1332 simulations.  The
+    # digest covers plan pairs, trace pairs, outcomes, discards, the identified
+    # index and the total runs.  It was recorded with the schedule that scanned
+    # the survivors' distance block on every round; ranked pairs, the single
+    # uniform draw and the stacked out-of-set relative matrices keep every bit.
+    assert _schedule_digest() == (
+        "f8ad53b0d4bd9901d90adf6f97b95c5f6dcb8103b5e9bf1ef7d9b030703db0d9")
+
+
+def test_rounds_are_decided_by_one_uniform_draw():
+    rng = np.random.default_rng(23)
+    for k in (2, 3, 8, 16):
+        h = random_set(k, rng)
+        plan = plan_elimination(h)
+        runs = [{"true_index": t} for t in range(k)]
+        runs += [{"true_gate": Gate(haar_unitary(2, rng))} for _ in range(3)]
+        for kwargs in runs:
+            for seed in (0, 5, 2**40):
+                sim = simulate_elimination(plan, h, seed=seed, **kwargs)
+                u = np.random.default_rng(seed).random(k - 1)
+                assert len(sim.trace) == k - 1
+                for r, record in enumerate(sim.trace):
+                    assert record.outcome_target == (u[r] < record.p_target)
+
+
+def test_a_stacked_relative_matrix_gives_the_bits_of_each_pair():
+    # out-of-set simulations form U_i^dag U_true for every i in one call
+    rng = np.random.default_rng(24)
+    for k in (2, 3, 8, 16):
+        stack = np.stack([haar_unitary(2, rng) for _ in range(k)])
+        m = haar_unitary(2, rng)
+        rels = _relative_matrix(stack, m)
+        assert rels.shape == (k, 2, 2)
+        for i in range(k):
+            assert np.array_equal(rels[i], _relative_matrix(stack[i], m))
 
 
 def test_round_probability_is_one_contraction_of_the_probe():
@@ -550,3 +631,32 @@ def test_cached_probes_match_the_public_builder():
             for name in ("coeffs", "system", "counts"):
                 assert np.array_equal(getattr(test.probe, name), getattr(ref, name))
             assert test.probe.ancilla is None and ref.ancilla is None
+
+
+def test_a_test_reads_its_copy_count_once(monkeypatch):
+    reads = []
+    original = gatediscrim.gates.ProbeState.copies
+
+    def counted(probe):
+        reads.append(probe)
+        return original.fget(probe)
+
+    monkeypatch.setattr(gatediscrim.gates.ProbeState, "copies", property(counted))
+    rng = np.random.default_rng(25)
+    h = random_set(8, rng)
+    plan = plan_elimination(h)
+    strangers = [{"true_gate": Gate(haar_unitary(2, rng))} for _ in range(2)]
+    runs = [{"true_index": t} for t in range(len(h))] + strangers
+
+    def run_all():
+        for kwargs in runs:
+            for seed in range(5):
+                sim = simulate_elimination(plan, h, seed=seed, **kwargs)
+                assert sim.total_runs == sum(r.copies for r in sim.trace)
+
+    run_all()  # builds every test these runs reach and runs each at least once
+    built = dict(h._tests)
+    reads.clear()
+    run_all()
+    assert h._tests == built
+    assert reads == []
