@@ -447,7 +447,7 @@ def probe_overlap(u1: Gate, u2: Gate, probe: ProbeState, n: int) -> float:
     return min(1.0, abs(amp) ** 2)
 
 
-def _su2_folded_eigenbasis(alpha2, beta2) -> tuple[np.ndarray, np.ndarray]:
+def _su2_folded_eigenbasis(alpha2, beta2) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
     """Eigenvectors (w_plus, w_minus) of a relative qubit gate R, folded to its half-arc.
 
     Closed form, no eigendecomposition, read from the frame (2 alpha, 2 beta)
@@ -461,7 +461,8 @@ def _su2_folded_eigenbasis(alpha2, beta2) -> tuple[np.ndarray, np.ndarray]:
     vectors trade roles.  The other root negates S, which only swaps w_plus
     and w_minus; no probe's overlap changes under that swap.  Both vectors
     carry the gauge of `numkit.eig_unitary` (largest entry real positive).
-    For S = +/-1 (s = 0) the standard basis is returned.
+    For S = +/-1 (s = 0) the standard basis is returned.  The vectors are
+    pairs of Python scalars, so callers form their arrays once.
     """
     alpha2, beta2 = complex(alpha2), complex(beta2)
     s = math.hypot(alpha2.imag, abs(beta2))
@@ -470,7 +471,12 @@ def _su2_folded_eigenbasis(alpha2, beta2) -> tuple[np.ndarray, np.ndarray]:
     norm, vecs = math.hypot(abs(p), abs(q)), []
     for a, b in ((p, q), (-q.conjugate(), p.conjugate())):
         lead = a if abs(a) >= abs(b) else b  # numkit._fix_gauge's choice, in scalars
-        vecs.append(np.array([a, b]) * (abs(lead) / (lead * norm)))
+        scale = abs(lead) / (lead * norm)
+        if scale.imag:  # only at the |p| = |q| tie, where Python's complex multiply
+            # rounds unlike numpy's, whose bits the probes have always carried
+            vecs.append(tuple((np.array([a, b]) * scale).tolist()))
+        else:
+            vecs.append((a * scale, b * scale))
     return (vecs[1], vecs[0]) if alpha2.real < 0.0 else (vecs[0], vecs[1])
 
 
@@ -487,7 +493,7 @@ def optimal_probe_separable(u1: Gate, u2: Gate) -> ProbeState:
     _check_pair(u1, u2)
     rel = _relative_matrix(u1.matrix, u2.matrix)
     if u1.dim == 2:
-        v_a, v_b = _su2_folded_eigenbasis(*_su2_frame(rel)[1:])
+        v_a, v_b = np.array(_su2_folded_eigenbasis(*_su2_frame(rel)[1:]))
     else:
         eig = numkit.eig_unitary(rel, _pair_tol(u1, u2))
         arc = minimal_covering_arc(eig.phases)
@@ -543,9 +549,11 @@ def optimal_probe_ncopies(u1: Gate, u2: Gate) -> ProbeState:
 def _ncopies_probe(delta, alpha2, beta2) -> ProbeState:
     """The probe of `optimal_probe_ncopies` for one pair's frame `_su2_frame(R)`.
 
-    Callers that hold the frame already (the table of
+    Callers that hold the frame already (the frames of
     `protocol.HypothesisSet`) pass it in.  N comes from delta, and (w+, w-)
-    from the closed form `_su2_folded_eigenbasis(alpha2, beta2)`.
+    from the closed form `_su2_folded_eigenbasis(alpha2, beta2)`.  Every step
+    runs on Python scalars, and `coeffs`, `system` and `counts` are each
+    formed by one `np.array` call.
     """
     delta = float(delta)  # a numpy scalar would make every step below a numpy call
     n = _copies_for_distance(delta)
@@ -554,17 +562,17 @@ def _ncopies_probe(delta, alpha2, beta2) -> ProbeState:
     c_par, c_n = math.cos(parity * delta), math.cos(n * delta)
     q = 0.0 if n == 1 else c_par / (2.0 * (c_par - c_n))
     q = min(max(q, 0.0), 0.5)  # at N delta = pi/2, rounding puts q a few ulps past 1/2
-    # (weight, label per column): the columns are the first ceil(N/2) copies and
-    # the last floor(N/2); label 0 picks w+ and label 1 picks w-
-    terms = [(q, (0, 0)), (q, (1, 1))] if q > 0.0 else []
+    # (weight, factor per column): the columns are the first ceil(N/2) copies
+    # and the last floor(N/2), and each term picks w+ or w- per column
+    terms = [(q, (w_plus, w_plus)), (q, (w_minus, w_minus))] if q > 0.0 else []
     rem = 0.5 - q if parity == 1 else 1.0 - 2.0 * q
     if rem > _WEIGHT_DUST:
-        terms += [(rem, (0, 1)), (rem, (1, 0))] if parity == 1 else [(rem, (0, 1))]
-    weights, labels = zip(*terms)
+        terms += ([(rem, (w_plus, w_minus)), (rem, (w_minus, w_plus))] if parity == 1
+                  else [(rem, (w_plus, w_minus))])
     counts = [(n + 1) // 2, n // 2] if n > 1 else [1]
     return ProbeState(
-        coeffs=np.sqrt(weights),
-        system=np.stack([w_plus, w_minus])[np.array(labels)[:, : len(counts)]],
+        coeffs=np.array([math.sqrt(weight) for weight, _ in terms]),
+        system=np.array([columns[: len(counts)] for _, columns in terms]),
         counts=np.array(counts),
     )
 

@@ -9,10 +9,13 @@ global phase only, so any qubit unitaries qualify, whatever their determinants.
 
 A plan is a schedule of pairs; it builds nothing.  Each pair's test is built
 the first time a simulation runs it (or `TestPlan.tests` is read) and kept
-in its hypothesis set, so every test is built at most once per set.  A test
-also keeps the target-outcome probability of each in-set true gate it has
-run against, so repeated simulations on a set contract each (pair, truth)
-only once; an out-of-set true gate is contracted every round.
+in its hypothesis set, so every test is built at most once per set.  The
+set forms every ordered relative gate U_i^dag U_j and its qubit frame once,
+on construction: a test's probe is built from its pair's frame, and an
+in-set round reads U_i^dag U_true from the set.  A test also keeps the
+target-outcome probability of each in-set true gate it has run against, so
+repeated simulations on a set contract each (pair, truth) only once; an
+out-of-set true gate is contracted every round.
 
 The most distant surviving pair is read from a ranked list of all pairs,
 built once per hypothesis set.  Survivors only shrink, so a pair that is
@@ -48,10 +51,15 @@ class HypothesisSet:
     `distances` is the read-only k x k table of pairwise `gate_distance`
     values, symmetric with a zero diagonal.  It is computed once, on
     construction, and planning and simulation read it instead of
-    recomputing distances.  The same `gates._su2_frame` call gives each
-    ordered pair its (2 alpha, 2 beta), kept privately for the pair's probe.
-    The same table ranks every pair (i, j), i < j, once: by distance, largest
-    first, ties in row-major order.  Planning and re-planning take the first
+    recomputing distances.  Every ordered relative gate U_i^dag U_j is formed
+    once, in one stacked `gates._relative_matrix` call, and kept privately and
+    read-only (`_rels`, k x k x 2 x 2), as is its frame (delta, 2 alpha,
+    2 beta) from one stacked `gates._su2_frame` call (`_frames`, three k x k
+    arrays).  Each pair's probe is built from its frame, and in-set rounds
+    read U_i^dag U_true from `_rels`.  `distances` mirrors the frame's
+    half-arcs of the pairs i < j, so it is exactly symmetric.  The same
+    table ranks every pair (i, j), i < j, once: by distance, largest first,
+    ties in row-major order.  Planning and re-planning take the first
     ranked pair whose two members survive, which is the survivors' most
     distant pair.  The set also keeps each pair's `EliminationTest` once it
     is first built, so plans and simulations on the set build every test at
@@ -62,7 +70,9 @@ class HypothesisSet:
 
     gates: tuple[Gate, ...]
     distances: np.ndarray = field(init=False, repr=False)
-    _frames: np.ndarray = field(init=False, repr=False, compare=False)
+    _rels: np.ndarray = field(init=False, repr=False, compare=False)
+    _frames: tuple[np.ndarray, np.ndarray, np.ndarray] = field(
+        init=False, repr=False, compare=False)
     _ranked: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
     _tests: dict[tuple[int, int], EliminationTest] = field(
         init=False, repr=False, compare=False, default_factory=dict
@@ -79,15 +89,16 @@ class HypothesisSet:
                 raise DimensionError("the elimination protocol handles qubit gates only")
         k = len(self.gates)
         mats = np.stack([g.matrix for g in self.gates])
-        rows, cols = np.triu_indices(k, 1)
-        delta, alpha2, beta2 = _su2_frame(_relative_matrix(mats[rows], mats[cols]))
-        table, frames = np.zeros((k, k)), np.zeros((2, k, k), dtype=complex)
-        table[rows, cols] = table[cols, rows] = delta
-        # U_j^dag U_i = R^dag: the same delta, conj(2 alpha) and -2 beta
-        frames[:, rows, cols], frames[:, cols, rows] = (alpha2, beta2), (alpha2.conj(), -beta2)
-        for name, value in (("distances", table), ("_frames", frames)):
-            value.setflags(write=False)
+        rels = _relative_matrix(mats[:, None], mats[None, :])
+        frames = _su2_frame(rels)
+        table = np.triu(frames[0], 1)
+        table = table + table.T  # the mirrored upper triangle, exactly symmetric
+        for array in (table, rels, *frames):
+            array.setflags(write=False)
+        for name, value in (("distances", table), ("_rels", rels), ("_frames", frames)):
             object.__setattr__(self, name, value)
+        rows, cols = np.triu_indices(k, 1)
+        delta = frames[0][rows, cols]
         order = np.argsort(-delta, kind="stable")  # stable: ties keep row-major order
         ranked = zip(rows[order].tolist(), cols[order].tolist())
         object.__setattr__(self, "_ranked", tuple(ranked))
@@ -219,16 +230,13 @@ def _next_alive(pairs, alive: set[int]) -> tuple[int, int] | None:
 def _build_test(h: HypothesisSet, i: int, j: int) -> EliminationTest:
     """Pair (i, j)'s test from the set's cache, built there on first use.
 
-    The probe is `optimal_probe_ncopies(h.gates[i], h.gates[j])`, built
-    from the frame the set stored for the pair, so no relative gate is
-    formed here.  It matches bit for bit, except that for a hand-made pair
-    with i > j whose det R is real and negative (the branch cut of the
-    square root) the mirrored frame may be the other root: w+ and w- trade
-    places, an equally good probe.
+    The probe is `optimal_probe_ncopies(h.gates[i], h.gates[j])` bit for
+    bit, in either order of the pair, built from the frame the set stored
+    for U_i^dag U_j, so no relative gate is formed here.
     """
     test = h._tests.get((i, j))
     if test is None:
-        probe = _ncopies_probe(h.distances[i, j], *h._frames[:, i, j])
+        probe = _ncopies_probe(*(x[i, j] for x in h._frames))
         test = h._tests[i, j] = EliminationTest(pair=(i, j), probe=probe, gate=h.gates[i])
     return test
 
@@ -270,22 +278,23 @@ def simulate_elimination(
     from the set's cache, so only the rounds that run are built, each once
     per set.  For an in-set true gate the round's target probability is read
     from the test's memo, filled the first time the test runs against that
-    `true_index`; an out-of-set
-    `true_gate` is contracted with the probe every round and never stored,
-    its relative matrices to all k candidates formed in one stacked call.
+    `true_index` from the set's U_i^dag U_true, so no relative gate is formed;
+    an out-of-set `true_gate` is contracted with the probe every round and
+    never stored, its relative matrices to all k candidates formed in one
+    stacked call.
     The k-1 uniforms that decide the rounds are drawn in one call: round r
     lands on the target when u[r] < p_target, with
     u = numpy.random.default_rng(seed).random(k - 1).  Cold or warm, the
-    probabilities and outcomes are the same bits.  A negative seed raises
-    ValidationError.
+    probabilities and outcomes are the same bits.  A `true_index` that is
+    not an integer in 0..k-1, or a negative seed, raises ValidationError.
     """
     if plan.hypotheses is not h:
         raise ValidationError("the plan was made for another hypothesis set")
     if (true_index is None) == (true_gate is None):
         raise ValidationError("give exactly one of true_index or true_gate")
     if true_index is not None:
-        if not 0 <= true_index < len(h):
-            raise ValidationError(f"true_index {true_index} out of range")
+        if not (isinstance(true_index, (int, np.integer)) and 0 <= true_index < len(h)):
+            raise ValidationError(f"true_index {true_index!r} is not an index in 0..{len(h) - 1}")
         g_true, in_set = h.gates[true_index], True
     else:
         if not isinstance(true_gate, Gate) or true_gate.dim != 2:
@@ -303,7 +312,7 @@ def simulate_elimination(
         test = _build_test(h, i, j)
         p_target = test._p_target.get(true_index)  # None for an out-of-set gate
         if p_target is None:
-            rel = _relative_matrix(test.gate.matrix, g_true.matrix) if in_set else rels[i]
+            rel = h._rels[i, true_index] if in_set else rels[i]
             p_target = min(1.0, abs(_term_amplitude(test.probe, test.probe, rel)) ** 2)
             if in_set:
                 test._p_target[true_index] = p_target

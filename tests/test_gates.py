@@ -297,6 +297,27 @@ def test_qubit_closed_form_at_perfect_distinguishability():
     assert min_copies(one, isx) == 1
 
 
+def near_gate(m: np.ndarray, scale: float, rng) -> np.ndarray:
+    """m exp(i scale H), H Hermitian with Gaussian entries: a gate close to m."""
+    g = rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape)
+    w, v = np.linalg.eigh((g + g.conj().T) / 2.0)
+    return m @ ((v * np.exp(1j * scale * w)) @ v.conj().T)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_distance_obeys_the_triangle_inequality_on_near_triples(dim):
+    # each side against the other two, steps from 1e-6 to 0.3
+    rng = np.random.default_rng(31 + dim)
+    for _ in range(300):
+        scale = 10.0 ** rng.uniform(-6.0, -0.5)
+        a = haar_unitary(dim, rng)
+        b = near_gate(a, scale, rng)
+        c = near_gate(b, scale, rng)
+        ab, bc, ac = (gate_distance(Gate(x), Gate(y)) for x, y in ((a, b), (b, c), (a, c)))
+        for x, y, z in ((ab, bc, ac), (ab, ac, bc), (ac, bc, ab)):
+            assert z <= x + y + 4.0 * math.ulp(x + y)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),

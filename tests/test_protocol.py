@@ -176,6 +176,11 @@ def test_simulate_argument_validation():
         )  # both
     with pytest.raises(ValidationError):
         simulate_elimination(plan, PAULI_SET, true_index=7, seed=0)
+    for index in (1.0, 2.5, "1", [1]):  # an index, as for a plan's pairs
+        with pytest.raises(ValidationError, match="true_index"):
+            simulate_elimination(plan, PAULI_SET, true_index=index, seed=0)
+    sim = simulate_elimination(plan, PAULI_SET, true_index=np.int64(2), seed=0)
+    assert sim.identified_index == 2
     with pytest.raises(ValidationError):
         simulate_elimination(plan, PAULI_SET, true_gate=Gate.identity(3), seed=0)
     with pytest.raises(ValidationError, match="seed must be >= 0"):
@@ -246,8 +251,9 @@ def _same_bits(got, ref) -> bool:
 
 
 def test_a_pair_read_alone_gives_the_stored_frame():
-    # the set keeps (2 alpha, 2 beta) from its stacked frame call; builds read
-    # them there, so they must be what a single pair's _su2_frame gives
+    # the set keeps every ordered pair's U_i^dag U_j and (delta, 2 alpha, 2 beta)
+    # from stacked calls; builds and in-set rounds read them there, so they
+    # must be what a single pair's _relative_matrix and _su2_frame give
     rng = np.random.default_rng(16)
     tiny = np.diag(np.exp([1e-9j, -1e-9j]))
     mats = [np.eye(2), SX, SY, SZ, tiny, 1j * SX @ tiny]
@@ -264,24 +270,33 @@ def test_a_pair_read_alone_gives_the_stored_frame():
     assert np.all(stacked[0][2 * rows.size:] == 0.0)
     assert np.any(delta == math.pi / 2) and np.any(np.abs(delta / 1e-9 - 1.0) < 1e-6)
     h = HypothesisSet(gates=tuple(Gate(m) for m in mats))
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        ref = _su2_frame(_relative_matrix(h.gates[i].matrix, h.gates[j].matrix))
-        assert _same_bits((h.distances[i, j], *h._frames[:, i, j]), ref)
-    assert not h._frames.flags.writeable
+    for i in range(len(mats)):
+        for j in range(len(mats)):
+            rel = _relative_matrix(h.gates[i].matrix, h.gates[j].matrix)
+            assert np.array_equal(h._rels[i, j], rel)
+            assert _same_bits([x[i, j] for x in h._frames], _su2_frame(rel))
+            # the table mirrors the upper triangle, whose half-arcs are the frames'
+            assert h.distances[i, j] == h._frames[0][min(i, j), max(i, j)]
+    assert not any(x.flags.writeable for x in (h._rels, *h._frames))
 
 
-def test_reversed_pairs_read_the_mirrored_frame():
-    # a plan made by hand may test pair (j, i) with j > i; the set stores the
-    # frame of U_j^dag U_i = R^dag beside that of R
+def test_reversed_pairs_get_the_public_builders_probe():
+    # a plan made by hand may test pair (j, i) with j > i; the set keeps the
+    # frame of every ordered pair, so its probe is the public builder's, also
+    # on the branch cut of the square root (det U_j^dag U_i = -1: {I, X, Y, Z})
     rng = np.random.default_rng(17)
-    for k in (3, 5, 8):
-        h = random_set(k, rng)
+    sets = [random_set(k, rng) for k in (3, 5, 8)]
+    sets += [HypothesisSet(gates=(Gate.identity(2), Gate(SX), Gate(SY), Gate(SZ)))]
+    for h in sets:
+        k = len(h)
         reversed_pairs = tuple((j, i) for i, j in plan_elimination(h).pairs)
         plan = gatediscrim.protocol.TestPlan(pairs=reversed_pairs, hypotheses=h)
         for true_index in range(k):
             sim = simulate_elimination(plan, h, true_index=true_index, seed=true_index)
             assert sim.identified_index == true_index
-        for test in plan.tests:
+        every_pair = [(j, i) for i in range(k) for j in range(i + 1, k)]
+        tests = gatediscrim.protocol.TestPlan(pairs=every_pair, hypotheses=h).tests
+        for test in tests:
             j, i = test.pair
             assert test.gate is h.gates[j] and j > i
             assert probe_overlap(h.gates[j], h.gates[i], test.probe, test.copies) <= 1e-16
@@ -300,9 +315,11 @@ def test_planning_and_simulation_read_the_table(monkeypatch):
                 monkeypatch.setattr(module, name, boom)
     rng = np.random.default_rng(8)
     h = random_set(8, rng)
-    # tests take their half-arc and frame from the set too
+    # tests take their half-arc and frame from the set too, and in-set rounds,
+    # cold or warm, read U_i^dag U_true from the set's relative gates
     for module in (gatediscrim.gates, gatediscrim.protocol):
         monkeypatch.setattr(module, "_su2_frame", boom)
+    monkeypatch.setattr(gatediscrim.protocol, "_relative_matrix", boom)
     plan = plan_elimination(h)
     planned = set(plan.pairs)
     replanned = 0
@@ -311,10 +328,19 @@ def test_planning_and_simulation_read_the_table(monkeypatch):
             sim = simulate_elimination(plan, h, true_index=true_index, seed=seed)
             assert sim.identified_index == true_index
             replanned += sum(r.pair not in planned for r in sim.trace)
+    assert replanned > 0
+    # an out-of-set gate's relative gates to all k candidates: one stacked call
+    calls = []
+
+    def recorded(m1, m2):
+        calls.append(m1.shape)
+        return _relative_matrix(m1, m2)
+
+    monkeypatch.setattr(gatediscrim.protocol, "_relative_matrix", recorded)
     stranger = Gate(haar_unitary(2, rng, special=True))
     sim = simulate_elimination(plan, h, true_gate=stranger, seed=0)
     assert len(sim.trace) == 7
-    assert replanned > 0
+    assert calls == [(8, 2, 2)]
 
 
 @pytest.mark.parametrize(
