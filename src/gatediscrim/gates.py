@@ -8,6 +8,7 @@ arc covering the eigenphases of the relative gate U1^dag U2.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -55,11 +56,13 @@ class Gate:
     """A unitary operation on C^dim: a validated, read-only matrix.
 
     The matrix is checked for unitarity within `tol` on construction and
-    stored as a read-only copy, and `tol` is kept as a read-only attribute:
-    a pair's spectrum is checked at a tolerance its gates can meet
-    (`_pair_tol`).  Callers read what they need from `matrix`: the spectrum
-    of a pair's relative gate through `numkit.eig_unitary`, the determinant
-    in `sphere_embed`.
+    stored as a read-only copy.  `matrix`, `dim` and `tol` are read-only
+    properties, so a gate never changes after validation and the pair memo
+    `_pair`, keyed on the gate objects, never outlives the matrices it was
+    formed from; a pair's spectrum is checked at a tolerance its gates can
+    meet (`_pair_tol`).  Callers read what they need from `matrix`: the
+    spectrum of a pair's relative gate through `numkit.eig_unitary`, the
+    determinant in `sphere_embed`.
     """
 
     def __init__(self, matrix, tol: float = DEFAULT_TOL):
@@ -68,9 +71,19 @@ class Gate:
             raise DimensionError(f"gate matrix must be square, got {m.shape}")
         if not numkit.validate_unitary(m, tol):
             raise ValidationError("gate matrix is not unitary within tolerance")
-        self.matrix = _freeze(m)
-        self.dim = int(m.shape[0])
+        self._matrix = _freeze(m)
+        self._dim = int(m.shape[0])
         self._tol = float(tol)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The validated matrix, a read-only array."""
+        return self._matrix
+
+    @property
+    def dim(self) -> int:
+        """The dimension d of C^d the gate acts on."""
+        return self._dim
 
     @property
     def tol(self) -> float:
@@ -83,8 +96,8 @@ class Gate:
 
     def __array__(self, dtype=None, copy=None):
         if copy:
-            return np.array(self.matrix, dtype=dtype if dtype is not None else complex)
-        return self.matrix if dtype is None else self.matrix.astype(dtype, copy=False)
+            return np.array(self._matrix, dtype=dtype if dtype is not None else complex)
+        return self._matrix if dtype is None else self._matrix.astype(dtype, copy=False)
 
     def __repr__(self) -> str:
         return f"Gate(dim={self.dim})"
@@ -255,6 +268,26 @@ def _relative_matrix(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
     return np.einsum("...ji,...jk->...ik", m1.conj(), m2)
 
 
+@functools.lru_cache(maxsize=1)
+def _pair(u1: Gate, u2: Gate) -> tuple[np.ndarray, tuple | None]:
+    """U1^dag U2 of a checked pair, read-only, and for qubits its `_su2_frame`.
+
+    The one place a pair function forms them: `gate_distance` (and through
+    it both fidelities and `min_copies`), the probe builders,
+    `probe_overlap`, `oracle_min_overlap` and `geometry.overlap_samples`
+    read the pair here, so the functions of one pair form U1^dag U2 and its
+    frame once.  The memo holds only the last pair, keyed on the two `Gate`
+    objects by identity; a `Gate` cannot change after validation, and the
+    memo keeps both alive, so a hit always returns what a miss would form.
+    Callers run `_check_pair` first.  `HypothesisSet` and
+    `simulate_elimination` keep their own stacked arrays and do not come
+    through here.  The frame is None for d > 2.
+    """
+    rel = _relative_matrix(u1.matrix, u2.matrix)
+    rel.setflags(write=False)
+    return rel, (_su2_frame(rel) if u1.dim == 2 else None)
+
+
 def gate_distance(u1: Gate, u2: Gate) -> float:
     """Statistical angle between gates: min(arc half-width, pi/2).
 
@@ -271,9 +304,9 @@ def gate_distance(u1: Gate, u2: Gate) -> float:
     dimensions diagonalize U1^dag U2 and take its minimal covering arc.
     """
     _check_pair(u1, u2)
-    rel = _relative_matrix(u1.matrix, u2.matrix)
-    if u1.dim == 2:
-        return float(_su2_frame(rel)[0])
+    rel, frame = _pair(u1, u2)
+    if frame is not None:
+        return float(frame[0])
     phases = numkit.eig_unitary(rel, _pair_tol(u1, u2)).phases
     return min(minimal_covering_arc(phases).delta, _HALF_PI)
 
@@ -443,7 +476,7 @@ def probe_overlap(u1: Gate, u2: Gate, probe: ProbeState, n: int) -> float:
         raise DimensionError(f"probe holds {probe.copies} copies, got n={n}")
     if probe.dim != u1.dim:
         raise DimensionError(f"probe dimension {probe.dim} != gate dimension {u1.dim}")
-    amp = _term_amplitude(probe, probe, _relative_matrix(u1.matrix, u2.matrix))
+    amp = _term_amplitude(probe, probe, _pair(u1, u2)[0])
     return min(1.0, abs(amp) ** 2)
 
 
@@ -491,9 +524,9 @@ def optimal_probe_separable(u1: Gate, u2: Gate) -> ProbeState:
     `_su2_folded_eigenbasis`, other dimensions diagonalize U1^dag U2.
     """
     _check_pair(u1, u2)
-    rel = _relative_matrix(u1.matrix, u2.matrix)
-    if u1.dim == 2:
-        v_a, v_b = np.array(_su2_folded_eigenbasis(*_su2_frame(rel)[1:]))
+    rel, frame = _pair(u1, u2)
+    if frame is not None:
+        v_a, v_b = np.array(_su2_folded_eigenbasis(*frame[1:]))
     else:
         eig = numkit.eig_unitary(rel, _pair_tol(u1, u2))
         arc = minimal_covering_arc(eig.phases)
@@ -507,18 +540,26 @@ def optimal_probe_separable(u1: Gate, u2: Gate) -> ProbeState:
     return ProbeState(coeffs=np.ones(1), system=psi[None, None, :])
 
 
+# The maximally entangled qubit probe (|0>|0> + |1>|1>)/sqrt(2) does not
+# depend on the gates, so it is built and norm-checked once, at import.
+_BELL_BASIS = np.eye(2)[:, None, :]  # terms |0>|0> and |1>|1>
+_BELL_PROBE = ProbeState(coeffs=np.full(2, 1.0 / math.sqrt(2.0)), system=_BELL_BASIS,
+                         ancilla=_BELL_BASIS)
+
+
 def optimal_probe_single(u1: Gate, u2: Gate, entangled: bool) -> ProbeState:
     """Optimal single-use qubit probe, entangled or separable.
 
     Both choices leave the reduced state with weight 1/2 on each eigenvector
     of the relative gate, which is what minimizes the branch overlap for one
     use; the entangled probe is the maximally entangled pair state, the
-    separable one lives in the system factor alone.
+    separable one lives in the system factor alone.  The entangled probe
+    does not depend on the pair: every call returns the one read-only
+    `ProbeState` built when the module is imported.
     """
     _check_pair(u1, u2, dim=2)
     if entangled:
-        basis = np.eye(2)[:, None, :]  # terms |0>|0> and |1>|1>
-        return ProbeState(coeffs=np.full(2, 1.0 / math.sqrt(2.0)), system=basis, ancilla=basis)
+        return _BELL_PROBE
     return optimal_probe_separable(u1, u2)
 
 
@@ -537,13 +578,13 @@ def optimal_probe_ncopies(u1: Gate, u2: Gate) -> ProbeState:
     with an ancilla, and every term is constant on the first ceil(N/2)
     copies and on the last floor(N/2): it is stored as at most two counted
     columns, each term picking w+ or w- per column, so its size does not
-    grow with N.  U1^dag U2 and its `_su2_frame` are formed once, and
+    grow with N.  U1^dag U2 and its `_su2_frame` are read from `_pair`, and
     `_ncopies_probe` builds the state from that frame.  The tests check that
     the residual overlap stays within 1e-8 and each branch weight within
     [0, 1/2].
     """
     _check_pair(u1, u2, dim=2)
-    return _ncopies_probe(*_su2_frame(_relative_matrix(u1.matrix, u2.matrix)))
+    return _ncopies_probe(*_pair(u1, u2)[1])
 
 
 def _ncopies_probe(delta, alpha2, beta2) -> ProbeState:
@@ -637,13 +678,13 @@ def oracle_min_overlap(u1: Gate, u2: Gate, n: int) -> float:
     diagonalized: single-copy phases are never added up, and no phases are
     sorted into a covering arc.  The power's deviation from unitarity grows
     n-fold, so it is checked at n times the pair's `_pair_tol`.  Powers above
-    `_ORACLE_MAX_DIM` are refused with SizeLimitError before any is formed.
+    `_ORACLE_MAX_DIM` are refused with SizeLimitError before any is formed;
+    an `n` that is not an integer >= 1 raises ValidationError.
     """
     _check_pair(u1, u2)
-    if n < 1:
-        raise ValidationError(f"copy count must be >= 1, got {n}")
+    numkit._check_int(n, "copy count", 1)
     numkit._check_size(u1.dim, n, _ORACLE_MAX_DIM, "oracle dimension")
-    big = numkit.tensor_power(_relative_matrix(u1.matrix, u2.matrix), n)
+    big = numkit.tensor_power(_pair(u1, u2)[0], n)
     upper, _, _ = _wolfe_min_norm(numkit.eig_unitary(big, n * _pair_tol(u1, u2)).phases)
     return upper
 

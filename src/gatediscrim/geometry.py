@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .gates import (Gate, GateSU2Params, _check_pair, _relative_matrix, gate_fidelity_su2,
-                    su2_from_params)
-from .numkit import _rng
+from .gates import Gate, GateSU2Params, _check_pair, _pair, gate_fidelity_su2, su2_from_params
+from .numkit import _check_int, _rng
 
 
 @dataclass(frozen=True)
@@ -67,13 +66,16 @@ def metric_form_matrix(u: Gate, du) -> float:
     `du` should be (close to) a tangent matrix, i.e. U^dag dU
     anti-Hermitian; a Hermitian residual above `_TANGENT_SOFT_TOL` (relative
     to the largest entry of dU, at least 1) only triggers a warning since
-    finite-difference increments violate it at second order.
+    finite-difference increments violate it at second order.  A `du` with a
+    NaN or infinite entry raises ValidationError.
     """
     if not isinstance(u, Gate) or u.dim != 2:
         raise DimensionError("metric_form_matrix expects a 2x2 Gate")
     dm = np.asarray(du, dtype=complex)
     if dm.shape != (2, 2):
         raise DimensionError(f"tangent matrix must be 2x2, got {dm.shape}")
+    if not np.isfinite(dm).all():
+        raise ValidationError("tangent matrix entries must be finite")
     rel = u.matrix.conj().T @ dm
     herm_residual = np.abs(rel + rel.conj().T).max()
     scale = max(1.0, float(np.abs(dm).max()))
@@ -143,11 +145,11 @@ def haar_sample_su2(seed: int, n: int) -> SU2ParamSample:
     """n invariant-measure draws of qubit gate parameters.
 
     theta1 = arcsin(sqrt(u)) realizes the marginal density sin(2 theta1) on
-    [0, pi/2] by inverse transform; the two phases are uniform.  A negative
-    seed raises ValidationError.
+    [0, pi/2] by inverse transform; the two phases are uniform.  A seed that
+    is not an integer >= 0, or a count that is not an integer >= 1, raises
+    ValidationError.
     """
-    if n < 1:
-        raise ValidationError(f"sample count must be >= 1, got {n}")
+    _check_int(n, "sample count", 1)
     rng = _rng(seed)
     t1 = np.arcsin(np.sqrt(rng.random(n)))
     t2 = rng.uniform(0.0, 2.0 * math.pi, n)
@@ -190,14 +192,15 @@ def overlap_samples(u1: Gate, u2: Gate, samples: int, seed: int) -> np.ndarray:
     (2, samples, d); those are the same values, in the same order, as a draw
     of the real parts followed by a draw of the imaginary parts.  z is never
     normalized: each sample is |z^dag R z|^2 / |z|^4 with R = U1^dag U2.
-    Samples are evaluated in blocks of `_MC_BLOCK`, so the temporaries stay
-    small next to the draw, and a sample does not depend on the block size.
-    A negative seed raises ValidationError.
+    R is read through `gates._pair`, so it is the one the other functions of
+    the same pair read.  Samples are evaluated in blocks of `_MC_BLOCK`, so
+    the temporaries stay small next to the draw, and a sample does not
+    depend on the block size.  A sample count that is not an integer >= 1,
+    or a seed that is not an integer >= 0, raises ValidationError.
     """
     _check_pair(u1, u2)
-    if samples < 1:
-        raise ValidationError(f"sample count must be >= 1, got {samples}")
-    rel_t = _relative_matrix(u1.matrix, u2.matrix).T
+    _check_int(samples, "sample count", 1)
+    rel_t = _pair(u1, u2)[0].T
     x = _rng(seed).standard_normal((2, samples, u1.dim))
     out = np.empty(samples)
     block, start = _MC_BLOCK, 0

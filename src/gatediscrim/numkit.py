@@ -40,11 +40,21 @@ def _check_size(base: int, n: int, cap: int, what: str) -> None:
         raise SizeLimitError(f"{what} {base}^{n} exceeds the cap {cap}")
 
 
+def _check_int(value, what: str, least: int) -> None:
+    """Refuse anything but an `int` or numpy integer >= `least` with
+    ValidationError (CLI exit 2), where a float would otherwise reach numpy
+    or `range` and end in a bare TypeError."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    if value < least:
+        raise ValidationError(f"{what} must be >= {least}, got {value}")
+
+
 def _rng(seed: int) -> np.random.Generator:
-    """numpy's generator for `seed`.  A negative seed, which numpy refuses with
-    a plain ValueError, raises ValidationError (CLI exit 2)."""
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
+    """numpy's generator for `seed`.  A seed that is not an integer >= 0,
+    which numpy refuses with a plain TypeError or ValueError, raises
+    ValidationError (CLI exit 2)."""
+    _check_int(seed, "seed", 0)
     return np.random.default_rng(seed)
 
 

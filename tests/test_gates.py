@@ -36,6 +36,7 @@ from gatediscrim import (
     validate_unitary,
 )
 from gatediscrim.gates import (
+    _pair,
     _relative_matrix,
     _su2_folded_eigenbasis,
     _su2_frame,
@@ -43,7 +44,7 @@ from gatediscrim.gates import (
     _wolfe_min_norm,
 )
 from gatediscrim import gates as gates_mod
-from gatediscrim import numkit
+from gatediscrim import geometry, numkit
 from gatediscrim.protocol import _apply_copies
 from helpers import haar_unitary
 
@@ -87,6 +88,15 @@ def test_gate_keeps_its_tolerance_read_only():
     assert g.tol == 1e-6
     with pytest.raises(AttributeError):
         g.tol = 1e-3
+
+
+def test_gate_matrix_and_dim_are_read_only_properties():
+    # the pair memo is keyed on the gate objects, so a gate must not change
+    g = Gate(np.eye(2))
+    for name, value in (("matrix", np.diag([1.0, -1.0])), ("dim", 3)):
+        with pytest.raises(AttributeError):
+            setattr(g, name, value)
+    assert g.dim == 2 and np.array_equal(g.matrix, np.eye(2))
 
 
 def test_gate_identity_and_tensor_power():
@@ -943,6 +953,92 @@ def test_term_contraction_matches_dense(seed, n_terms, copies, dim, anc_factors,
 
 
 # ---------------------------------------------------------------------------
+# One relative gate per pair
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x).tobytes()
+
+
+def _count_calls(monkeypatch, name) -> list:
+    calls = []
+    original = getattr(gates_mod, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(gates_mod, name, counted)
+    return calls
+
+
+def _every_pair_function(u1, u2):
+    n = min_copies(u1, u2)
+    gate_distance(u1, u2)
+    gate_fidelity_sud(u1, u2)
+    probes = [(optimal_probe_separable(u1, u2), 1)]
+    if u1.dim == 2:
+        gate_fidelity_su2(u1, u2)
+        probes += [(optimal_probe_single(u1, u2, entangled=True), 1),
+                   (optimal_probe_single(u1, u2, entangled=False), 1),
+                   (optimal_probe_ncopies(u1, u2), n)]
+    for probe, copies in probes:
+        probe_overlap(u1, u2, probe, copies)
+    oracle_min_overlap(u1, u2, 1)
+    geometry.avg_fidelity_mc(u1, u2, samples=64, seed=3)
+
+
+@pytest.mark.parametrize("dim, frames", [(2, 1), (3, 0)])
+def test_one_pair_forms_its_relative_gate_and_frame_once(monkeypatch, dim, frames):
+    rng = np.random.default_rng(61)
+    u1, u2 = Gate(haar_unitary(dim, rng)), Gate(haar_unitary(dim, rng))
+    rels = _count_calls(monkeypatch, "_relative_matrix")
+    su2_frames = _count_calls(monkeypatch, "_su2_frame")
+    _every_pair_function(u1, u2)
+    assert (len(rels), len(su2_frames)) == (1, frames)
+    _every_pair_function(u2, u1)  # the reversed pair is another pair
+    assert (len(rels), len(su2_frames)) == (2, 2 * frames)
+
+
+def test_the_pair_memo_never_goes_stale():
+    rng = np.random.default_rng(62)
+    a, b, c = (Gate(haar_unitary(2, rng)) for _ in range(3))
+    for x, y in ((a, b), (b, a), (a, b), (a, c), (a, b), (b, a), (c, a), (a, c)):
+        rel, frame = _pair(x, y)
+        fresh = _relative_matrix(x.matrix, y.matrix)
+        assert _bits(rel) == _bits(fresh)
+        assert [_bits(f) for f in frame] == [_bits(f) for f in _su2_frame(fresh)]
+        assert _bits(gate_distance(x, y)) == _bits(float(_su2_frame(fresh)[0]))
+        probe = optimal_probe_ncopies(x, y)
+        direct = gates_mod._ncopies_probe(*_su2_frame(fresh))
+        for name in ("coeffs", "system", "counts"):
+            assert _bits(getattr(probe, name)) == _bits(getattr(direct, name))
+
+
+def test_the_pair_memo_is_read_only_and_holds_one_pair():
+    rng = np.random.default_rng(63)
+    gates = [Gate(haar_unitary(d, rng)) for d in (2, 2, 3, 3)]
+    for u1, u2 in itertools.permutations(gates, 2):
+        if u1.dim == u2.dim:
+            gate_distance(u1, u2)
+            rel, frame = _pair(u1, u2)
+            assert not rel.flags.writeable and (frame is None) == (u1.dim != 2)
+            with pytest.raises(ValueError):
+                rel[0, 0] = 0.0
+            assert _pair.cache_info().currsize <= 1
+
+
+def test_entangled_probe_is_one_shared_constant():
+    rng = np.random.default_rng(64)
+    first = optimal_probe_single(*su2_pair(rng), entangled=True)
+    second = optimal_probe_single(*su2_pair(rng), entangled=True)
+    assert first is second
+    for arr in (first.coeffs, first.system, first.ancilla, first.counts):
+        assert not arr.flags.writeable
+    assert (first.copies, first.ancilla_dim, first.separable) == (1, 2, False)
+
+
+# ---------------------------------------------------------------------------
 # Oracle agreement
 
 
@@ -955,6 +1051,10 @@ def test_oracle_trivial_cases():
     assert oracle_min_overlap(Gate.identity(2), Gate(1j * SX), 1) <= 1e-8
     with pytest.raises(ValidationError):
         oracle_min_overlap(u, u, 0)
+    for n in (2.0, 1.5, "1", None):  # a bare TypeError before
+        with pytest.raises(ValidationError, match="copy count must be an integer"):
+            oracle_min_overlap(u, u, n)
+    assert oracle_min_overlap(u, u, np.int64(2)) == 1.0
 
 
 def test_oracle_matches_closed_form_multi_copy():

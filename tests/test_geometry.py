@@ -56,6 +56,11 @@ def test_metric_matrix_validation():
         metric_form_matrix(Gate.identity(3), np.eye(3))
     with pytest.raises(DimensionError):
         metric_form_matrix(Gate.identity(2), np.eye(3))
+    # max(0, nan) read as 0.0 before
+    for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan)):
+        du = np.array([[0.0, 1.0], [-1.0, bad]], dtype=complex)
+        with pytest.raises(ValidationError, match="finite"):
+            metric_form_matrix(Gate(np.eye(2)), du)
 
 
 def test_distance_squared_matches_metric_locally():
@@ -130,6 +135,13 @@ def test_haar_sample_ranges_and_determinism():
         haar_sample_su2(7, 0)
     with pytest.raises(ValidationError, match="seed must be >= 0"):
         haar_sample_su2(-1, 5)
+    # a float count or seed raised a bare TypeError before
+    with pytest.raises(ValidationError, match="sample count must be an integer"):
+        haar_sample_su2(5, 2.5)
+    with pytest.raises(ValidationError, match="seed must be an integer"):
+        haar_sample_su2(1.5, 5)
+    same = haar_sample_su2(np.int64(7), np.int64(500))
+    assert all(a == b for a, b in zip(params, same))
 
 
 def test_haar_sample_arrays_back_the_sequence(monkeypatch):
@@ -242,6 +254,15 @@ def test_avg_fidelity_mc_determinism_and_validation():
     assert overlap_samples(u1, u2, samples=1, seed=5).shape == (1,)
     with pytest.raises(ValidationError, match="seed must be >= 0"):
         overlap_samples(u1, u2, samples=10, seed=-1)
+    # a float count or seed raised a bare TypeError before
+    with pytest.raises(ValidationError, match="sample count must be an integer"):
+        overlap_samples(u1, u2, 2.5, 1)
+    with pytest.raises(ValidationError, match="seed must be an integer"):
+        overlap_samples(u1, u2, 100, 1.5)
+    with pytest.raises(ValidationError, match="seed must be an integer"):
+        avg_fidelity_mc(u1, u2, samples=100, seed=None)
+    assert np.array_equal(overlap_samples(u1, u2, np.int64(100), np.int64(5)),
+                          overlap_samples(u1, u2, 100, 5))
     assert math.isfinite(avg_fidelity_mc(u1, u2, samples=2, seed=5).stderr)
 
 
