@@ -37,6 +37,12 @@ _ARC_RESOLUTION = math.ulp(2.0 * math.pi) / 2.0
 # exactly the remaining weight reads 0 or ~2e-16 depending on the last bit
 # of delta, and would otherwise add terms with coefficients of ~1e-8.
 _WEIGHT_DUST = 1e-15
+# How far a library-built probe's factors may stray from unit norm and
+# orthogonality, and its branch weights from summing to 1: about 90 units of
+# roundoff (2**-53).  Unit orthonormal factors with unit weight sum make the
+# norm 1 at every N, so this replaces the full N-copy contraction, which
+# raises each factor's rounding to the power N.
+_FACTOR_NORM_TOL = 1e-14
 # The oracle's duality-gap tolerance and major-iteration cap.
 _WOLFE_GAP_TOL = 1e-14
 _WOLFE_MAX_ITER = 100
@@ -361,7 +367,11 @@ class ProbeState:
     (the sum of counts), `dim`, `ancilla_dim` (a**m, 1 without an ancilla)
     and `separable` (no ancilla) are read from the arrays.  Of the library's
     probes only the entangled single-use one has an ancilla.  Every stored
-    array is a read-only copy of its input, and the norm is checked.
+    array is read-only.  `ProbeState(...)` stores read-only copies of its
+    inputs and checks the full norm within 1e-10.  The probes the library
+    builds itself (`_library_probe`) keep the arrays they were built from,
+    and their builders check the factors instead: unit, orthogonal and with
+    branch weights summing to 1, within `_FACTOR_NORM_TOL`.
     """
 
     coeffs: np.ndarray
@@ -428,6 +438,32 @@ class ProbeState:
         """Reduced density matrix on the gate-side (system) factor, through
         `to_vector` and so within numkit.MAX_TENSOR_DIM."""
         return numkit.partial_trace_b(self.to_vector(), dim_a=self.dim**self.copies)
+
+
+def _library_probe(coeffs: np.ndarray, system: np.ndarray,
+                   counts: np.ndarray | None = None) -> ProbeState:
+    """A separable `ProbeState` of arrays the library has just made and never touches again.
+
+    The arrays are made read-only in place and set without `__post_init__`:
+    no copy, no shape check and no norm contraction.  Callers pass `coeffs`
+    as complex128 and `counts` as int64 (all ones when None), the dtypes the
+    public constructor stores, and check their factors' norms themselves.
+    """
+    if counts is None:
+        counts = np.ones(system.shape[1], np.int64)
+    probe = object.__new__(ProbeState)
+    for name, value in (("coeffs", coeffs), ("system", system), ("counts", counts)):
+        value.setflags(write=False)
+        object.__setattr__(probe, name, value)
+    object.__setattr__(probe, "ancilla", None)
+    return probe
+
+
+def _check_factor_norm(deviation: float) -> None:
+    """Refuse a library-built probe whose factors stray from unit norm by more than
+    `_FACTOR_NORM_TOL` (`deviation` is the largest such residual)."""
+    if not deviation <= _FACTOR_NORM_TOL:
+        raise ValidationError(f"probe factors off unit norm by {deviation!r}")
 
 
 def _factor_gram(x: np.ndarray, y: np.ndarray, counts=1) -> np.ndarray:
@@ -537,7 +573,8 @@ def optimal_probe_separable(u1: Gate, u2: Gate) -> ProbeState:
         idx_b = int(np.argmin(diffs_b))
         v_a, v_b = eig.vectors[:, idx_a], eig.vectors[:, idx_b]
     psi = (v_a + v_b) / math.sqrt(2.0)
-    return ProbeState(coeffs=np.ones(1), system=psi[None, None, :])
+    _check_factor_norm(abs(np.vdot(psi, psi) - 1.0))
+    return _library_probe(np.ones(1, complex), psi[None, None, :])
 
 
 # The maximally entangled qubit probe (|0>|0> + |1>|1>)/sqrt(2) does not
@@ -579,7 +616,8 @@ def optimal_probe_ncopies(u1: Gate, u2: Gate) -> ProbeState:
     copies and on the last floor(N/2): it is stored as at most two counted
     columns, each term picking w+ or w- per column, so its size does not
     grow with N.  U1^dag U2 and its `_su2_frame` are read from `_pair`, and
-    `_ncopies_probe` builds the state from that frame.  The tests check that
+    `_ncopies_probe` builds the state from that frame and checks its
+    factors, not the N-copy norm (`_library_probe`).  The tests check that
     the residual overlap stays within 1e-8 and each branch weight within
     [0, 1/2].
     """
@@ -594,7 +632,9 @@ def _ncopies_probe(delta, alpha2, beta2) -> ProbeState:
     `protocol.HypothesisSet`) pass it in.  N comes from delta, and (w+, w-)
     from the closed form `_su2_folded_eigenbasis(alpha2, beta2)`.  Every step
     runs on Python scalars, and `coeffs`, `system` and `counts` are each
-    formed by one `np.array` call.
+    formed by one `np.array` call.  The norm is checked on the scalars, in a
+    form N cannot amplify: w+ and w- unit and orthogonal, and the branch
+    weights summing to 1, each within `_FACTOR_NORM_TOL`.
     """
     delta = float(delta)  # a numpy scalar would make every step below a numpy call
     n = _copies_for_distance(delta)
@@ -610,11 +650,16 @@ def _ncopies_probe(delta, alpha2, beta2) -> ProbeState:
     if rem > _WEIGHT_DUST:
         terms += ([(rem, (w_plus, w_minus)), (rem, (w_minus, w_plus))] if parity == 1
                   else [(rem, (w_plus, w_minus))])
+    (p0, p1), (m0, m1) = w_plus, w_minus
+    _check_factor_norm(max(abs(abs(p0) ** 2 + abs(p1) ** 2 - 1.0),
+                           abs(abs(m0) ** 2 + abs(m1) ** 2 - 1.0),
+                           abs(p0.conjugate() * m0 + p1.conjugate() * m1),
+                           abs(sum(weight for weight, _ in terms) - 1.0)))
     counts = [(n + 1) // 2, n // 2] if n > 1 else [1]
-    return ProbeState(
-        coeffs=np.array([math.sqrt(weight) for weight, _ in terms]),
-        system=np.array([columns[: len(counts)] for _, columns in terms]),
-        counts=np.array(counts),
+    return _library_probe(
+        np.array([math.sqrt(weight) for weight, _ in terms], complex),
+        np.array([columns[: len(counts)] for _, columns in terms], complex),
+        np.array(counts, np.int64),
     )
 
 

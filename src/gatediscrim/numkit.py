@@ -70,7 +70,9 @@ def validate_unitary(m, tol: float = DEFAULT_TOL) -> bool:
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
     d = m.shape[-1]
-    return bool(np.abs(np.swapaxes(m.conj(), -1, -2) @ m - np.eye(d)).max() <= tol)
+    gram = np.swapaxes(m.conj(), -1, -2) @ m
+    gram.reshape(*gram.shape[:-2], d * d)[..., :: d + 1] -= 1.0  # M^dag M - 1, in place
+    return bool(np.abs(gram).max() <= tol)
 
 
 @dataclass(frozen=True, eq=False)

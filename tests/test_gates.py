@@ -779,6 +779,87 @@ def test_ncopies_probe_residual_and_branch_weights():
         assert np.all(np.abs(probe.coeffs) <= _branch_amplitude_limits(probe))
 
 
+# The full-norm property of library-built probes, checked here rather than on
+# every build: <psi|psi> - 1 within _NORM_C * N * u, u = 2**-53.  Unit factors
+# that stray by e carry into the norm as about N e, and the pow that raises a
+# column's inner product to its count adds a few u.  Measured worst cases:
+# 4.0 N u for the rotated qubit pairs below (all of them, N up to 1.6e8) and
+# 19 u for the separable SU(8) probes.
+_NORM_C = 32.0
+
+
+def _norm_residual(probe: ProbeState) -> float:
+    return abs(_term_amplitude(probe, probe, None) - 1.0)
+
+
+@pytest.mark.parametrize("delta", [1e-3, 1e-5, 1e-6, 1e-7, 1e-8])
+def test_library_probe_full_norm_within_rounding_of_copies(delta):
+    # every rotated pair builds, also where N-fold rounding of <w|w> = 1 +/- ulp
+    # reads past the public constructor's 1e-10 (N = 1570797 and up)
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        u1, u2 = pair_at_distance(delta, rng)
+        probe = optimal_probe_ncopies(u1, u2)
+        assert probe.copies == min_copies(u1, u2)
+        assert _norm_residual(probe) <= _NORM_C * probe.copies * 2.0**-53
+
+
+@pytest.mark.parametrize("dim", [3, 8])
+def test_separable_probe_full_norm_within_rounding(dim):
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        u1 = Gate(haar_unitary(dim, rng, special=True))
+        u2 = Gate(haar_unitary(dim, rng, special=True))
+        assert _norm_residual(optimal_probe_separable(u1, u2)) <= _NORM_C * 2.0**-53
+
+
+def test_small_angle_rotated_pair_builds():
+    # I against V diag(e^{i delta}, e^{-i delta}) V^dag at delta = 1e-6: the
+    # N-fold norm reads 0.99999999983, which ProbeState(...) refuses
+    c, s, e = math.cos(0.3), math.sin(0.3), np.exp(0.7j)
+    v = np.array([[c, -s / e], [s * e, c]])
+    u1, u2 = Gate.identity(2), Gate((v * np.exp([1e-6j, -1e-6j])) @ v.conj().T)
+    probe = optimal_probe_ncopies(u1, u2)
+    assert probe.copies == 1570797
+    assert probe_overlap(u1, u2, probe, probe.copies) <= 1e-16
+    with pytest.raises(ValidationError, match="norm"):
+        ProbeState(coeffs=probe.coeffs, system=probe.system, counts=probe.counts)
+
+
+def test_library_probes_match_the_public_constructor():
+    # the builder skips the copies and the norm contraction, nothing else:
+    # same dtypes, same bits, read-only, wherever ProbeState(...) accepts
+    rng = np.random.default_rng(5)
+    pairs = [su2_pair(rng) for _ in range(20)]
+    pairs += [pair_at_distance(delta, rng) for delta in (1e-3, 0.1, math.pi / 6)]
+    pairs += [(Gate(haar_unitary(3, rng)), Gate(haar_unitary(3, rng))) for _ in range(5)]
+    for u1, u2 in pairs:
+        built = [optimal_probe_separable(u1, u2)]
+        if u1.dim == 2:
+            built.append(optimal_probe_ncopies(u1, u2))
+        for probe in built:
+            public = ProbeState(coeffs=probe.coeffs, system=probe.system, counts=probe.counts)
+            assert probe.ancilla is None
+            for name in ("coeffs", "system", "counts"):
+                ours, theirs = getattr(probe, name), getattr(public, name)
+                assert ours.dtype == theirs.dtype and not ours.flags.writeable
+                assert _bits(ours) == _bits(theirs)
+
+
+def test_library_probe_factors_are_checked(monkeypatch):
+    # a factor off unit norm is refused on the factor, before any contraction
+    eigenbasis = gates_mod._su2_folded_eigenbasis
+
+    def stretched(alpha2, beta2):
+        (a, b), w_minus = eigenbasis(alpha2, beta2)
+        return (a * (1 + 1e-13), b * (1 + 1e-13)), w_minus
+
+    monkeypatch.setattr(gates_mod, "_su2_folded_eigenbasis", stretched)
+    for build in (optimal_probe_ncopies, optimal_probe_separable):
+        with pytest.raises(ValidationError, match="unit norm"):
+            build(Gate.identity(2), rot(0.4))
+
+
 def test_probe_arrays_are_read_only():
     factor = np.array([1.0, 0.0], dtype=complex)
     counts = np.array([1])

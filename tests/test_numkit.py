@@ -30,6 +30,20 @@ def test_validate_unitary_basic():
         validate_unitary(np.ones((2, 3)))
 
 
+def test_validate_unitary_stack_matches_the_identity_residual():
+    # the in-place diagonal shift gives the boolean ||M^dag M - 1||_max <= tol,
+    # for single matrices and stacks, on either side of the tolerance
+    rng = np.random.default_rng(3)
+    for shape, d in (((), 2), ((), 5), ((4,), 2), ((3, 2), 3)):
+        base = np.array([haar_unitary(d, rng) for _ in range(int(np.prod(shape)))])
+        base = base.reshape(*shape, d, d)
+        for scale in (0.0, 1e-12, 1e-9, 1e-7):
+            m = base + scale * rng.standard_normal(base.shape)
+            residual = np.abs(np.swapaxes(m.conj(), -1, -2) @ m - np.eye(d)).max()
+            for tol in (1e-10, residual, np.nextafter(residual, 0.0)):
+                assert validate_unitary(m, tol) == (residual <= tol)
+
+
 @pytest.mark.parametrize("tol", [np.inf, np.nan, -1.0])
 def test_tolerance_must_be_finite_and_nonnegative(tol):
     # an infinite tolerance would accept any square matrix as unitary

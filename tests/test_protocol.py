@@ -506,9 +506,11 @@ def test_round_probability_is_one_contraction_of_the_probe():
 
 
 def test_planning_builds_no_probe(monkeypatch):
-    def boom(self):
+    def boom(*args):
         raise AssertionError("a probe was built while planning")
 
+    # library probes are built by _library_probe, user-built ones by __post_init__
+    monkeypatch.setattr(gatediscrim.gates, "_library_probe", boom)
     monkeypatch.setattr(gatediscrim.gates.ProbeState, "__post_init__", boom)
     rng = np.random.default_rng(13)
     # fresh sets: the module-level ones may hold tests built by other tests
