@@ -55,7 +55,7 @@ from .geometry import (
     sphere_embed,
     su2_tangent,
 )
-from .numkit import UnitaryEigen, eig_unitary, partial_trace_b, sqrt_psd, tensor_power, validate_unitary
+from .numkit import UnitaryEigen, eig_unitary, sqrt_psd, tensor_power, validate_unitary
 from .protocol import (
     EliminationTest,
     HypothesisSet,
@@ -124,7 +124,6 @@ __all__ = [
     "optimal_probe_single",
     "oracle_min_overlap",
     "overlap_samples",
-    "partial_trace_b",
     "plan_elimination",
     "povm_probabilities",
     "probe_overlap",

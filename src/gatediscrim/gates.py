@@ -67,7 +67,7 @@ class Gate:
     `_pair`, keyed on the gate objects, never outlives the matrices it was
     formed from; a pair's spectrum is checked at a tolerance its gates can
     meet (`_pair_tol`).  Callers read what they need from `matrix`: the
-    spectrum of a pair's relative gate through `numkit.eig_unitary`, the
+    spectrum of a pair's relative gate through `_pair_spectrum`, the
     determinant in `sphere_embed`.
     """
 
@@ -281,10 +281,11 @@ def _pair(u1: Gate, u2: Gate) -> tuple[np.ndarray, tuple | None]:
     The one place a pair function forms them: `gate_distance` (and through
     it both fidelities and `min_copies`), the probe builders,
     `probe_overlap`, `oracle_min_overlap` and `geometry.overlap_samples`
-    read the pair here, so the functions of one pair form U1^dag U2 and its
-    frame once.  The memo holds only the last pair, keyed on the two `Gate`
-    objects by identity; a `Gate` cannot change after validation, and the
-    memo keeps both alive, so a hit always returns what a miss would form.
+    read the pair here (for d > 2 through `_pair_spectrum`), so the functions
+    of one pair form U1^dag U2 and its frame once.  The memo holds only the
+    last pair, keyed on the two `Gate` objects by identity; a `Gate` cannot
+    change after validation, and the memo keeps both alive, so a hit always
+    returns what a miss would form.
     Callers run `_check_pair` first.  `HypothesisSet` and
     `simulate_elimination` keep their own stacked arrays and do not come
     through here.  The frame is None for d > 2.
@@ -292,6 +293,19 @@ def _pair(u1: Gate, u2: Gate) -> tuple[np.ndarray, tuple | None]:
     rel = _relative_matrix(u1.matrix, u2.matrix)
     rel.setflags(write=False)
     return rel, (_su2_frame(rel) if u1.dim == 2 else None)
+
+
+@functools.lru_cache(maxsize=1)
+def _pair_spectrum(u1: Gate, u2: Gate) -> numkit.UnitaryEigen:
+    """`numkit.eig_unitary` of a checked pair's U1^dag U2, at `_pair_tol`.
+
+    The one place a pair is diagonalized: `gate_distance` and
+    `optimal_probe_separable` for d > 2, and `oracle_min_overlap` at n = 1
+    (where the power is U1^dag U2 itself), so the functions of one pair run
+    one eigendecomposition.  Like `_pair`, it holds only the last pair, keyed
+    on the two `Gate` objects by identity; the spectrum is read-only.
+    """
+    return numkit.eig_unitary(_pair(u1, u2)[0], _pair_tol(u1, u2))
 
 
 def gate_distance(u1: Gate, u2: Gate) -> float:
@@ -310,11 +324,10 @@ def gate_distance(u1: Gate, u2: Gate) -> float:
     dimensions diagonalize U1^dag U2 and take its minimal covering arc.
     """
     _check_pair(u1, u2)
-    rel, frame = _pair(u1, u2)
+    frame = _pair(u1, u2)[1]
     if frame is not None:
         return float(frame[0])
-    phases = numkit.eig_unitary(rel, _pair_tol(u1, u2)).phases
-    return min(minimal_covering_arc(phases).delta, _HALF_PI)
+    return min(minimal_covering_arc(_pair_spectrum(u1, u2).phases).delta, _HALF_PI)
 
 
 def gate_fidelity_sud(u1: Gate, u2: Gate) -> float:
@@ -395,7 +408,7 @@ class ProbeState:
             object.__setattr__(self, name, value)
         if self.copies < 1 or self.dim < 2:
             raise ValidationError(f"need copies >= 1 and dim >= 2, got {self.copies}, {self.dim}")
-        norm2 = _term_amplitude(self, self, None).real
+        norm2 = _probe_amplitude(self, None).real
         if abs(norm2 - 1.0) > 1e-10:
             raise ValidationError(f"probe state norm^2 = {norm2!r}, not 1")
 
@@ -433,11 +446,6 @@ class ProbeState:
                 acc = np.kron(acc, f)
             out += acc
         return out
-
-    def system_density(self) -> np.ndarray:
-        """Reduced density matrix on the gate-side (system) factor, through
-        `to_vector` and so within numkit.MAX_TENSOR_DIM."""
-        return numkit.partial_trace_b(self.to_vector(), dim_a=self.dim**self.copies)
 
 
 def _library_probe(coeffs: np.ndarray, system: np.ndarray,
@@ -480,23 +488,18 @@ def _factor_gram(x: np.ndarray, y: np.ndarray, counts=1) -> np.ndarray:
     return (g**counts).prod(axis=2)
 
 
-def _term_amplitude(a: ProbeState, b: ProbeState, op: np.ndarray | None) -> complex:
-    """<a| op^(x)copies (x) 1 |b> for two probes (op None: identity).
+def _probe_amplitude(probe: ProbeState, op: np.ndarray | None) -> complex:
+    """<p| op^(x)copies (x) 1 |p> for a probe p (op None: identity).
 
     The Gram matrices of every factor column come from one batched
     contraction, raised to the column counts and multiplied across columns;
     the coefficients then close the sum over term pairs.
     """
-    a_anc = None if a.ancilla is None else a.ancilla.shape[1:]
-    b_anc = None if b.ancilla is None else b.ancilla.shape[1:]
-    if (a.system.shape[1:] != b.system.shape[1:] or a_anc != b_anc
-            or a.counts.tolist() != b.counts.tolist()):
-        raise DimensionError("probe factor structures differ")
-    right = b.system if op is None else b.system @ op.T
-    gram = _factor_gram(a.system, right, a.counts)
-    if a.ancilla is not None:
-        gram = gram * _factor_gram(a.ancilla, b.ancilla)
-    return complex(a.coeffs.conj() @ gram @ b.coeffs)
+    right = probe.system if op is None else probe.system @ op.T
+    gram = _factor_gram(probe.system, right, probe.counts)
+    if probe.ancilla is not None:
+        gram = gram * _factor_gram(probe.ancilla, probe.ancilla)
+    return complex(probe.coeffs.conj() @ gram @ probe.coeffs)
 
 
 def probe_overlap(u1: Gate, u2: Gate, probe: ProbeState, n: int) -> float:
@@ -512,7 +515,7 @@ def probe_overlap(u1: Gate, u2: Gate, probe: ProbeState, n: int) -> float:
         raise DimensionError(f"probe holds {probe.copies} copies, got n={n}")
     if probe.dim != u1.dim:
         raise DimensionError(f"probe dimension {probe.dim} != gate dimension {u1.dim}")
-    amp = _term_amplitude(probe, probe, _pair(u1, u2)[0])
+    amp = _probe_amplitude(probe, _pair(u1, u2)[0])
     return min(1.0, abs(amp) ** 2)
 
 
@@ -560,11 +563,11 @@ def optimal_probe_separable(u1: Gate, u2: Gate) -> ProbeState:
     `_su2_folded_eigenbasis`, other dimensions diagonalize U1^dag U2.
     """
     _check_pair(u1, u2)
-    rel, frame = _pair(u1, u2)
+    frame = _pair(u1, u2)[1]
     if frame is not None:
         v_a, v_b = np.array(_su2_folded_eigenbasis(*frame[1:]))
     else:
-        eig = numkit.eig_unitary(rel, _pair_tol(u1, u2))
+        eig = _pair_spectrum(u1, u2)
         arc = minimal_covering_arc(eig.phases)
         diffs = np.abs(numkit._principal(eig.phases - arc.extremes[0]))
         idx_a = int(np.argmin(diffs))
@@ -722,15 +725,21 @@ def oracle_min_overlap(u1: Gate, u2: Gate, n: int) -> float:
     raises ConvergenceError if that gap stays open.  The full tensor power is
     diagonalized: single-copy phases are never added up, and no phases are
     sorted into a covering arc.  The power's deviation from unitarity grows
-    n-fold, so it is checked at n times the pair's `_pair_tol`.  Powers above
-    `_ORACLE_MAX_DIM` are refused with SizeLimitError before any is formed;
-    an `n` that is not an integer >= 1 raises ValidationError.
+    n-fold, so it is checked at n times the pair's `_pair_tol`; at n = 1 the
+    power is U1^dag U2 itself, and its spectrum is the pair's
+    `_pair_spectrum`.  Powers above `_ORACLE_MAX_DIM` are refused with
+    SizeLimitError before any is formed; an `n` that is not an integer >= 1
+    raises ValidationError.
     """
     _check_pair(u1, u2)
     numkit._check_int(n, "copy count", 1)
     numkit._check_size(u1.dim, n, _ORACLE_MAX_DIM, "oracle dimension")
-    big = numkit.tensor_power(_pair(u1, u2)[0], n)
-    upper, _, _ = _wolfe_min_norm(numkit.eig_unitary(big, n * _pair_tol(u1, u2)).phases)
+    if n == 1:
+        eig = _pair_spectrum(u1, u2)
+    else:
+        big = numkit.tensor_power(_pair(u1, u2)[0], n)
+        eig = numkit.eig_unitary(big, n * _pair_tol(u1, u2))
+    upper, _, _ = _wolfe_min_norm(eig.phases)
     return upper
 
 

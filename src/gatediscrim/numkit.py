@@ -86,9 +86,6 @@ class UnitaryEigen:
     phases: np.ndarray
     vectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.vectors * np.exp(1j * self.phases)) @ self.vectors.conj().T
-
 
 def _principal(phi: np.ndarray) -> np.ndarray:
     """Map angles to the principal branch (-pi, pi]."""
@@ -186,19 +183,3 @@ def tensor_power(u, n: int) -> np.ndarray:
     for _ in range(n - 1):
         out = np.kron(out, m)
     return out
-
-
-def partial_trace_b(psi, dim_a: int) -> np.ndarray:
-    """Reduced density matrix on subsystem A of a pure state normalized within DEFAULT_TOL.
-
-    `psi` lives on C^dim_a (x) C^dim_b with dim_b inferred from the length.
-    """
-    vec = np.asarray(psi, dtype=complex).reshape(-1)
-    size = vec.size
-    if dim_a < 1 or size % dim_a != 0:
-        raise DimensionError(f"length {size} does not factor through dim_a={dim_a}")
-    if abs(np.linalg.norm(vec) - 1.0) > DEFAULT_TOL:
-        raise ValidationError("state is not normalized within tolerance")
-    coeff = vec.reshape(dim_a, size // dim_a)
-    rho = coeff @ coeff.conj().T
-    return (rho + rho.conj().T) / 2.0

@@ -24,7 +24,7 @@ list once per plan or simulation, from front to back.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -35,9 +35,9 @@ from .gates import (
     Gate,
     ProbeState,
     _ncopies_probe,
+    _probe_amplitude,
     _relative_matrix,
     _su2_frame,
-    _term_amplitude,
 )
 from .numkit import _rng
 
@@ -115,19 +115,19 @@ class HypothesisSet:
 class EliminationTest:
     """One pairwise discrimination round.
 
-    `gate` is candidate `pair[0]`.  `copies`, the probe's, is read once and
-    kept; `target`, the probe's image under `gate`, is formed when asked
-    for.  The measurement is the projective pair {P, 1 - P} with P onto
-    `target`.  Landing on P rules out `pair[1]` (the images are orthogonal),
-    the complement rules out `pair[0]`.  The probability of landing on P
-    when candidate t is the true gate depends only on the test and t, so
-    `simulate_elimination` keeps it privately, keyed by t, the first time
-    it runs the test against t (at most k entries).
+    `copies`, the probe's, is read once and kept.  The measurement is the
+    projective pair {P, 1 - P} with P onto the target, the probe's image
+    under candidate `pair[0]` (`h.gates[pair[0]]`).  Landing on P rules out
+    `pair[1]` (the images are orthogonal), the complement rules out
+    `pair[0]`.  The probability of landing on P when candidate t is the true
+    gate, |<probe|(U_pair[0]^dag U_t)^(x)N|probe>|^2, depends only on the test
+    and t, so `simulate_elimination` keeps it privately, keyed by t, the
+    first time it runs the test against t (at most k entries).  Dense work
+    on the probe goes through `ProbeState.to_vector`.
     """
 
     pair: tuple[int, int]
     probe: ProbeState
-    gate: Gate
     _p_target: dict[int, float] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
@@ -135,16 +135,6 @@ class EliminationTest:
     @cached_property
     def copies(self) -> int:
         return self.probe.copies
-
-    @property
-    def target(self) -> ProbeState:
-        return _apply_copies(self.gate, self.probe)
-
-    def povm(self) -> list[np.ndarray]:
-        """Dense two-element projective measurement {P, 1 - P}, within numkit.MAX_TENSOR_DIM."""
-        v = self.target.to_vector()
-        proj = np.outer(v, v.conj())
-        return [proj, np.eye(v.size) - proj]
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,11 +198,6 @@ class SimResult:
     true_in_set: bool
 
 
-def _apply_copies(gate: Gate, probe: ProbeState) -> ProbeState:
-    """Image of a probe under gate^(x)copies (x) 1 (a test's target)."""
-    return replace(probe, system=probe.system @ gate.matrix.T)
-
-
 def _next_alive(pairs, alive: set[int]) -> tuple[int, int] | None:
     """Advance the iterator `pairs` past its first pair with both members in `alive`.
 
@@ -237,7 +222,7 @@ def _build_test(h: HypothesisSet, i: int, j: int) -> EliminationTest:
     test = h._tests.get((i, j))
     if test is None:
         probe = _ncopies_probe(*(x[i, j] for x in h._frames))
-        test = h._tests[i, j] = EliminationTest(pair=(i, j), probe=probe, gate=h.gates[i])
+        test = h._tests[i, j] = EliminationTest(pair=(i, j), probe=probe)
     return test
 
 
@@ -313,7 +298,7 @@ def simulate_elimination(
         p_target = test._p_target.get(true_index)  # None for an out-of-set gate
         if p_target is None:
             rel = h._rels[i, true_index] if in_set else rels[i]
-            p_target = min(1.0, abs(_term_amplitude(test.probe, test.probe, rel)) ** 2)
+            p_target = min(1.0, abs(_probe_amplitude(test.probe, rel)) ** 2)
             if in_set:
                 test._p_target[true_index] = p_target
         outcome_target = u < p_target

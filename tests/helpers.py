@@ -1,8 +1,17 @@
-"""Shared random-object generators for the test suite.
+"""Shared random-object generators and dense references for the test suite.
 
-Everything takes an explicit Generator so tests stay reproducible.
+Every generator takes an explicit Generator so tests stay reproducible.  The
+dense references (reduced states, probe images, two-probe amplitudes, the
+spectral reconstruction) check the library's results; the library itself
+needs none of them.
 """
+import dataclasses
+import itertools
+
 import numpy as np
+
+from gatediscrim import DimensionError, ValidationError
+from gatediscrim.numkit import DEFAULT_TOL
 
 
 def haar_unitary(dim: int, rng: np.random.Generator, special: bool = False) -> np.ndarray:
@@ -48,3 +57,50 @@ def rand_povm(dim: int, n_outcomes: int, rng: np.random.Generator) -> list[np.nd
 def rand_prob(dim: int, rng: np.random.Generator, floor: float = 0.0) -> np.ndarray:
     p = rng.random(dim) + floor
     return p / p.sum()
+
+
+def partial_trace_b(psi, dim_a: int) -> np.ndarray:
+    """Reduced density matrix on subsystem A of a pure state normalized within DEFAULT_TOL.
+
+    `psi` lives on C^dim_a (x) C^dim_b with dim_b inferred from the length.
+    """
+    vec = np.asarray(psi, dtype=complex).reshape(-1)
+    size = vec.size
+    if dim_a < 1 or size % dim_a != 0:
+        raise DimensionError(f"length {size} does not factor through dim_a={dim_a}")
+    if abs(np.linalg.norm(vec) - 1.0) > DEFAULT_TOL:
+        raise ValidationError("state is not normalized within tolerance")
+    coeff = vec.reshape(dim_a, size // dim_a)
+    rho = coeff @ coeff.conj().T
+    return (rho + rho.conj().T) / 2.0
+
+
+def system_density(probe) -> np.ndarray:
+    """Reduced density matrix of a `ProbeState` on its gate-side (system) factor."""
+    return partial_trace_b(probe.to_vector(), dim_a=probe.dim**probe.copies)
+
+
+def apply_copies(gate, probe):
+    """Image of a `ProbeState` under gate^(x)copies (x) 1, through the public constructor."""
+    return dataclasses.replace(probe, system=probe.system @ gate.matrix.T)
+
+
+def term_amplitude(a, b, op: np.ndarray | None = None) -> complex:
+    """<a| op^(x)copies (x) 1 |b> for two `ProbeState`s of one factor structure
+    (op None: identity), summed term pair by term pair and factor by factor."""
+    total = 0.0 + 0.0j
+    for s, t in itertools.product(range(a.coeffs.size), range(b.coeffs.size)):
+        amp = np.conj(a.coeffs[s]) * b.coeffs[t]
+        for x, y in zip(np.repeat(a.system[s], a.counts, axis=0),
+                        np.repeat(b.system[t], b.counts, axis=0), strict=True):
+            amp *= np.vdot(x, y if op is None else op @ y)
+        if a.ancilla is not None:
+            for x, y in zip(a.ancilla[s], b.ancilla[t], strict=True):
+                amp *= np.vdot(x, y)
+        total += amp
+    return complex(total)
+
+
+def reconstruct(eig) -> np.ndarray:
+    """The unitary sum_k exp(i phases[k]) |v_k><v_k| of a `numkit.UnitaryEigen`."""
+    return (eig.vectors * np.exp(1j * eig.phases)) @ eig.vectors.conj().T

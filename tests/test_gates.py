@@ -39,14 +39,13 @@ from gatediscrim.gates import (
     _pair,
     _relative_matrix,
     _su2_folded_eigenbasis,
+    _probe_amplitude,
     _su2_frame,
-    _term_amplitude,
     _wolfe_min_norm,
 )
 from gatediscrim import gates as gates_mod
 from gatediscrim import geometry, numkit
-from gatediscrim.protocol import _apply_copies
-from helpers import haar_unitary
+from helpers import apply_copies, haar_unitary, system_density, term_amplitude
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -210,6 +209,33 @@ def test_pair_spectra_are_taken_at_the_gates_tolerance():
     for n in (1, 2, 3, 4):
         closed = 0.0 if n > 1 else 0.25
         assert abs(oracle_min_overlap(q1, q2, n) - closed) <= 1e-9
+
+
+def test_a_qudit_pair_is_diagonalized_once(monkeypatch):
+    # distance, fidelity, copies, separable probe and the oracle at n = 1 of one
+    # SU(3) pair share one eigendecomposition of U1^dag U2; n = 2 runs its own
+    calls = []
+    original = numkit.eig_unitary
+
+    def counted(u, tol=numkit.DEFAULT_TOL):
+        calls.append(tol)
+        return original(u, tol)
+
+    rng = np.random.default_rng(33)
+    u1, u2 = (Gate(haar_unitary(3, rng, special=True)) for _ in range(2))
+    expected = (gate_distance(u1, u2), optimal_probe_separable(u1, u2).system,
+                oracle_min_overlap(u1, u2, 1))
+    u1, u2 = Gate(u1.matrix), Gate(u2.matrix)  # new objects: the memo misses
+    monkeypatch.setattr(numkit, "eig_unitary", counted)
+    got = (gate_distance(u1, u2), optimal_probe_separable(u1, u2).system,
+           oracle_min_overlap(u1, u2, 1))
+    gate_fidelity_sud(u1, u2)
+    min_copies(u1, u2)
+    assert calls == [gates_mod._pair_tol(u1, u2)]
+    assert got[0] == expected[0] and got[2] == expected[2]
+    assert np.array_equal(got[1], expected[1])
+    oracle_min_overlap(u1, u2, 2)
+    assert calls == [gates_mod._pair_tol(u1, u2), 2 * gates_mod._pair_tol(u1, u2)]
 
 
 def test_accepted_gate_coincides_with_itself_up_to_phase():
@@ -591,7 +617,7 @@ def test_separable_probe_reduced_weights_are_half():
     u1, u2 = su2_pair(rng)
     for entangled in (True, False):
         probe = optimal_probe_single(u1, u2, entangled=entangled)
-        rho = probe.system_density()
+        rho = system_density(probe)
         eig = eig_unitary(u1.matrix.conj().T @ u2.matrix)
         w = np.einsum("ik,ij,jk->k", eig.vectors.conj(), rho, eig.vectors).real
         assert np.allclose(w, 0.5, atol=1e-10)
@@ -789,7 +815,7 @@ _NORM_C = 32.0
 
 
 def _norm_residual(probe: ProbeState) -> float:
-    return abs(_term_amplitude(probe, probe, None) - 1.0)
+    return abs(_probe_amplitude(probe, None) - 1.0)
 
 
 @pytest.mark.parametrize("delta", [1e-3, 1e-5, 1e-6, 1e-7, 1e-8])
@@ -892,14 +918,6 @@ def test_probe_array_structure_errors():
         ProbeState(coeffs=np.ones(1), system=e0[None, None, :], ancilla=np.ones((2, 1, 2)))
     with pytest.raises(DimensionError):
         ProbeState(coeffs=np.ones(1), system=e0[None, None, :], ancilla=e0[None, :])
-    one = ProbeState(coeffs=np.ones(1), system=e0[None, None, :])
-    two = ProbeState(coeffs=np.ones(1), system=np.stack([e0, e0])[None])
-    with pytest.raises(DimensionError, match="probe factor structures differ"):
-        _term_amplitude(one, two, None)
-    # two copies in one column of two are not the same structure as two columns of one
-    two_counted = ProbeState(coeffs=np.ones(1), system=e0[None, None, :], counts=np.array([2]))
-    with pytest.raises(DimensionError, match="probe factor structures differ"):
-        _term_amplitude(two_counted, two, None)
 
 
 @pytest.mark.parametrize(
@@ -935,7 +953,7 @@ def _spectral_weight_overlap(u1: Gate, u2: Gate, probe: ProbeState) -> float:
     for _ in range(probe.copies - 1):
         vecs = np.kron(vecs, eig.vectors)
         phases = (phases[:, None] + eig.phases[None, :]).reshape(-1)
-    rho = probe.system_density()
+    rho = system_density(probe)
     weights = np.clip(np.einsum("ik,ij,jk->k", vecs.conj(), rho, vecs).real, 0.0, None)
     return abs((weights * np.exp(1j * phases)).sum()) ** 2
 
@@ -957,21 +975,6 @@ def test_overlap_matches_spectral_weights():
     assert ncopies_checked >= 50
 
 
-def _loop_amplitude(a: ProbeState, b: ProbeState, op: np.ndarray) -> complex:
-    """<a| op^(x)copies (x) 1 |b> summed term pair by term pair and factor by factor."""
-    total = 0.0 + 0.0j
-    for s, t in itertools.product(range(a.coeffs.size), repeat=2):
-        amp = np.conj(a.coeffs[s]) * b.coeffs[t]
-        for x, y in zip(np.repeat(a.system[s], a.counts, axis=0),
-                        np.repeat(b.system[t], b.counts, axis=0)):
-            amp *= np.vdot(x, op @ y)
-        if a.ancilla is not None:
-            for x, y in zip(a.ancilla[s], b.ancilla[t]):
-                amp *= np.vdot(x, y)
-        total += amp
-    return complex(total)
-
-
 @pytest.mark.parametrize("delta", [1e-2, 1e-3])
 def test_ncopies_probe_large_n(delta):
     # N = 158 and N = 1571: far beyond any dense representation
@@ -983,11 +986,11 @@ def test_ncopies_probe_large_n(delta):
     n = math.ceil(math.pi / (2 * delta))
     assert probe.copies == n and probe.counts.sum() == n
     assert probe.system.shape[1] <= 2  # the arrays do not grow with N
-    assert abs(_loop_amplitude(probe, probe, np.eye(2)) - 1.0) <= 1e-10
+    assert abs(term_amplitude(probe, probe) - 1.0) <= 1e-10
     assert probe_overlap(u1, u2, probe, n) <= 1e-16
     # the contraction agrees with the factor-by-factor loop to n rounding steps
     rel = u1.matrix.conj().T @ u2.matrix
-    assert abs(_term_amplitude(probe, probe, rel) - _loop_amplitude(probe, probe, rel)) <= 1e-12
+    assert abs(_probe_amplitude(probe, rel) - term_amplitude(probe, probe, rel)) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -1030,7 +1033,7 @@ def test_term_contraction_matches_dense(seed, n_terms, copies, dim, anc_factors,
 
     expected = abs(np.vdot(dense, image(u1.matrix.conj().T @ u2.matrix))) ** 2
     assert abs(probe_overlap(u1, u2, probe, copies) - expected) <= 1e-12
-    assert np.allclose(_apply_copies(u1, probe).to_vector(), image(u1.matrix), atol=1e-12)
+    assert np.allclose(apply_copies(u1, probe).to_vector(), image(u1.matrix), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,9 @@ from gatediscrim import (
     probe_overlap,
     simulate_elimination,
 )
-from gatediscrim.gates import _relative_matrix, _su2_frame, _term_amplitude
-from gatediscrim.protocol import _apply_copies, _next_alive
-from helpers import haar_unitary
+from gatediscrim.gates import _relative_matrix, _su2_frame
+from gatediscrim.protocol import _next_alive
+from helpers import apply_copies, haar_unitary, term_amplitude
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1j], [1j, 0.0]])
@@ -61,17 +61,17 @@ def test_set_with_determinant_minus_one_identifies_every_index():
             assert sim.total_runs == 2
 
 
-def test_elimination_test_stores_pair_probe_and_gate():
+def test_elimination_test_stores_pair_and_probe():
+    # the candidate a test's target is formed with is h.gates[pair[0]]; the
+    # test itself keeps only the pair, the probe and its memo
     for t in plan_elimination(FOUR_PAULI_SET).tests:
         fields = dataclasses.fields(t)
-        assert [f.name for f in fields if f.init] == ["pair", "probe", "gate"]
+        assert [f.name for f in fields if f.init] == ["pair", "probe"]
         # the one other field is the private memo of round probabilities
         (memo,) = [f for f in fields if not f.init]
         assert memo.name == "_p_target" and not (memo.repr or memo.compare)
-        assert t.gate is FOUR_PAULI_SET.gates[t.pair[0]]
         assert t.copies == t.probe.copies
         assert type(t.copies) is int
-        np.testing.assert_array_equal(t.target.system, _apply_copies(t.gate, t.probe).system)
 
 
 def test_plan_shape_and_orthogonal_images():
@@ -209,13 +209,22 @@ def test_simulation_deterministic_given_seed():
 
 
 def test_povm_of_planned_test():
+    # the dense pair {P, 1 - P}, P onto the probe's image under candidate
+    # pair[0], is a measurement, and P has each truth's round probability
     plan = plan_elimination(PAULI_SET)
-    elems = plan.tests[0].povm()
-    assert len(elems) == 2
+    test = plan.tests[0]
+    v = apply_copies(PAULI_SET.gates[test.pair[0]], test.probe).to_vector()
+    proj = np.outer(v, v.conj())
+    elems = [proj, np.eye(v.size) - proj]
     total = elems[0] + elems[1]
     assert np.abs(total - np.eye(total.shape[0])).max() <= 1e-10
     for e in elems:
         assert np.linalg.eigvalsh(e).min() >= -1e-10
+    for t, g_true in enumerate(PAULI_SET.gates):
+        (first, *_) = simulate_elimination(plan, PAULI_SET, true_index=t).trace
+        image = apply_copies(g_true, test.probe).to_vector()
+        assert first.pair == test.pair
+        assert abs(np.vdot(image, proj @ image).real - first.p_target) <= 1e-12
 
 
 def test_close_pair_uses_many_copies():
@@ -298,7 +307,7 @@ def test_reversed_pairs_get_the_public_builders_probe():
         tests = gatediscrim.protocol.TestPlan(pairs=every_pair, hypotheses=h).tests
         for test in tests:
             j, i = test.pair
-            assert test.gate is h.gates[j] and j > i
+            assert j > i
             assert probe_overlap(h.gates[j], h.gates[i], test.probe, test.copies) <= 1e-16
             ref = optimal_probe_ncopies(h.gates[j], h.gates[i])
             for name in ("coeffs", "system", "counts"):
@@ -493,8 +502,8 @@ def test_round_probability_is_one_contraction_of_the_probe():
             sim = simulate_elimination(plan, h, seed=seed, **kwargs)
             for record in sim.trace:
                 test = h._tests[record.pair]
-                target = _apply_copies(test.gate, test.probe)
-                old = _term_amplitude(target, _apply_copies(g_true, test.probe), None)
+                target = apply_copies(h.gates[test.pair[0]], test.probe)
+                old = term_amplitude(target, apply_copies(g_true, test.probe))
                 assert abs(record.p_target - abs(old) ** 2) <= 1e-12
                 assert 0.0 <= record.p_target <= 1.0
                 if "true_index" in kwargs and kwargs["true_index"] in record.pair:
@@ -567,13 +576,13 @@ def test_each_test_is_built_once_per_set(monkeypatch):
 
 def test_in_set_round_probability_is_computed_once_per_pair_and_truth(monkeypatch):
     calls = []
-    original = gatediscrim.protocol._term_amplitude
+    original = gatediscrim.protocol._probe_amplitude
 
-    def recorded(a, b, op):
-        calls.append(a)
-        return original(a, b, op)
+    def recorded(probe, op):
+        calls.append(probe)
+        return original(probe, op)
 
-    monkeypatch.setattr(gatediscrim.protocol, "_term_amplitude", recorded)
+    monkeypatch.setattr(gatediscrim.protocol, "_probe_amplitude", recorded)
     rng = np.random.default_rng(21)
     for k in (3, 8):
         h = random_set(k, rng)
@@ -654,7 +663,7 @@ def test_cached_probes_match_the_public_builder():
             simulate_elimination(plan, h, true_index=true_index, seed=true_index)
         assert len(plan.tests) == len(h) - 1  # builds the planned tests no run reached
         for (i, j), test in h._tests.items():
-            assert test.pair == (i, j) and test.gate is h.gates[i]
+            assert test.pair == (i, j)
             ref = optimal_probe_ncopies(h.gates[i], h.gates[j])
             for name in ("coeffs", "system", "counts"):
                 assert np.array_equal(getattr(test.probe, name), getattr(ref, name))
