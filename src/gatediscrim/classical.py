@@ -60,7 +60,7 @@ def relative_entropy(p, q, g: Callable[[float], float]) -> float:
     divergence infinite, returned as math.inf rather than raised.
     """
     p, q = _common_pair(p, q)
-    if abs(g(1.0)) > 1e-12:
+    if not abs(g(1.0)) <= 1e-12:  # NaN fails too
         raise ValidationError("g(1) must vanish for a divergence generator")
     total = 0.0
     for pi, qi in zip(p, q):

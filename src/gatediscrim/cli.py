@@ -2,7 +2,7 @@
 
 Every run prints exactly one JSON object to stdout:
 
-    {"command": <name>, "inputs": <echo of arguments>, "result": ...}
+    {"command": <name>, "inputs": <its options but --emit-plot>, "result": ...}
 
 All numbers are written with 17 significant digits so doubles round-trip
 losslessly and identical argv (seed included) yields byte-identical output.
@@ -97,8 +97,11 @@ def _vector_obj(v: np.ndarray) -> list:
 
 
 def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (UnicodeDecodeError, RecursionError) as exc:  # not UTF-8, or nested too deeply
+        raise ValidationError(f"cannot decode {path!r}: {exc}") from exc
 
 
 def _parse_matrix(data, what: str = "matrix") -> np.ndarray:
@@ -132,20 +135,17 @@ def _parse_gate(data, what: str, tol: float) -> Gate:
     return Gate(_parse_matrix(data, what=what), tol=tol)
 
 
-def _load_gate(path: str, tol: float) -> Gate:
-    return _parse_gate(_load_json(path), f"gate file {path!r}", tol)
-
-
 def _load_pair(args) -> tuple[Gate, Gate]:
     """The gates of a pair command's --u1 and --u2, both accepted at --tol."""
-    return _load_gate(args.u1, args.tol), _load_gate(args.u2, args.tol)
+    return tuple(_parse_gate(_load_json(path), f"gate file {path!r}", args.tol)
+                 for path in (args.u1, args.u2))
 
 
 def _parse_float_list(text: str, what: str) -> list[float]:
     try:
         # integers parse as floats too, so a huge one reads as inf and is refused below
         data = json.loads(text, parse_int=float)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValidationError(f"{what} is not valid JSON: {exc}") from exc
     if not isinstance(data, list) or not all(type(x) is float for x in data):
         raise ValidationError(f"{what} must be a JSON array of numbers")
@@ -171,22 +171,19 @@ def _histogram_series(values: np.ndarray, lo: float, hi: float, bins: int = 64):
 
 
 # --------------------------------------------------------------------------
-# Handlers: each returns (inputs_echo, result)
+# Handlers: each returns its command's result; JSON-array options arrive parsed
 
 
 def _cmd_fidelity(args):
-    u1, u2 = _load_pair(args)
-    return {"u1": args.u1, "u2": args.u2, "tol": args.tol}, gate_fidelity_sud(u1, u2)
+    return gate_fidelity_sud(*_load_pair(args))
 
 
 def _cmd_distance(args):
-    u1, u2 = _load_pair(args)
-    return {"u1": args.u1, "u2": args.u2, "tol": args.tol}, gate_distance(u1, u2)
+    return gate_distance(*_load_pair(args))
 
 
 def _cmd_ncopies(args):
-    u1, u2 = _load_pair(args)
-    return {"u1": args.u1, "u2": args.u2, "tol": args.tol}, min_copies(u1, u2)
+    return min_copies(*_load_pair(args))
 
 
 def _cmd_probe(args):
@@ -202,45 +199,37 @@ def _cmd_probe(args):
         vector = _vector_obj(probe.to_vector())
     except SizeLimitError:
         vector = None
-    result = {
+    return {
         "copies": probe.copies,
         "separable": probe.separable,
         "ancilla_dim": probe.ancilla_dim,
         "overlap": overlap,
         "vector": vector,
     }
-    inputs = {"u1": args.u1, "u2": args.u2, "kind": args.kind, "tol": args.tol}
-    return inputs, result
 
 
 def _cmd_arc(args):
-    phases = _parse_float_list(args.phases, "--phases")
-    arc = minimal_covering_arc(phases)
-    result = {
+    arc = minimal_covering_arc(args.phases)
+    return {
         "delta": arc.delta,
         "center": arc.center,
         "extremes": list(arc.extremes),
-        "convex_min_overlap": convex_min_overlap(phases),
+        "convex_min_overlap": convex_min_overlap(args.phases),
     }
-    return {"phases": phases}, result
 
 
 def _cmd_oracle(args):
-    u1, u2 = _load_pair(args)
-    inputs = {"u1": args.u1, "u2": args.u2, "n": args.n, "tol": args.tol}
-    return inputs, oracle_min_overlap(u1, u2, args.n)
+    return oracle_min_overlap(*_load_pair(args), args.n)
 
 
 def _cmd_state_fidelity(args):
     rho1 = _parse_matrix(_load_json(args.rho1), what=f"state file {args.rho1!r}")
     rho2 = _parse_matrix(_load_json(args.rho2), what=f"state file {args.rho2!r}")
-    return {"rho1": args.rho1, "rho2": args.rho2}, states.mixed_fidelity(rho1, rho2)
+    return states.mixed_fidelity(rho1, rho2)
 
 
 def _cmd_classical_distance(args):
-    p = _parse_float_list(args.p, "--p")
-    q = _parse_float_list(args.q, "--q")
-    return {"p": p, "q": q}, classical.classical_distance(p, q)
+    return classical.classical_distance(args.p, args.q)
 
 
 def _cmd_avg_fidelity(args):
@@ -250,20 +239,12 @@ def _cmd_avg_fidelity(args):
     closed = geometry.avg_fidelity_su2_closed(u1, u2) if u1.dim == 2 else None
     if args.emit_plot:
         _write_plot(args.emit_plot, *_histogram_series(vals, 0.0, 1.0))
-    result = {
+    return {
         "estimate": est.estimate,
         "stderr": est.stderr,
         "samples": est.samples,
         "closed_form": closed,
     }
-    inputs = {
-        "u1": args.u1,
-        "u2": args.u2,
-        "samples": args.samples,
-        "seed": args.seed,
-        "tol": args.tol,
-    }
-    return inputs, result
 
 
 def _cmd_haar_sample(args):
@@ -271,8 +252,7 @@ def _cmd_haar_sample(args):
     if args.emit_plot:
         _write_plot(args.emit_plot, *_histogram_series(params.theta1, 0.0, math.pi / 2.0))
     columns = (params.theta1.tolist(), params.theta2.tolist(), params.theta3.tolist())
-    result = [{"theta1": a, "theta2": b, "theta3": c} for a, b, c in zip(*columns)]
-    return {"seed": args.seed, "n": args.n}, result
+    return [{"theta1": a, "theta2": b, "theta3": c} for a, b, c in zip(*columns)]
 
 
 def _cmd_metric_check(args):
@@ -286,18 +266,15 @@ def _cmd_metric_check(args):
         )
         via_coords = geometry.metric_form_coords(p, t)
         worst = max(worst, abs(via_matrix - via_coords) / max(via_coords, 1e-30))
-    return {"seed": args.seed, "n": args.n}, {"draws": args.n, "max_rel_err": worst}
+    return {"draws": args.n, "max_rel_err": worst}
 
 
 def _cmd_su3_example(args):
-    phi = _parse_float_list(args.phi, "--phi")
-    gate = su3_example_gate(args.gamma1, args.gamma2, phi)
-    result = {
+    gate = su3_example_gate(args.gamma1, args.gamma2, args.phi)
+    return {
         "matrix": _matrix_obj(gate.matrix),
         "fidelity_vs_identity": gate_fidelity_sud(Gate.identity(3), gate),
     }
-    inputs = {"gamma1": args.gamma1, "gamma2": args.gamma2, "phi": phi}
-    return inputs, result
 
 
 def _cmd_discriminate(args):
@@ -308,7 +285,7 @@ def _cmd_discriminate(args):
     hyp = protocol.HypothesisSet(gates=gates)
     plan = protocol.plan_elimination(hyp)
     sim = protocol.simulate_elimination(plan, hyp, true_index=args.true, seed=args.seed)
-    result = {
+    return {
         "identified": sim.identified_index,
         "total_runs": sim.total_runs,
         "true_in_set": sim.true_in_set,
@@ -322,8 +299,6 @@ def _cmd_discriminate(args):
             for r in sim.trace
         ],
     }
-    inputs = {"set": args.set, "true": args.true, "seed": args.seed, "tol": args.tol}
-    return inputs, result
 
 
 # --------------------------------------------------------------------------
@@ -331,70 +306,55 @@ def _cmd_discriminate(args):
 
 
 def build_parser() -> _Parser:
+    """The parser; each command is one row of `commands`, each option one spec of `options`."""
     parser = _Parser(prog="gatediscrim", description=__doc__)
-    # Shared options; each command takes only those its handler reads.
     options = {
-        "seed": dict(type=int, default=0, help="random seed (default 0)"),
+        "u1": dict(required=True),
+        "u2": dict(required=True),
+        "kind": dict(choices=["entangled", "separable", "ncopies"], default="entangled"),
+        "phases": dict(required=True, help="JSON array of phases (radians)"),
+        "rho1": dict(required=True),
+        "rho2": dict(required=True),
+        "p": dict(required=True, help="JSON array of probabilities"),
+        "q": dict(required=True, help="JSON array of probabilities"),
         "samples": dict(type=int, default=100_000, help="Monte-Carlo sample count"),
+        "seed": dict(type=int, default=0, help="random seed (default 0)"),
+        "gamma1": dict(type=float, required=True),
+        "gamma2": dict(type=float, required=True),
+        "phi": dict(required=True, help="JSON array of 5 phase angles"),
+        "set": dict(required=True, help='JSON file {"gates": [matrix, ...]}'),
+        "true": dict(type=int, required=True, help="index of the true gate"),
         "tol": dict(type=float, default=DEFAULT_TOL,
                     help="validation tolerance (default %(default)g)"),
         "emit-plot": dict(metavar="PATH", default=None, help="write a CSV (x,y) series"),
-        "u1": dict(required=True),
-        "u2": dict(required=True),
     }
+    commands = [  # name, handler, help, options in echo order[, the spec of its --n]
+        ("fidelity", _cmd_fidelity, "statistical fidelity between two gates", "u1 u2 tol"),
+        ("distance", _cmd_distance, "statistical angle between two gates", "u1 u2 tol"),
+        ("ncopies", _cmd_ncopies, "copies needed for perfect discrimination", "u1 u2 tol"),
+        ("probe", _cmd_probe, "optimal probe state for a gate pair", "u1 u2 kind tol"),
+        ("arc", _cmd_arc, "minimal covering arc of a phase list", "phases"),
+        ("oracle", _cmd_oracle, "numerical minimum overlap (brute force)", "u1 u2 n tol",
+         dict(type=int, default=1, help="copy count (default 1)")),
+        ("state-fidelity", _cmd_state_fidelity, "fidelity between density matrices", "rho1 rho2"),
+        ("classical-distance", _cmd_classical_distance, "angle between distributions", "p q"),
+        ("avg-fidelity", _cmd_avg_fidelity, "Monte-Carlo average fidelity",
+         "u1 u2 samples seed tol emit-plot"),
+        ("haar-sample", _cmd_haar_sample, "invariant-measure parameter draws",
+         "seed n emit-plot", dict(type=int, default=10, help="number of draws (default 10)")),
+        ("metric-check", _cmd_metric_check, "coordinate vs matrix metric agreement", "seed n",
+         dict(type=int, default=100, help="number of draws (default 100)")),
+        ("su3-example", _cmd_su3_example, "three-level gate with a forced-zero entry",
+         "gamma1 gamma2 phi"),
+        ("discriminate", _cmd_discriminate, "simulate sequential elimination",
+         "set true seed tol"),
+    ]
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
-
-    def add(name, handler, help_text, *shared):
+    for name, handler, help_text, declared, *n in commands:
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=handler)
-        for opt in shared:
-            p.add_argument(f"--{opt}", **options[opt])
-        return p
-
-    add("fidelity", _cmd_fidelity, "statistical fidelity between two gates", "tol", "u1", "u2")
-    add("distance", _cmd_distance, "statistical angle between two gates", "tol", "u1", "u2")
-    add("ncopies", _cmd_ncopies, "copies needed for perfect discrimination", "tol", "u1", "u2")
-
-    p = add("probe", _cmd_probe, "optimal probe state for a gate pair", "tol", "u1", "u2")
-    p.add_argument(
-        "--kind", choices=["entangled", "separable", "ncopies"], default="entangled"
-    )
-
-    p = add("arc", _cmd_arc, "minimal covering arc of a phase list")
-    p.add_argument("--phases", required=True, help="JSON array of phases (radians)")
-
-    p = add("oracle", _cmd_oracle, "numerical minimum overlap (brute force)", "tol", "u1", "u2")
-    p.add_argument("--n", type=int, default=1, help="copy count (default 1)")
-
-    p = add("state-fidelity", _cmd_state_fidelity, "fidelity between density matrices")
-    p.add_argument("--rho1", required=True)
-    p.add_argument("--rho2", required=True)
-
-    p = add("classical-distance", _cmd_classical_distance, "angle between distributions")
-    p.add_argument("--p", required=True, help="JSON array of probabilities")
-    p.add_argument("--q", required=True, help="JSON array of probabilities")
-
-    add("avg-fidelity", _cmd_avg_fidelity, "Monte-Carlo average fidelity",
-        "tol", "samples", "seed", "emit-plot", "u1", "u2")
-
-    p = add("haar-sample", _cmd_haar_sample, "invariant-measure parameter draws",
-            "seed", "emit-plot")
-    p.add_argument("--n", type=int, default=10, help="number of draws (default 10)")
-
-    p = add("metric-check", _cmd_metric_check, "coordinate vs matrix metric agreement",
-            "seed")
-    p.add_argument("--n", type=int, default=100, help="number of draws (default 100)")
-
-    p = add("su3-example", _cmd_su3_example, "three-level gate with a forced-zero entry")
-    p.add_argument("--gamma1", type=float, required=True)
-    p.add_argument("--gamma2", type=float, required=True)
-    p.add_argument("--phi", required=True, help="JSON array of 5 phase angles")
-
-    p = add("discriminate", _cmd_discriminate, "simulate sequential elimination",
-            "tol", "seed")
-    p.add_argument("--set", required=True, help='JSON file {"gates": [matrix, ...]}')
-    p.add_argument("--true", type=int, required=True, help="index of the true gate")
-
+        p.set_defaults(handler=handler, declared=declared.split())
+        for opt in declared.split():
+            p.add_argument(f"--{opt}", **(n[0] if opt == "n" else options[opt]))
     return parser
 
 
@@ -409,22 +369,26 @@ def main(argv=None) -> int:
     if getattr(args, "command", None) is None:
         print(parser.format_usage(), file=sys.stderr, end="")
         return 64
+    failures = (  # (exception type, stderr prefix, exit code)
+        (json.JSONDecodeError, "malformed JSON", 2),
+        (ValidationError, "validation error", 2),
+        (ConvergenceError, "numerical non-convergence", 3),
+        (OSError, "i/o error", 2),
+    )
     try:
-        inputs, result = args.handler(args)
+        for name in args.declared:
+            # JSON arrays are parsed here, not by argparse, which would report
+            # a ValidationError from a type= callable as a usage error
+            if name in ("phases", "p", "q", "phi"):
+                setattr(args, name, _parse_float_list(getattr(args, name), f"--{name}"))
+        result = args.handler(args)
+        # the echo: every declared option but the output path, in declared order
+        inputs = {name: getattr(args, name) for name in args.declared if name != "emit-plot"}
         text = _to_json({"command": args.command, "inputs": inputs, "result": result})
-    except json.JSONDecodeError as exc:
-        where = getattr(exc, "args", [""])[0]
-        print(f"malformed JSON: {where}", file=sys.stderr)
-        return 2
-    except ValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 2
-    except ConvergenceError as exc:
-        print(f"numerical non-convergence: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 2
+    except tuple(kind for kind, _, _ in failures) as exc:
+        prefix, code = next((p, c) for kind, p, c in failures if isinstance(exc, kind))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
     print(text)
     return 0
 

@@ -381,10 +381,11 @@ class ProbeState:
     and `separable` (no ancilla) are read from the arrays.  Of the library's
     probes only the entangled single-use one has an ancilla.  Every stored
     array is read-only.  `ProbeState(...)` stores read-only copies of its
-    inputs and checks the full norm within 1e-10.  The probes the library
-    builds itself (`_library_probe`) keep the arrays they were built from,
-    and their builders check the factors instead: unit, orthogonal and with
-    branch weights summing to 1, within `_FACTOR_NORM_TOL`.
+    inputs, refuses non-finite entries and checks the full norm within
+    1e-10.  The probes the library builds itself (`_library_probe`) keep
+    the arrays they were built from, and their builders check the factors
+    instead: unit, orthogonal and with branch weights summing to 1, within
+    `_FACTOR_NORM_TOL`.
     """
 
     coeffs: np.ndarray
@@ -408,8 +409,10 @@ class ProbeState:
             object.__setattr__(self, name, value)
         if self.copies < 1 or self.dim < 2:
             raise ValidationError(f"need copies >= 1 and dim >= 2, got {self.copies}, {self.dim}")
+        if not all(np.isfinite(a).all() for a in (coeffs, system, ancilla) if a is not None):
+            raise ValidationError("probe state has non-finite entries")
         norm2 = _probe_amplitude(self, None).real
-        if abs(norm2 - 1.0) > 1e-10:
+        if not abs(norm2 - 1.0) <= 1e-10:  # NaN fails too
             raise ValidationError(f"probe state norm^2 = {norm2!r}, not 1")
 
     @property

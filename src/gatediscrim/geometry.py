@@ -44,7 +44,7 @@ class SphereCoords:
 
     def __post_init__(self):
         norm2 = self.a_re**2 + self.a_im**2 + self.b_re**2 + self.b_im**2
-        if abs(norm2 - 1.0) > 1e-12:
+        if not abs(norm2 - 1.0) <= 1e-12:  # NaN fails too
             raise ValidationError(f"sphere coordinates have norm^2 {norm2!r}")
 
     def as_array(self) -> np.ndarray:

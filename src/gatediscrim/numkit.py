@@ -163,7 +163,7 @@ def eig_unitary(u, tol: float = DEFAULT_TOL) -> UnitaryEigen:
 def sqrt_psd(m) -> np.ndarray:
     """Hermitian square root of a positive semidefinite matrix, Hermitian within DEFAULT_TOL."""
     m = _as_square(m)
-    if np.abs(m - m.conj().T).max() > DEFAULT_TOL:
+    if not np.abs(m - m.conj().T).max() <= DEFAULT_TOL:  # NaN fails too
         raise ValidationError("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
     if w.min() < -1e-8:

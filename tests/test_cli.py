@@ -1,11 +1,13 @@
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
-from gatediscrim import ConvergenceError, Gate, geometry
+from gatediscrim import ConvergenceError, Gate, geometry, su2_from_params
 from gatediscrim.cli import main
+from helpers import haar_unitary
 
 
 def write_matrix(path, m):
@@ -172,6 +174,10 @@ def test_classical_distance_command(capsys):
     )
     assert code == 0
     assert json.loads(out)["result"] == 0.0
+    # the JSON arrays are parsed in declared order: --p is reported first
+    code, out, err = run(capsys, ["classical-distance", "--q", "[0.5", "--p", "[0.5"])
+    assert code == 2
+    assert out == "" and err.startswith("validation error: --p is not valid JSON")
 
 
 def test_avg_fidelity_command(capsys, gate_files, tmp_path):
@@ -396,6 +402,29 @@ def test_non_finite_inputs_exit_2(capsys, tmp_path, gate_files, kind):
     assert out == "" and "validation error" in err
 
 
+UNDECODABLE = {"not-utf8": b"\xff\xfe\x00bad", "deep": b"[" * 5000 + b"]" * 5000}
+UNDECODABLE_ARGV = {  # "{bad}" is a file holding one of the UNDECODABLE bytes
+    "gate": ["distance", "--u1", "{a}", "--u2", "{bad}"],
+    "state": ["state-fidelity", "--rho1", "{bad}", "--rho2", "{a}"],
+    "set": ["discriminate", "--set", "{bad}", "--true", "0"],
+}
+
+
+@pytest.mark.parametrize("where, content", [
+    *((where, content) for where in UNDECODABLE_ARGV for content in sorted(UNDECODABLE)),
+    ("phases", "deep"),
+])
+def test_undecodable_json_exits_2(capsys, tmp_path, gate_files, where, content):
+    # bytes that are not UTF-8, or JSON nested past the parser's recursion limit
+    a, _ = gate_files
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(UNDECODABLE[content])
+    argv = (["arc", "--phases", UNDECODABLE["deep"].decode()] if where == "phases"
+            else [arg.format(a=a, bad=bad) for arg in UNDECODABLE_ARGV[where]])
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == "" and "validation error" in err
+
 @pytest.mark.parametrize("command", ["haar-sample", "metric-check", "avg-fidelity", "discriminate"])
 def test_negative_seed_exits_2(capsys, tmp_path, gate_files, command):
     a, b = gate_files
@@ -496,3 +525,95 @@ def test_commands_take_only_the_options_they_read(capsys, tmp_path, monkeypatch,
             assert code == 64, argv
             assert out == "" and f"unrecognized arguments: {flag}" in err
     assert not (tmp_path / "plot.csv").exists()
+
+
+# The CLI contract: a fixed battery over every command and its error exits.
+# Each run contributes its argv, exit code, command, full `inputs` echo, the
+# result's shape (keys, integers, booleans, strings; every float masked as
+# "f") and stderr up to its first ":".  None of these depend on the BLAS
+# build, so the digest is the same on every machine.
+CONTRACT_DIGEST = "89e2707b18be3ae97df03a69d0682d496522c81db7fea3441b3419b7031a1daa"
+
+def _contract_battery():
+    battery = []
+    for u1, u2 in (("i.json", "r.json"), ("r.json", "h.json"), ("q1.json", "q2.json"),
+                   ("r.json", "r.json")):
+        pair = ["--u1", u1, "--u2", u2]
+        for command in ("fidelity", "distance", "ncopies"):
+            battery += [[command, *pair], [command, *pair, "--tol", "1e-9"]]
+        battery += [["probe", *pair, "--kind", kind]
+                    for kind in ("entangled", "separable", "ncopies")]
+        battery += [["oracle", *pair, "--n", n] for n in ("1", "2", "11", "0")]
+        battery.append(["avg-fidelity", *pair, "--samples", "500", "--seed", "3",
+                        "--emit-plot", "avg.csv"])
+    battery += [
+        ["arc", "--phases", "[0.2, 0.5, -0.7]"],
+        ["arc", "--phases", "[0.2, 0.5"],
+        ["arc", "--phases", "{}"],
+        ["state-fidelity", "--rho1", "rho1.json", "--rho2", "rho2.json"],
+        ["state-fidelity", "--rho1", "rho1.json", "--rho2", "missing.json"],
+        ["state-fidelity", "--rho1", "rho1.json", "--rho2", "notjson.json"],
+        ["classical-distance", "--p", "[0.5, 0.5]", "--q", "[0.9, 0.1]"],
+        ["classical-distance", "--p", "[0.5, 0.6]", "--q", "[0.9"],
+        ["classical-distance", "--p", "[0.5", "--q", "[0.9"],
+        ["classical-distance", "--p", "[1]", "--q", "[0.5, 0.5]"],
+        ["haar-sample", "--seed", "1", "--n", "3", "--emit-plot", "haar.csv"],
+        ["haar-sample", "--n", "0"],
+        ["metric-check", "--seed", "2", "--n", "4"],
+        ["metric-check", "--seed", "-1"],
+        ["su3-example", "--gamma1", "0.7854", "--gamma2", "0.7854", "--phi", "[0,0,0,0,0]"],
+        ["su3-example", "--gamma1", "0.1", "--gamma2", "0.2", "--phi", "[0,0]"],
+        ["discriminate", "--set", "set.json", "--true", "1", "--seed", "7"],
+        ["discriminate", "--set", "set.json", "--true", "5"],
+        ["discriminate", "--set", "r.json", "--true", "0", "--tol", "1e-9"],
+        ["not-a-command"],
+        [],
+        ["fidelity", "--u1", "i.json"],
+        ["probe", "--u1", "i.json", "--u2", "r.json", "--kind", "dense"],
+    ]
+    return battery
+
+
+def _read_floats(obj, mask: bool):
+    """Each float the patched printer marked as {"f": x}: "f" if mask, else x."""
+    if isinstance(obj, dict):
+        if list(obj) == ["f"]:
+            return "f" if mask else float(obj["f"])
+        return {k: _read_floats(v, mask) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_read_floats(v, mask) for v in obj]
+    return obj
+
+
+def test_cli_contract_digest(capsys, tmp_path, monkeypatch):
+    import gatediscrim.cli as cli_mod
+
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(23)
+    gates = {"i.json": np.eye(2),
+             "r.json": np.diag([np.exp(1j * math.pi / 3), np.exp(-1j * math.pi / 3)]),
+             "h.json": su2_from_params(geometry.haar_sample_su2(5, 1)[0]).matrix,
+             "q1.json": haar_unitary(3, rng), "q2.json": haar_unitary(3, rng),
+             "rho1.json": np.eye(2) / 2, "rho2.json": np.diag([0.9, 0.1])}
+    for name, m in gates.items():
+        write_matrix(tmp_path / name, m)
+    (tmp_path / "notjson.json").write_text("{nope")
+    (tmp_path / "set.json").write_text(
+        '{"gates": [%s]}' % ",".join((tmp_path / name).read_text()
+                                     for name in ("i.json", "r.json", "h.json")))
+    # a float is printed as the text "0" or "1" when its value is integral, so
+    # the printer marks floats for the duration of the battery
+    fmt = cli_mod._format_float
+    monkeypatch.setattr(cli_mod, "_format_float", lambda x: '{"f": %s}' % fmt(x))
+
+    records = []
+    for argv in _contract_battery():
+        code, out, err = run(capsys, argv)
+        record = [argv, code, err.split(":", 1)[0]]
+        if out:
+            doc = json.loads(out)
+            record += [doc["command"], _read_floats(doc["inputs"], mask=False),
+                       _read_floats(doc["result"], mask=True)]
+        records.append(record)
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest == CONTRACT_DIGEST, "\n".join(map(json.dumps, records))

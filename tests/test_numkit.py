@@ -202,6 +202,21 @@ def test_sqrt_psd():
     assert np.allclose(sqrt_psd(np.diag([1.0, -1e-12])), np.diag([1.0, 0.0]), atol=1e-6)
 
 
+NON_FINITE_PAST_TOLERANCE = {  # each would pass a check written as `residual > tol`
+    "probe-coeff-nan": lambda: gd.ProbeState(coeffs=[np.nan], system=[[[1.0, 0.0]]]),
+    "probe-factor-inf": lambda: gd.ProbeState(coeffs=[1.0], system=[[[np.inf, 0.0]]]),
+    "sphere-nan": lambda: gd.SphereCoords(np.nan, 0.0, 0.0, 0.0),
+    "divergence-g1-nan": lambda: gd.relative_entropy(
+        [0.5, 0.5], [0.25, 0.75], lambda t: np.nan if t == 1.0 else t - 1.0),
+    "sqrt-psd-nan": lambda: sqrt_psd(np.array([[1.0, np.nan], [np.nan, 1.0]])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_PAST_TOLERANCE))
+def test_non_finite_residuals_fail_the_tolerance_checks(case):
+    with pytest.raises(ValidationError):
+        NON_FINITE_PAST_TOLERANCE[case]()
+
 def test_partial_trace_product_state():
     rng = np.random.default_rng(9)
     a, b = rand_state(3, rng), rand_state(3, rng)
