@@ -14,7 +14,7 @@ class DimensionError(ValidationError):
 
 
 class SizeLimitError(ValidationError):
-    """A tensor-power dimension exceeds the configured cap."""
+    """A tensor-power dimension or a random draw exceeds its configured cap."""
 
 
 class IdenticalGatesError(ValidationError):

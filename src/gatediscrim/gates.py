@@ -411,8 +411,9 @@ class ProbeState:
             raise ValidationError(f"need copies >= 1 and dim >= 2, got {self.copies}, {self.dim}")
         if not all(np.isfinite(a).all() for a in (coeffs, system, ancilla) if a is not None):
             raise ValidationError("probe state has non-finite entries")
-        norm2 = _probe_amplitude(self, None).real
-        if not abs(norm2 - 1.0) <= 1e-10:  # NaN fails too
+        with np.errstate(over="ignore", invalid="ignore"):  # large entries overflow
+            norm2 = _probe_amplitude(self, None).real
+        if not abs(norm2 - 1.0) <= 1e-10:  # NaN and infinity fail too
             raise ValidationError(f"probe state norm^2 = {norm2!r}, not 1")
 
     @property
@@ -462,11 +463,10 @@ def _library_probe(coeffs: np.ndarray, system: np.ndarray,
     """
     if counts is None:
         counts = np.ones(system.shape[1], np.int64)
-    probe = object.__new__(ProbeState)
-    for name, value in (("coeffs", coeffs), ("system", system), ("counts", counts)):
+    for value in (coeffs, system, counts):
         value.setflags(write=False)
-        object.__setattr__(probe, name, value)
-    object.__setattr__(probe, "ancilla", None)
+    probe = object.__new__(ProbeState)
+    probe.__dict__.update(coeffs=coeffs, system=system, ancilla=None, counts=counts)
     return probe
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionError, ValidationError
 from .gates import Gate, GateSU2Params, _check_pair, _pair, gate_fidelity_su2, su2_from_params
-from .numkit import _check_int, _rng
+from .numkit import _check_draw, _check_int, _rng
 
 
 @dataclass(frozen=True)
@@ -147,9 +147,11 @@ def haar_sample_su2(seed: int, n: int) -> SU2ParamSample:
     theta1 = arcsin(sqrt(u)) realizes the marginal density sin(2 theta1) on
     [0, pi/2] by inverse transform; the two phases are uniform.  A seed that
     is not an integer >= 0, or a count that is not an integer >= 1, raises
-    ValidationError.
+    ValidationError; a count whose 3 n draws exceed `numkit.MAX_DRAW_VALUES`
+    raises SizeLimitError before anything is drawn.
     """
     _check_int(n, "sample count", 1)
+    _check_draw(3 * int(n), f"sample count {n}")
     rng = _rng(seed)
     t1 = np.arcsin(np.sqrt(rng.random(n)))
     t2 = rng.uniform(0.0, 2.0 * math.pi, n)
@@ -196,10 +198,13 @@ def overlap_samples(u1: Gate, u2: Gate, samples: int, seed: int) -> np.ndarray:
     the same pair read.  Samples are evaluated in blocks of `_MC_BLOCK`, so
     the temporaries stay small next to the draw, and a sample does not
     depend on the block size.  A sample count that is not an integer >= 1,
-    or a seed that is not an integer >= 0, raises ValidationError.
+    or a seed that is not an integer >= 0, raises ValidationError; a count
+    whose 2 samples d normals exceed `numkit.MAX_DRAW_VALUES` raises
+    SizeLimitError before anything is drawn.
     """
     _check_pair(u1, u2)
     _check_int(samples, "sample count", 1)
+    _check_draw(2 * int(samples) * u1.dim, f"sample count {samples}")
     rel_t = _pair(u1, u2)[0].T
     x = _rng(seed).standard_normal((2, samples, u1.dim))
     out = np.empty(samples)

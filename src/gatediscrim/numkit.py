@@ -14,6 +14,8 @@ from .errors import ConvergenceError, DimensionError, SizeLimitError, Validation
 DEFAULT_TOL = 1e-10
 # Largest dense dimension materialized for tensor powers and probe vectors.
 MAX_TENSOR_DIM = 4096
+# Most random values one seeded draw may hold: 2**25 float64 values, 256 MiB.
+MAX_DRAW_VALUES = 2**25
 # Mixing weights eig_unitary tries before raising ConvergenceError.
 _EIG_ATTEMPTS = 6
 
@@ -38,6 +40,15 @@ def _check_size(base: int, n: int, cap: int, what: str) -> None:
     passes its bit length, so base**n is only formed for small n."""
     if base > 1 and n > cap.bit_length() or base**n > cap:
         raise SizeLimitError(f"{what} {base}^{n} exceeds the cap {cap}")
+
+
+def _check_draw(values: int, what: str) -> None:
+    """Refuse, before drawing, a draw of more than MAX_DRAW_VALUES random values
+    with SizeLimitError (CLI exit 2), where numpy would raise MemoryError or
+    fill the machine's memory."""
+    if values > MAX_DRAW_VALUES:
+        raise SizeLimitError(f"{what} needs {values} random values, above the cap "
+                             f"{MAX_DRAW_VALUES}")
 
 
 def _check_int(value, what: str, least: int) -> None:
@@ -70,7 +81,7 @@ def validate_unitary(m, tol: float = DEFAULT_TOL) -> bool:
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
     d = m.shape[-1]
-    gram = np.swapaxes(m.conj(), -1, -2) @ m
+    gram = m.conj().swapaxes(-1, -2) @ m
     gram.reshape(*gram.shape[:-2], d * d)[..., :: d + 1] -= 1.0  # M^dag M - 1, in place
     return bool(np.abs(gram).max() <= tol)
 

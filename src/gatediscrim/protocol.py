@@ -51,13 +51,16 @@ class HypothesisSet:
     `distances` is the read-only k x k table of pairwise `gate_distance`
     values, symmetric with a zero diagonal.  It is computed once, on
     construction, and planning and simulation read it instead of
-    recomputing distances.  Every ordered relative gate U_i^dag U_j is formed
-    once, in one stacked `gates._relative_matrix` call, and kept privately and
-    read-only (`_rels`, k x k x 2 x 2), as is its frame (delta, 2 alpha,
-    2 beta) from one stacked `gates._su2_frame` call (`_frames`, three k x k
-    arrays).  Each pair's probe is built from its frame, and in-set rounds
-    read U_i^dag U_true from `_rels`.  `distances` mirrors the frame's
-    half-arcs of the pairs i < j, so it is exactly symmetric.  The same
+    recomputing distances.  The gate matrices are stacked once and kept
+    privately and read-only (`_mats`, k x 2 x 2); an out-of-set simulation
+    forms its k relative gates U_i^dag U_true from them.  Every ordered
+    relative gate U_i^dag U_j is formed once, in one stacked
+    `gates._relative_matrix` call, and kept privately and read-only (`_rels`,
+    k x k x 2 x 2), as is its frame (delta, 2 alpha, 2 beta) from one stacked
+    `gates._su2_frame` call (`_frames`, three k x k arrays).  Each pair's
+    probe is built from its frame, and in-set rounds read U_i^dag U_true
+    from `_rels`.  `distances` mirrors the frame's half-arcs of the pairs
+    i < j, so it is exactly symmetric.  The same
     table ranks every pair (i, j), i < j, once: by distance, largest first,
     ties in row-major order.  Planning and re-planning take the first
     ranked pair whose two members survive, which is the survivors' most
@@ -70,6 +73,7 @@ class HypothesisSet:
 
     gates: tuple[Gate, ...]
     distances: np.ndarray = field(init=False, repr=False)
+    _mats: np.ndarray = field(init=False, repr=False, compare=False)
     _rels: np.ndarray = field(init=False, repr=False, compare=False)
     _frames: tuple[np.ndarray, np.ndarray, np.ndarray] = field(
         init=False, repr=False, compare=False)
@@ -88,20 +92,19 @@ class HypothesisSet:
             if g.dim != 2:
                 raise DimensionError("the elimination protocol handles qubit gates only")
         k = len(self.gates)
-        mats = np.stack([g.matrix for g in self.gates])
+        mats = np.array([g.matrix for g in self.gates])
         rels = _relative_matrix(mats[:, None], mats[None, :])
         frames = _su2_frame(rels)
-        table = np.triu(frames[0], 1)
+        upper = np.arange(k)[:, None] < np.arange(k)  # the pairs i < j
+        table = np.where(upper, frames[0], 0.0)
         table = table + table.T  # the mirrored upper triangle, exactly symmetric
-        for array in (table, rels, *frames):
-            array.setflags(write=False)
-        for name, value in (("distances", table), ("_rels", rels), ("_frames", frames)):
-            object.__setattr__(self, name, value)
-        rows, cols = np.triu_indices(k, 1)
-        delta = frames[0][rows, cols]
+        rows, cols = np.nonzero(upper)  # in row-major order, as is delta
+        delta = frames[0][upper]
         order = np.argsort(-delta, kind="stable")  # stable: ties keep row-major order
-        ranked = zip(rows[order].tolist(), cols[order].tolist())
-        object.__setattr__(self, "_ranked", tuple(ranked))
+        for array in (table, mats, rels, *frames):
+            array.setflags(write=False)
+        self.__dict__.update(distances=table, _mats=mats, _rels=rels, _frames=frames,
+                             _ranked=tuple(zip(rows[order].tolist(), cols[order].tolist())))
         close = np.flatnonzero(delta <= IDENTICAL_TOL)
         if close.size:  # the first such pair in row-major order
             i, j = rows[close[0]], cols[close[0]]
@@ -221,7 +224,8 @@ def _build_test(h: HypothesisSet, i: int, j: int) -> EliminationTest:
     """
     test = h._tests.get((i, j))
     if test is None:
-        probe = _ncopies_probe(*(x[i, j] for x in h._frames))
+        delta, alpha2, beta2 = h._frames
+        probe = _ncopies_probe(delta[i, j], alpha2[i, j], beta2[i, j])
         test = h._tests[i, j] = EliminationTest(pair=(i, j), probe=probe)
     return test
 
@@ -266,7 +270,7 @@ def simulate_elimination(
     `true_index` from the set's U_i^dag U_true, so no relative gate is formed;
     an out-of-set `true_gate` is contracted with the probe every round and
     never stored, its relative matrices to all k candidates formed in one
-    stacked call.
+    call on the set's stacked `_mats`.
     The k-1 uniforms that decide the rounds are drawn in one call: round r
     lands on the target when u[r] < p_target, with
     u = numpy.random.default_rng(seed).random(k - 1).  Cold or warm, the
@@ -289,7 +293,7 @@ def simulate_elimination(
     uniforms = _rng(seed).random(k - 1).tolist()
     if not in_set:
         # <target|U_true^(x)N|probe> = <probe|(U_i^dag U_true)^(x)N|probe>
-        rels = _relative_matrix(np.stack([g.matrix for g in h.gates]), g_true.matrix)
+        rels = _relative_matrix(h._mats, g_true.matrix)
     alive, pending, ranked = set(range(k)), iter(plan.pairs), iter(h._ranked)
     records: list[TestRecord] = []
     for u in uniforms:
@@ -304,13 +308,6 @@ def simulate_elimination(
         outcome_target = u < p_target
         discarded = j if outcome_target else i
         alive.remove(discarded)
-        records.append(TestRecord(pair=test.pair, copies=test.copies,
-                                  outcome_target=outcome_target, discarded=discarded,
-                                  p_target=p_target))
+        records.append(TestRecord(test.pair, test.copies, outcome_target, discarded, p_target))
     (identified,) = alive
-    return SimResult(
-        identified_index=identified,
-        total_runs=sum(r.copies for r in records),
-        trace=tuple(records),
-        true_in_set=in_set,
-    )
+    return SimResult(identified, sum(r.copies for r in records), tuple(records), in_set)

@@ -247,6 +247,18 @@ def test_haar_sample_command(capsys, tmp_path):
     assert plot.read_text().startswith("x,y\n")
 
 
+@pytest.mark.parametrize("command, count", [("haar-sample", "--n"), ("metric-check", "--n"),
+                                            ("avg-fidelity", "--samples")])
+def test_draw_counts_above_the_cap_exit_2(capsys, gate_files, command, count):
+    # refused before drawing; numpy would raise MemoryError (exit 1) or fill memory
+    a, b = gate_files
+    gates = ["--u1", a, "--u2", b] if command == "avg-fidelity" else []
+    code, out, err = run(capsys, [command, *gates, count, "1000000000000"])
+    assert code == 2
+    assert out == "" and "validation error: sample count 1000000000000 needs" in err
+    assert f"random values, above the cap {2**25}" in err
+
+
 def test_metric_check_command(capsys):
     code, out, _ = run(capsys, ["metric-check", "--n", "25", "--seed", "2"])
     assert code == 0

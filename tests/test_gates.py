@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -569,6 +570,20 @@ def test_probe_state_validation():
     assert (probe.copies, probe.dim, probe.ancilla_dim, probe.separable) == (1, 2, 1, True)
     assert probe.total_dim == 2
     assert np.allclose(probe.to_vector(), e0)
+
+
+def test_probe_state_norm_overflow_is_refused_without_a_warning():
+    # a norm that overflows is refused like any other, with no numpy
+    # RuntimeWarning first (an error under -W error); valid probes keep their bits
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for coeffs, system in (([1.0], [[[1e200, 0.0]]]), ([1e200], [[[1.0, 0.0]]]),
+                               ([1e200, 1e200], [[[1.0, 0.0]], [[1e200, -1e200]]])):
+            with pytest.raises(ValidationError, match="probe state norm"):
+                ProbeState(coeffs=coeffs, system=system)
+        probe = ProbeState(coeffs=np.full(2, 2**-0.5), system=np.eye(2)[:, None, :])
+    assert np.array_equal(probe.coeffs, np.full(2, 2**-0.5))
+    assert abs(_probe_amplitude(probe, None) - 1.0) <= 1e-15
 
 
 def test_probe_to_vector_size_cap():

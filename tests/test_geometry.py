@@ -23,7 +23,7 @@ from gatediscrim import (
     su2_from_params,
     su2_tangent,
 )
-from gatediscrim import geometry
+from gatediscrim import SizeLimitError, geometry, numkit
 from helpers import haar_unitary
 
 
@@ -264,6 +264,33 @@ def test_avg_fidelity_mc_determinism_and_validation():
     assert np.array_equal(overlap_samples(u1, u2, np.int64(100), np.int64(5)),
                           overlap_samples(u1, u2, 100, 5))
     assert math.isfinite(avg_fidelity_mc(u1, u2, samples=2, seed=5).stderr)
+
+
+def test_draws_above_the_cap_are_refused_before_drawing(monkeypatch):
+    # the cap is numkit.MAX_DRAW_VALUES, read at call time: 3 values per
+    # parameter draw, 2 d normals per overlap sample
+    u1, u2 = Gate.identity(3), Gate(np.diag([1j, -1j, 1.0]))
+    monkeypatch.setattr(numkit, "MAX_DRAW_VALUES", 60)
+    assert len(haar_sample_su2(1, 20)) == 20
+    assert overlap_samples(u1, u2, 10, 1).shape == (10,)
+
+    def boom(seed):
+        raise AssertionError("drew before refusing")
+
+    monkeypatch.setattr(geometry, "_rng", boom)
+    with pytest.raises(SizeLimitError, match="sample count 21 needs 63 random values, "
+                                             "above the cap 60"):
+        haar_sample_su2(1, 21)
+    with pytest.raises(SizeLimitError, match="needs 66 random values, above the cap 60"):
+        overlap_samples(u1, u2, np.int64(11), 1)
+    with pytest.raises(SizeLimitError, match="above the cap 60"):
+        avg_fidelity_mc(u1, u2, samples=11, seed=1)
+    # a count far past memory is refused at the real cap, not by numpy's allocator
+    monkeypatch.undo()
+    with pytest.raises(SizeLimitError, match=f"above the cap {2**25}"):
+        haar_sample_su2(0, 10**11)
+    with pytest.raises(SizeLimitError, match=f"above the cap {2**25}"):
+        overlap_samples(u1, u2, np.int64(2**62), 0)
 
 
 def test_overlap_samples_match_pointwise_formula():

@@ -426,6 +426,48 @@ def test_most_distant_pair_matches_the_strict_scan():
             assert _next_alive(cursor, alive) is None
 
 
+def test_distances_and_ranking_match_the_triu_reference():
+    # reference: the upper triangle from np.triu and the pairs from
+    # np.triu_indices, ranked by a stable sort; the set forms both from one
+    # i < j comparison, which must give the same bits and the same tie order
+    s = 2**-0.5
+    tie_set = [np.eye(2), SX, SY, SZ, s * (np.eye(2) + 1j * SX), s * (np.eye(2) + 1j * SY),
+               s * (SX + SY), np.diag([1.0, 1j])]
+    rng = np.random.default_rng(26)
+    sets = [HypothesisSet(gates=tuple(Gate(m) for m in tie_set))]
+    sets += [random_set(k, rng) for k in range(2, 18)]
+    for h in sets:
+        k = len(h)
+        upper = np.triu(h._frames[0], 1)
+        assert np.array_equal(h.distances, upper + upper.T)
+        rows, cols = np.triu_indices(k, 1)
+        order = np.argsort(-h._frames[0][rows, cols], kind="stable")
+        assert h._ranked == tuple(zip(rows[order].tolist(), cols[order].tolist()))
+    assert len(set(sets[0].distances[np.triu_indices(8, 1)].tolist())) < 28  # it has ties
+
+
+def test_an_out_of_set_simulation_stacks_nothing(monkeypatch):
+    # the set keeps its stacked gate matrices, so an out-of-set run forms its
+    # k relative gates from them without stacking the gates again
+    rng = np.random.default_rng(27)
+    h = random_set(8, rng)
+    plan = plan_elimination(h)
+    assert np.array_equal(h._mats, [g.matrix for g in h.gates])
+    assert not h._mats.flags.writeable
+    stacked = []
+    original = np.stack
+
+    def counted(*args, **kwargs):
+        stacked.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np, "stack", counted)
+    for seed in range(3):
+        sim = simulate_elimination(plan, h, true_gate=Gate(haar_unitary(2, rng)), seed=seed)
+        assert not sim.true_in_set and len(sim.trace) == 7
+    assert stacked == []
+
+
 def _schedule_digest() -> str:
     """sha256 over the integer fields of a seeded corpus of plans and simulations."""
     rng = np.random.default_rng(18)
