@@ -35,7 +35,14 @@ from .gates import (
     su2_from_params,
     su3_example_gate,
 )
-from .numkit import DEFAULT_TOL
+from .numkit import DEFAULT_TOL, _check_draw
+
+
+# Most draws `haar-sample --n` and `metric-check --n` take, read at call time.
+# Both do Python work per draw that numkit.MAX_DRAW_VALUES does not bound:
+# haar-sample prints a ~570 B object per draw (~6 GB at that cap) and
+# metric-check takes ~93 us per draw (~17 minutes at that cap).
+MAX_CLI_DRAWS = 10**5
 
 
 class _UsageError(Exception):
@@ -247,8 +254,18 @@ def _cmd_avg_fidelity(args):
     }
 
 
+def _haar_draws(args) -> geometry.SU2ParamSample:
+    """`haar_sample_su2(--seed, --n)`, refusing before it draws an --n above
+    MAX_CLI_DRAWS with SizeLimitError; a count above the library's own draw
+    cap keeps the library's message."""
+    _check_draw(3 * args.n, f"sample count {args.n}")
+    if args.n > MAX_CLI_DRAWS:
+        raise SizeLimitError(f"--n {args.n} is above the cap {MAX_CLI_DRAWS} on draws per command")
+    return geometry.haar_sample_su2(args.seed, args.n)
+
+
 def _cmd_haar_sample(args):
-    params = geometry.haar_sample_su2(args.seed, args.n)
+    params = _haar_draws(args)
     if args.emit_plot:
         _write_plot(args.emit_plot, *_histogram_series(params.theta1, 0.0, math.pi / 2.0))
     columns = (params.theta1.tolist(), params.theta2.tolist(), params.theta3.tolist())
@@ -256,7 +273,7 @@ def _cmd_haar_sample(args):
 
 
 def _cmd_metric_check(args):
-    params = geometry.haar_sample_su2(args.seed, args.n)
+    params = _haar_draws(args)
     rng = np.random.default_rng(np.random.SeedSequence([args.seed, 1]))
     worst = 0.0
     for p in params:

@@ -53,11 +53,13 @@ class SphereCoords:
 
 # Relative anti-Hermitian residual above which metric_form_matrix warns.
 _TANGENT_SOFT_TOL = 1e-6
-# Samples overlap_samples evaluates at a time (at least 2).  A block's
-# temporaries are small next to the draw: at d = 2 and 2e4 samples, calls in
-# a loop fault no pages in, where temporaries for all samples at once made
-# glibc hand the heap top back after each call and fault ~500 pages in again.
-_MC_BLOCK = 1024
+# Samples overlap_samples evaluates at a time (at least 2), on both paths, so
+# a block's temporaries stay small next to the draw.  In loops of 2e4-sample
+# calls at d = 2, 3 and 8, and in a loop mixing oracle, Monte-Carlo and Haar
+# calls over d = 2..32, blocks of 1024 to 4096 fault no pages in, and 4096 is
+# the fastest for d = 2; at 8192 the mixed loop faulted ~4000 pages in per
+# pass of 24 pairs, as glibc handed the heap top back after each call.
+_MC_BLOCK = 4096
 
 
 def metric_form_matrix(u: Gate, du) -> float:
@@ -186,6 +188,54 @@ class MonteCarloEstimate:
         return cls(estimate=float(vals.mean()), stderr=err, samples=n)
 
 
+def _qubit_overlaps(rel: np.ndarray):
+    """The d = 2 block kernel: real arithmetic on the draw, no complex array.
+
+    With z = (a + ic, b + id), P0 = a^2 + c^2, P1 = b^2 + d^2, u = ab + cd and
+    v = ad - bc, z^dag R z = R00 P0 + R11 P1 + R01 (u + iv) + R10 (u - iv), so
+    its real and imaginary parts are each four real multiples of (P0, P1, u,
+    v), the multiples read from R's four entries.
+    """
+    (r00, r01), (r10, r11) = rel.tolist()
+    re_k = (r00.real, r11.real, r01.real + r10.real, r10.imag - r01.imag)
+    im_k = (r00.imag, r11.imag, r01.imag + r10.imag, r01.real - r10.real)
+
+    def kernel(xb, out):
+        (a, b), (c, d) = xb[0].T, xb[1].T
+        p0, p1, u, v = a * a, b * b, a * b, a * d
+        p0 += c * c
+        p1 += d * d
+        u += c * d
+        v -= b * c
+        re, im = p0 * re_k[0], p0 * im_k[0]
+        for q, kr, ki in zip((p1, u, v), re_k[1:], im_k[1:]):
+            re += q * kr
+            im += q * ki
+        p0 += p1  # |z|^2
+        re *= re
+        im *= im
+        re += im
+        p0 *= p0
+        np.divide(re, p0, out=out)
+
+    return kernel
+
+
+def _complex_overlaps(rel: np.ndarray):
+    """The block kernel of any other d: one product z R^T and two contractions."""
+    rel_t = rel.T
+
+    def kernel(xb, out):
+        z = np.empty(xb.shape[1:], dtype=complex)
+        z.real, z.imag = xb
+        amp = np.einsum("si,si->s", z.conj(), z @ rel_t)
+        zv = z.view(float)
+        norm2 = np.einsum("si,si->s", zv, zv)
+        np.divide(amp.real ** 2 + amp.imag ** 2, norm2 * norm2, out=out)
+
+    return kernel
+
+
 def overlap_samples(u1: Gate, u2: Gate, samples: int, seed: int) -> np.ndarray:
     """Draw |<psi|U1^dag U2|psi>|^2 over uniform pure states.
 
@@ -197,7 +247,14 @@ def overlap_samples(u1: Gate, u2: Gate, samples: int, seed: int) -> np.ndarray:
     R is read through `gates._pair`, so it is the one the other functions of
     the same pair read.  Samples are evaluated in blocks of `_MC_BLOCK`, so
     the temporaries stay small next to the draw, and a sample does not
-    depend on the block size.  A sample count that is not an integer >= 1,
+    depend on the block size.  A qubit block is evaluated with real
+    elementwise arithmetic on the draw's strided columns, its coefficients
+    read from R's four entries (`_qubit_overlaps`); every other d forms the
+    complex block and contracts it with R (`_complex_overlaps`).  The qubit
+    path reads R, not the `_su2_frame` that criterion 5's closed form reads,
+    so the sampler stays an independent check of that form and keeps the
+    part of R that is not unitary for a gate accepted at a loose `tol`.
+    A sample count that is not an integer >= 1,
     or a seed that is not an integer >= 0, raises ValidationError; a count
     whose 2 samples d normals exceed `numkit.MAX_DRAW_VALUES` raises
     SizeLimitError before anything is drawn.
@@ -205,7 +262,8 @@ def overlap_samples(u1: Gate, u2: Gate, samples: int, seed: int) -> np.ndarray:
     _check_pair(u1, u2)
     _check_int(samples, "sample count", 1)
     _check_draw(2 * int(samples) * u1.dim, f"sample count {samples}")
-    rel_t = _pair(u1, u2)[0].T
+    rel = _pair(u1, u2)[0]
+    kernel = _qubit_overlaps(rel) if u1.dim == 2 else _complex_overlaps(rel)
     x = _rng(seed).standard_normal((2, samples, u1.dim))
     out = np.empty(samples)
     block, start = _MC_BLOCK, 0
@@ -213,13 +271,7 @@ def overlap_samples(u1: Gate, u2: Gate, samples: int, seed: int) -> np.ndarray:
         # BLAS takes a one-row product through its matrix-vector kernel, whose
         # last bits differ: a one-sample tail joins the block before it
         stop = start + block if samples - start > block + 1 else samples
-        xb = x[:, start:stop]
-        z = np.empty(xb.shape[1:], dtype=complex)
-        z.real, z.imag = xb
-        amp = np.einsum("si,si->s", z.conj(), z @ rel_t)
-        zv = z.view(float)
-        norm2 = np.einsum("si,si->s", zv, zv)
-        np.divide(amp.real ** 2 + amp.imag ** 2, norm2 * norm2, out=out[start:stop])
+        kernel(x[:, start:stop], out[start:stop])
         start = stop
     return out
 

@@ -259,6 +259,29 @@ def test_draw_counts_above_the_cap_exit_2(capsys, gate_files, command, count):
     assert f"random values, above the cap {2**25}" in err
 
 
+@pytest.mark.parametrize("command", ["haar-sample", "metric-check"])
+def test_draw_counts_above_the_cli_cap_exit_2(capsys, monkeypatch, command):
+    # both commands do Python work per draw: --n is capped at cli.MAX_CLI_DRAWS,
+    # read at call time, and refused before anything is drawn
+    import gatediscrim.cli as cli_mod
+
+    def boom(seed, n):
+        raise AssertionError("drew before refusing")
+
+    with monkeypatch.context() as m:
+        m.setattr(geometry, "haar_sample_su2", boom)
+        code, out, err = run(capsys, [command, "--n", "100001"])
+        assert code == 2
+        assert out == "" and "validation error: --n 100001 is above the cap 100000" in err
+        m.setattr(cli_mod, "MAX_CLI_DRAWS", 6)
+        code, out, err = run(capsys, [command, "--n", "7"])
+        assert code == 2
+        assert out == "" and "validation error: --n 7 is above the cap 6" in err
+    monkeypatch.setattr(cli_mod, "MAX_CLI_DRAWS", 6)
+    code, out, _ = run(capsys, [command, "--n", "6"])
+    assert code == 0 and out
+
+
 def test_metric_check_command(capsys):
     code, out, _ = run(capsys, ["metric-check", "--n", "25", "--seed", "2"])
     assert code == 0

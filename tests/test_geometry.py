@@ -315,22 +315,58 @@ def _reference_overlaps(u1, u2, samples, seed):
     return np.abs(np.einsum("si,si->s", z.conj(), z @ rel.T)) ** 2
 
 
+def _qubit_edge_pairs():
+    """Qubit pairs at the edges of the d = 2 kernel: det -1, a pair equal to
+    itself, a half-arc of 1e-8, and a gate off unitarity by 6e-7 at tol 1e-6."""
+    c, s, e = math.cos(0.3), math.sin(0.3), np.exp(0.7j)
+    v = np.array([[c, -s / e], [s * e, c]])
+    return [
+        (Gate(np.array([[0.0, 1.0], [1.0, 0.0]])), Gate(np.diag([1.0, -1.0]))),
+        (Gate.identity(2), Gate.identity(2)),
+        (Gate.identity(2), Gate((v * np.exp([1e-8j, -1e-8j])) @ v.conj().T)),
+        (Gate(np.eye(2), tol=1e-6), Gate((1 + 3e-7) * v, tol=1e-6)),
+    ]
+
+
 def test_overlap_samples_match_normalized_states():
     # 2500 samples: not a multiple of the block
     rng = np.random.default_rng(43)
-    for d in (2, 3, 8):
-        u1, u2 = Gate(haar_unitary(d, rng)), Gate(haar_unitary(d, rng))
-        ref = _reference_overlaps(u1, u2, 2500, seed=d)
-        assert np.abs(overlap_samples(u1, u2, samples=2500, seed=d) - ref).max() <= 1e-14
+    cases = [(d, Gate(haar_unitary(d, rng)), Gate(haar_unitary(d, rng))) for d in (2, 3, 8)]
+    cases += [(10 + k, u1, u2) for k, (u1, u2) in enumerate(_qubit_edge_pairs())]
+    for seed, u1, u2 in cases:
+        ref = _reference_overlaps(u1, u2, 2500, seed=seed)
+        assert np.abs(overlap_samples(u1, u2, samples=2500, seed=seed) - ref).max() <= 1e-14
     # one draw of shape (2, S, d) holds the two draws of shape (S, d)
     x = np.random.default_rng(7).standard_normal((2, 2500, 3))
     rng = np.random.default_rng(7)
     assert np.array_equal(x, [rng.standard_normal((2500, 3)), rng.standard_normal((2500, 3))])
 
 
+def test_qubit_overlaps_need_no_contraction(monkeypatch):
+    # d = 2 is elementwise arithmetic on the draw; other d contract complex
+    # blocks, two contractions per block.  The first call forms the pair's R.
+    rng = np.random.default_rng(45)
+    einsum, calls = np.einsum, []
+    for d, expect in ((2, 0), (3, 4)):
+        u1, u2 = Gate(haar_unitary(d, rng)), Gate(haar_unitary(d, rng))
+        overlap_samples(u1, u2, 10, 1)
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(np, "einsum", lambda *a, **k: calls.append(a[0]) or einsum(*a, **k))
+            overlap_samples(u1, u2, 2 * geometry._MC_BLOCK, 1)
+        assert len(calls) == expect, calls
+
+
 def test_overlap_samples_do_not_depend_on_the_block(monkeypatch):
     # 2500 = 7 * 357 + 1 and 2049 = 2 * 1024 + 1 leave one-sample tails
     rng = np.random.default_rng(44)
+    seen = []  # (kernel, block lengths) of each call
+    for name in ("_qubit_overlaps", "_complex_overlaps"):
+        def spy(rel, make=getattr(geometry, name), name=name):
+            kernel, lengths = make(rel), []
+            seen.append((name, lengths))
+            return lambda xb, out: lengths.append(xb.shape[1]) or kernel(xb, out)
+        monkeypatch.setattr(geometry, name, spy)
     for d in (2, 3, 8):
         u1, u2 = Gate(haar_unitary(d, rng)), Gate(haar_unitary(d, rng))
         for samples in (2500, 2049):
@@ -338,6 +374,9 @@ def test_overlap_samples_do_not_depend_on_the_block(monkeypatch):
             for block in (7, 1024, samples):
                 monkeypatch.setattr(geometry, "_MC_BLOCK", block)
                 runs.add(overlap_samples(u1, u2, samples=samples, seed=d).tobytes())
+                name, lengths = seen[-1]
+                assert name == ("_qubit_overlaps" if d == 2 else "_complex_overlaps")
+                assert sum(lengths) == samples and lengths[0] == block
             assert len(runs) == 1
 
 
