@@ -9,7 +9,6 @@ unknown gate from a finite candidate set with certainty.  Brute-force
 numerical oracles back the closed forms.
 """
 from .classical import (
-    ProbDist,
     as_prob_dist,
     classical_distance,
     classical_fidelity,
@@ -55,7 +54,7 @@ from .geometry import (
     sphere_embed,
     su2_tangent,
 )
-from .numkit import UnitaryEigen, eig_unitary, sqrt_psd, tensor_power, validate_unitary
+from .numkit import UnitaryEigen, eig_unitary, tensor_power, validate_unitary
 from .protocol import (
     EliminationTest,
     HypothesisSet,
@@ -67,13 +66,9 @@ from .protocol import (
 )
 from .states import (
     as_density,
-    as_povm,
     as_state_vector,
-    fubini_study_form,
     mixed_fidelity,
-    povm_probabilities,
     pure_fidelity,
-    state_distance,
 )
 
 __version__ = "0.1.0"
@@ -88,7 +83,6 @@ __all__ = [
     "HypothesisSet",
     "IdenticalGatesError",
     "MonteCarloEstimate",
-    "ProbDist",
     "ProbeState",
     "SimResult",
     "SizeLimitError",
@@ -100,7 +94,6 @@ __all__ = [
     "UnitaryEigen",
     "ValidationError",
     "as_density",
-    "as_povm",
     "as_prob_dist",
     "as_state_vector",
     "avg_fidelity_mc",
@@ -109,7 +102,6 @@ __all__ = [
     "classical_fidelity",
     "convex_min_overlap",
     "eig_unitary",
-    "fubini_study_form",
     "gate_distance",
     "gate_fidelity_su2",
     "gate_fidelity_sud",
@@ -125,14 +117,11 @@ __all__ = [
     "oracle_min_overlap",
     "overlap_samples",
     "plan_elimination",
-    "povm_probabilities",
     "probe_overlap",
     "pure_fidelity",
     "relative_entropy",
     "simulate_elimination",
     "sphere_embed",
-    "sqrt_psd",
-    "state_distance",
     "su2_from_params",
     "su2_tangent",
     "su3_example_gate",

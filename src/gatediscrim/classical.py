@@ -15,12 +15,8 @@ from .errors import DimensionError, ValidationError
 
 PROB_TOL = 1e-12
 
-# Validated probability vectors are plain float arrays; the alias marks
-# which arguments/returns have been through as_prob_dist.
-ProbDist = np.ndarray
 
-
-def as_prob_dist(weights: Sequence[float]) -> ProbDist:
+def as_prob_dist(weights: Sequence[float]) -> np.ndarray:
     """Validate and return a probability vector (entries >= 0, sum 1 within PROB_TOL)."""
     p = np.asarray(weights, dtype=float).reshape(-1)
     if p.size == 0:

@@ -134,7 +134,10 @@ def _parse_matrix(data, what: str = "matrix") -> np.ndarray:
                 raise ValidationError(
                     f"{what} entry ({i},{j}) must be a [re, im] pair"
                 )
-            out[i, j] = complex(entry[0], entry[1])
+            try:
+                out[i, j] = complex(entry[0], entry[1])
+            except OverflowError as exc:  # a JSON integer past float range
+                raise ValidationError(f"{what} entry ({i},{j}): {exc}") from exc
     return out
 
 

@@ -171,19 +171,6 @@ def eig_unitary(u, tol: float = DEFAULT_TOL) -> UnitaryEigen:
     )
 
 
-def sqrt_psd(m) -> np.ndarray:
-    """Hermitian square root of a positive semidefinite matrix, Hermitian within DEFAULT_TOL."""
-    m = _as_square(m)
-    if not np.abs(m - m.conj().T).max() <= DEFAULT_TOL:  # NaN fails too
-        raise ValidationError("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
-    if w.min() < -1e-8:
-        raise ValidationError(f"matrix has negative eigenvalue {w.min():.3e}")
-    w = np.clip(w, 0.0, None)
-    root = (v * np.sqrt(w)) @ v.conj().T
-    return (root + root.conj().T) / 2.0
-
-
 def tensor_power(u, n: int) -> np.ndarray:
     """Kronecker power U^(x)n; refuses results larger than MAX_TENSOR_DIM."""
     m = _as_square(u)

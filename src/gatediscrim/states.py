@@ -1,11 +1,13 @@
-"""Density matrices, POVMs, and state-level fidelities."""
-from __future__ import annotations
+"""Density matrices, pure states and their fidelities.
 
-from typing import Sequence
+These serve the CLI's `state-fidelity` command: `mixed_fidelity` on two
+validated density matrices, which reduces to `pure_fidelity` on rank-1
+inputs.
+"""
+from __future__ import annotations
 
 import numpy as np
 
-from . import classical, numkit
 from .errors import DimensionError, ValidationError
 from .numkit import DEFAULT_TOL
 
@@ -43,40 +45,6 @@ def as_state_vector(psi) -> np.ndarray:
     return v
 
 
-def as_povm(elements: Sequence) -> list[np.ndarray]:
-    """Validate a POVM: finite Hermitian PSD elements that sum to the identity.
-
-    Per-element checks use DEFAULT_TOL; the completeness sum is allowed a looser
-    1e-9 since it accumulates error across elements.
-    """
-    if len(elements) == 0:
-        raise DimensionError("a POVM needs at least one element")
-    mats = [np.asarray(m, dtype=complex) for m in elements]
-    d = mats[0].shape[0]
-    for m in mats:
-        if m.ndim != 2 or m.shape != (d, d):
-            raise DimensionError("POVM elements must be square and same-dimensional")
-        _require_finite(m, "POVM element")
-        if np.abs(m - m.conj().T).max() > DEFAULT_TOL:
-            raise ValidationError("POVM element is not Hermitian within tolerance")
-        if np.linalg.eigvalsh((m + m.conj().T) / 2.0).min() < -DEFAULT_TOL:
-            raise ValidationError("POVM element has a negative eigenvalue")
-    if np.abs(sum(mats) - np.eye(d)).max() > 1e-9:
-        raise ValidationError("POVM elements do not sum to the identity")
-    return mats
-
-
-def povm_probabilities(rho, elements: Sequence) -> np.ndarray:
-    """Outcome distribution tr(M_i rho); always a valid probability vector."""
-    rho = as_density(rho)
-    mats = as_povm(elements)
-    if mats[0].shape[0] != rho.shape[0]:
-        raise DimensionError("POVM and state dimensions differ")
-    probs = np.array([np.trace(m @ rho).real for m in mats])
-    probs = np.clip(probs, 0.0, None)
-    return probs / probs.sum()
-
-
 def pure_fidelity(psi1, psi2) -> float:
     """|<psi1|psi2>|^2 for normalized vectors."""
     v1, v2 = as_state_vector(psi1), as_state_vector(psi2)
@@ -90,7 +58,10 @@ def mixed_fidelity(rho1, rho2) -> float:
     r1, r2 = as_density(rho1), as_density(rho2)
     if r1.shape != r2.shape:
         raise DimensionError("density matrices must share a dimension")
-    root = numkit.sqrt_psd(r1)
+    # as_density refused eigenvalues below -DEFAULT_TOL; clip the rounding rest
+    w, v = np.linalg.eigh((r1 + r1.conj().T) / 2.0)
+    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    root = (root + root.conj().T) / 2.0
     inner = root @ r2 @ root
     w = np.linalg.eigvalsh((inner + inner.conj().T) / 2.0)
     # Eigenvalues at rounding-noise scale would contribute sqrt(eps) each to
@@ -99,19 +70,3 @@ def mixed_fidelity(rho1, rho2) -> float:
     w = np.where(w > floor, w, 0.0)
     val = float(np.sqrt(w).sum())
     return min(1.0, val * val)
-
-
-def state_distance(rho1, rho2) -> float:
-    """arccos(sqrt(F)) on density matrices; same angle as classical_distance."""
-    f = mixed_fidelity(rho1, rho2)
-    return float(np.arccos(np.clip(np.sqrt(f), 0.0, 1.0)))
-
-
-def fubini_study_form(psi, dpsi) -> float:
-    """Squared line element <dpsi|dpsi> - |<psi|dpsi>|^2 of the projective metric."""
-    v = as_state_vector(psi)
-    dv = np.asarray(dpsi, dtype=complex).reshape(-1)
-    if dv.size != v.size:
-        raise DimensionError("tangent vector dimension mismatch")
-    val = float(np.vdot(dv, dv).real - abs(np.vdot(v, dv)) ** 2)
-    return max(0.0, val)

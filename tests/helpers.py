@@ -2,8 +2,8 @@
 
 Every generator takes an explicit Generator so tests stay reproducible.  The
 dense references (reduced states, probe images, two-probe amplitudes, the
-spectral reconstruction) check the library's results; the library itself
-needs none of them.
+spectral reconstruction) and the any-d average fidelity check the library's
+results; the library itself needs none of them.
 """
 import dataclasses
 import itertools
@@ -104,3 +104,12 @@ def term_amplitude(a, b, op: np.ndarray | None = None) -> complex:
 def reconstruct(eig) -> np.ndarray:
     """The unitary sum_k exp(i phases[k]) |v_k><v_k| of a `numkit.UnitaryEigen`."""
     return (eig.vectors * np.exp(1j * eig.phases)) @ eig.vectors.conj().T
+
+
+def avg_fidelity_exact(u1, u2) -> float:
+    """(d + |tr R|^2) / (d (d+1)) with R = U1^dag U2: the average of |<psi|R|psi>|^2
+    over uniform pure states in any dimension d (Horodecki, Horodecki & Horodecki,
+    PRA 60, 1888 (1999); Nielsen, Phys. Lett. A 303, 249 (2002))."""
+    rel = np.asarray(u1).conj().T @ np.asarray(u2)
+    d = rel.shape[0]
+    return float((d + abs(np.trace(rel)) ** 2) / (d * (d + 1)))

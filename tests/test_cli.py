@@ -410,10 +410,15 @@ def test_json_booleans_are_not_numbers(capsys, tmp_path, kind):
     assert out == "" and "validation error" in err
 
 
+HUGE_INTEGER = "1" + "0" * 400  # past float range: float() of it raises OverflowError
 NON_FINITE_INPUTS = {  # argv with one non-finite number; "{set}" is a two-gate set file,
-    # "{rho_nan}" and "{rho_inf}" density files with one NaN or Infinity entry
+    # "{rho_nan}" and "{rho_inf}" density files with one NaN or Infinity entry, "{huge}"
+    # a matrix file and "{huge_set}" a set file with one HUGE_INTEGER entry
     "phi": ["su3-example", "--gamma1", "0.1", "--gamma2", "0.2", "--phi", "[NaN,0,0,0,0]"],
-    "huge-integer": ["arc", "--phases", "[1" + "0" * 400 + "]"],
+    "huge-integer": ["arc", "--phases", f"[{HUGE_INTEGER}]"],
+    "huge-integer-gate": ["distance", "--u1", "{huge}", "--u2", "{b}"],
+    "huge-integer-set": ["discriminate", "--set", "{huge_set}", "--true", "0"],
+    "huge-integer-state": ["state-fidelity", "--rho1", "{half}", "--rho2", "{huge}"],
     "tol-inf": ["distance", "--u1", "{a}", "--u2", "{b}", "--tol", "inf"],
     "tol-nan": ["distance", "--u1", "{a}", "--u2", "{b}", "--tol", "nan"],
     "set-tol-inf": ["discriminate", "--set", "{set}", "--true", "0", "--tol", "inf"],
@@ -431,7 +436,13 @@ def test_non_finite_inputs_exit_2(capsys, tmp_path, gate_files, kind):
                                              (tmp_path / "b.json").read_text()))
     states = {name: write_matrix(tmp_path / f"{name}.json", np.diag([bad, 0.5]))
               for name, bad in (("rho_nan", math.nan), ("rho_inf", math.inf), ("half", 0.5))}
-    argv = [arg.format(a=a, b=b, set=hyp, **states) for arg in NON_FINITE_INPUTS[kind]]
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"dim": 2, "rows": [[[%s, 0], [0, 0]], [[0, 0], [1, 0]]]}' % HUGE_INTEGER)
+    huge_set = tmp_path / "huge_set.json"
+    huge_set.write_text('{"gates": [%s, %s]}' % ((tmp_path / "a.json").read_text(),
+                                                  huge.read_text()))
+    argv = [arg.format(a=a, b=b, set=hyp, huge=huge, huge_set=huge_set, **states)
+            for arg in NON_FINITE_INPUTS[kind]]
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == "" and "validation error" in err

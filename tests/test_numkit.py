@@ -13,7 +13,6 @@ from gatediscrim import (
     ValidationError,
     eig_unitary,
     numkit,
-    sqrt_psd,
     tensor_power,
     validate_unitary,
 )
@@ -187,28 +186,12 @@ def test_tensor_power_validation():
         tensor_power(u, 10**12)  # refused without forming 2^(10^12)
 
 
-def test_sqrt_psd():
-    rng = np.random.default_rng(3)
-    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    m = g @ g.conj().T
-    r = sqrt_psd(m)
-    assert np.allclose(r @ r, m, atol=1e-9)
-    assert np.abs(r - r.conj().T).max() <= 1e-12
-    with pytest.raises(ValidationError):
-        sqrt_psd(np.diag([1.0, -0.5]))
-    with pytest.raises(ValidationError):
-        sqrt_psd(g)  # not Hermitian
-    # tiny negative eigenvalues are clipped, not rejected
-    assert np.allclose(sqrt_psd(np.diag([1.0, -1e-12])), np.diag([1.0, 0.0]), atol=1e-6)
-
-
 NON_FINITE_PAST_TOLERANCE = {  # each would pass a check written as `residual > tol`
     "probe-coeff-nan": lambda: gd.ProbeState(coeffs=[np.nan], system=[[[1.0, 0.0]]]),
     "probe-factor-inf": lambda: gd.ProbeState(coeffs=[1.0], system=[[[np.inf, 0.0]]]),
     "sphere-nan": lambda: gd.SphereCoords(np.nan, 0.0, 0.0, 0.0),
     "divergence-g1-nan": lambda: gd.relative_entropy(
         [0.5, 0.5], [0.25, 0.75], lambda t: np.nan if t == 1.0 else t - 1.0),
-    "sqrt-psd-nan": lambda: sqrt_psd(np.array([[1.0, np.nan], [np.nan, 1.0]])),
 }
 
 
@@ -255,10 +238,8 @@ def test_fixed_settings_are_constants_not_parameters():
         gd.eig_unitary: "max_attempts",
         gd.tensor_power: "max_dim",
         gd.ProbeState.to_vector: "max_dim",
-        gd.sqrt_psd: "tol",
         gd.as_density: "tol",
         gd.as_state_vector: "tol",
-        gd.as_povm: "tol",
         gd.as_prob_dist: "tol",
         gd.metric_form_matrix: "soft_tol",
     }
@@ -267,6 +248,12 @@ def test_fixed_settings_are_constants_not_parameters():
     # dense references no library path uses live in the tests' helpers
     assert "partial_trace_b" not in gd.__all__
     assert not hasattr(gd, "partial_trace_b") and not hasattr(numkit, "partial_trace_b")
+    # state-level functions nothing read are gone, and mixed_fidelity takes its own root
+    for module, name in ((gd.states, "as_povm"), (gd.states, "povm_probabilities"),
+                         (gd.states, "state_distance"), (gd.states, "fubini_study_form"),
+                         (gd.classical, "ProbDist"), (numkit, "sqrt_psd")):
+        assert name not in gd.__all__ and not hasattr(gd, name), name
+        assert not hasattr(module, name), (module.__name__, name)
     for cls, member in ((gd.ProbeState, "system_density"), (gd.EliminationTest, "target"),
                         (gd.EliminationTest, "povm"), (gd.UnitaryEigen, "reconstruct")):
         assert not hasattr(cls, member), (cls.__name__, member)
