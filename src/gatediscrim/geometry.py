@@ -158,13 +158,7 @@ def haar_sample_su2(seed: int, n: int) -> SU2ParamSample:
     t1 = np.arcsin(np.sqrt(rng.random(n)))
     t2 = rng.uniform(0.0, 2.0 * math.pi, n)
     t3 = rng.uniform(0.0, 2.0 * math.pi, n)
-    ok = (0.0 <= t1) & (t1 <= math.pi / 2.0)
-    for t in (t2, t3):
-        ok &= (0.0 <= t) & (t < 2.0 * math.pi)
-    if not ok.all():
-        # the first draw out of range raises GateSU2Params's own error
-        k = int(np.argmin(ok))
-        GateSU2Params(float(t1[k]), float(t2[k]), float(t3[k]))
+    # in range by construction: random() < 1, and 2 pi r rounds below 2 pi for every r < 1
     for t in (t1, t2, t3):
         t.setflags(write=False)
     return SU2ParamSample(t1, t2, t3)

@@ -18,8 +18,8 @@ def _require_finite(arr: np.ndarray, what: str) -> None:
         raise ValidationError(f"{what} has non-finite entries")
 
 
-def as_density(rho) -> np.ndarray:
-    """Validate a density matrix: finite; Hermitian, unit trace and PSD within DEFAULT_TOL."""
+def _with_hermitian_part(rho) -> tuple[np.ndarray, np.ndarray]:
+    """rho as a complex array and its Hermitian part; every check of `as_density` but PSD."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise DimensionError(f"density matrix must be square, got {rho.shape}")
@@ -28,9 +28,18 @@ def as_density(rho) -> np.ndarray:
         raise ValidationError("density matrix is not Hermitian within tolerance")
     if abs(np.trace(rho).real - 1.0) > DEFAULT_TOL or abs(np.trace(rho).imag) > DEFAULT_TOL:
         raise ValidationError(f"density matrix has trace {np.trace(rho)!r}")
-    w = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
+    return rho, (rho + rho.conj().T) / 2.0
+
+
+def _require_psd(w: np.ndarray) -> None:
     if w.min() < -DEFAULT_TOL:
         raise ValidationError(f"density matrix has eigenvalue {w.min():.3e}")
+
+
+def as_density(rho) -> np.ndarray:
+    """Validate a density matrix: finite; Hermitian, unit trace and PSD within DEFAULT_TOL."""
+    rho, herm = _with_hermitian_part(rho)
+    _require_psd(np.linalg.eigvalsh(herm))
     return rho
 
 
@@ -55,11 +64,14 @@ def pure_fidelity(psi1, psi2) -> float:
 
 def mixed_fidelity(rho1, rho2) -> float:
     """(tr sqrt(sqrt(rho1) rho2 sqrt(rho1)))^2; reduces to pure_fidelity on rank-1 inputs."""
-    r1, r2 = as_density(rho1), as_density(rho2)
+    # rho1's one eigh gives both its PSD check and its root
+    r1, herm1 = _with_hermitian_part(rho1)
+    w, v = np.linalg.eigh(herm1)
+    _require_psd(w)
+    r2 = as_density(rho2)
     if r1.shape != r2.shape:
         raise DimensionError("density matrices must share a dimension")
-    # as_density refused eigenvalues below -DEFAULT_TOL; clip the rounding rest
-    w, v = np.linalg.eigh((r1 + r1.conj().T) / 2.0)
+    # eigenvalues below -DEFAULT_TOL were refused; clip the rounding rest
     root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
     root = (root + root.conj().T) / 2.0
     inner = root @ r2 @ root

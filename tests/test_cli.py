@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,13 @@ def write_matrix(path, m):
     }
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def off_diagonal_rotation(delta):
+    """V diag(e^{i delta}, e^{-i delta}) V^dag for a fixed V that is not diagonal."""
+    c, s, e = np.cos(0.3), np.sin(0.3), np.exp(0.7j)
+    v = np.array([[c, -s / e], [s * e, c]])
+    return (v * np.exp([1j * delta, -1j * delta])) @ v.conj().T
 
 
 @pytest.fixture
@@ -81,6 +89,9 @@ def test_distance_accepts_pauli_x_vs_z(capsys, tmp_path):
 
 def test_probe_kinds(capsys, gate_files):
     a, b = gate_files
+    _, out, _ = run(capsys, ["fidelity", "--u1", a, "--u2", b])
+    fid = json.loads(out)["result"]
+    assert abs(fid - 0.25) <= 1e-12
     for kind, copies in [("entangled", 1), ("separable", 1), ("ncopies", 2)]:
         code, out, _ = run(capsys, ["probe", "--u1", a, "--u2", b, "--kind", kind])
         assert code == 0
@@ -91,19 +102,21 @@ def test_probe_kinds(capsys, gate_files):
         if kind == "ncopies":
             assert doc["overlap"] <= 1e-16
         else:
-            assert abs(doc["overlap"] - 0.25) <= 1e-10
+            assert abs(doc["overlap"] - fid) <= 1e-12
 
 
 def test_probe_ncopies_far_past_the_cap(capsys, tmp_path):
-    # N = 15707963268 copies: the dense vector, of dimension 2^N, is refused
-    # by the size rule without the integer 2^N ever being formed
+    # the dense vector, of dimension 2^N, is refused by the size rule without
+    # the integer 2^N ever being formed
     a = write_matrix(tmp_path / "a.json", np.eye(2))
-    b = write_matrix(tmp_path / "b.json", np.diag(np.exp([1e-10j, -1e-10j])))
-    code, out, err = run(capsys, ["probe", "--u1", a, "--u2", b, "--kind", "ncopies"])
-    assert code == 0, err
-    doc = json.loads(out)["result"]
-    assert doc["copies"] == 15707963268 and doc["vector"] is None
-    assert doc["overlap"] <= 1e-16
+    for u2, copies in [(np.diag(np.exp([1e-10j, -1e-10j])), 15707963268),
+                       (off_diagonal_rotation(1e-6), 1570797)]:
+        b = write_matrix(tmp_path / "b.json", u2)
+        code, out, err = run(capsys, ["probe", "--u1", a, "--u2", b, "--kind", "ncopies"])
+        assert code == 0, err
+        doc = json.loads(out)["result"]
+        assert doc["copies"] == copies and doc["vector"] is None
+        assert doc["overlap"] <= 1e-16
 
 
 def test_tol_reaches_the_pair_commands(capsys, gate_files, tmp_path):
@@ -138,7 +151,14 @@ def test_tol_reaches_the_oracle(capsys, gate_files, tmp_path):
         assert abs(json.loads(out)["result"] - closed) <= 1e-9
 
 
-def test_oracle_cap_is_bad_input(capsys, gate_files):
+def test_oracle_cap_is_bad_input(capsys, gate_files, monkeypatch):
+    # refused before the power is formed
+    import gatediscrim.numkit as numkit_mod
+
+    def boom(u, n):
+        raise AssertionError("formed the power before refusing")
+
+    monkeypatch.setattr(numkit_mod, "tensor_power", boom)
     a, b = gate_files
     code, out, err = run(capsys, ["oracle", "--u1", a, "--u2", b, "--n", "11"])
     assert code == 2
@@ -195,11 +215,20 @@ def test_avg_fidelity_command(capsys, gate_files, tmp_path):
     closed = 1.0 / 3.0 + 2.0 / 3.0 * 0.25
     assert abs(doc["closed_form"] - closed) <= 1e-12
     assert abs(doc["estimate"] - closed) <= 5 * doc["stderr"]
+    assert doc["samples"] == 20000
     lines = plot.read_text().strip().splitlines()
     assert lines[0] == "x,y"
     assert len(lines) == 65
     xs = [float(l.split(",")[0]) for l in lines[1:]]
     assert all(0.0 <= x <= 1.0 for x in xs)
+    # a qutrit pair takes the d > 2 path, which has no closed form
+    i3 = write_matrix(tmp_path / "i3.json", np.eye(3))
+    c3 = write_matrix(tmp_path / "c3.json", np.roll(np.eye(3), 1, axis=1))
+    code, out, err = run(capsys, ["avg-fidelity", "--u1", i3, "--u2", c3,
+                                  "--samples", "5000", "--seed", "1"])
+    assert code == 0, err
+    doc = json.loads(out)["result"]
+    assert doc["samples"] == 5000 and doc["closed_form"] is None
 
 
 def test_avg_fidelity_one_sample_exits_2(capsys, gate_files, tmp_path):
@@ -333,6 +362,22 @@ def test_discriminate_example(capsys, tmp_path):
     assert result["total_runs"] == 2
     assert result["true_in_set"] is True
     assert len(result["trace"]) == 2
+
+
+@pytest.mark.parametrize("gates, total_runs", [
+    ([np.eye(2), off_diagonal_rotation(1e-6)], 1570797),
+    # the Paulis: det -1 and |p| = |q| ties
+    ([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], np.diag([1, -1])], 3),
+], ids=["small-angle", "pauli"])
+def test_discriminate_identifies_every_member(capsys, tmp_path, gates, total_runs):
+    paths = [write_matrix(tmp_path / f"g{i}.json", g) for i, g in enumerate(gates)]
+    set_file = tmp_path / "set.json"
+    set_file.write_text('{"gates": [%s]}' % ",".join(Path(p).read_text() for p in paths))
+    for true in range(len(gates)):
+        code, out, err = run(capsys, ["discriminate", "--set", str(set_file), "--true", str(true)])
+        assert code == 0, err
+        result = json.loads(out)["result"]
+        assert (result["identified"], result["total_runs"]) == (true, total_runs)
 
 
 def test_determinism_byte_identical(capsys, gate_files):
@@ -571,6 +616,14 @@ def test_commands_take_only_the_options_they_read(capsys, tmp_path, monkeypatch,
             assert code == 64, argv
             assert out == "" and f"unrecognized arguments: {flag}" in err
     assert not (tmp_path / "plot.csv").exists()
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_every_command_renders_its_help(capsys, command):
+    # argparse formats help strings such as %(default)g only when help is printed
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
 
 
 # The CLI contract: a fixed battery over every command and its error exits.
