@@ -386,6 +386,8 @@ def main(argv=None) -> int:
         print(parser.format_usage(), file=sys.stderr, end="")
         print(f"error: {exc}", file=sys.stderr)
         return 64
+    except SystemExit:  # argparse exits only after printing --help: error() raises
+        return 0
     if getattr(args, "command", None) is None:
         print(parser.format_usage(), file=sys.stderr, end="")
         return 64

@@ -57,8 +57,9 @@ _TANGENT_SOFT_TOL = 1e-6
 # a block's temporaries stay small next to the draw.  In loops of 2e4-sample
 # calls at d = 2, 3 and 8, and in a loop mixing oracle, Monte-Carlo and Haar
 # calls over d = 2..32, blocks of 1024 to 4096 fault no pages in, and 4096 is
-# the fastest for d = 2; at 8192 the mixed loop faulted ~4000 pages in per
-# pass of 24 pairs, as glibc handed the heap top back after each call.
+# the fastest for d = 2 (~0.46 ms a qubit call); at 8192 and above both the
+# mixed and a qubit-only loop faulted ~2700 pages in per pass of 18 qubit
+# calls, as glibc handed the heap top back after each call.
 _MC_BLOCK = 4096
 
 
@@ -183,34 +184,42 @@ class MonteCarloEstimate:
 
 
 def _qubit_overlaps(rel: np.ndarray):
-    """The d = 2 block kernel: real arithmetic on the draw, no complex array.
+    """The d = 2 block kernel: real elementwise arithmetic on two uniforms.
 
-    With z = (a + ic, b + id), P0 = a^2 + c^2, P1 = b^2 + d^2, u = ab + cd and
-    v = ad - bc, z^dag R z = R00 P0 + R11 P1 + R01 (u + iv) + R10 (u - iv), so
-    its real and imaginary parts are each four real multiples of (P0, P1, u,
-    v), the multiples read from R's four entries.
+    The state z = (sqrt(u), sqrt(1 - u) e^{i phi}) with phi = 2 pi (v - 1/2)
+    gives z^dag R z = R11 + (R00 - R11) u + sqrt(u (1 - u)) ((R01 + R10) cos phi
+    + i (R01 - R10) sin phi).  With t = tan(phi / 2) and h = sqrt(u (1 - u)) /
+    (1 + t^2), sqrt(u (1 - u)) cos phi = h (2 - (1 + t^2)) and sqrt(u (1 - u))
+    sin phi = 2 t h, so the block takes one tan and no sin, cos or complex exp.
+    The real and imaginary parts are evaluated as the two rows of one array,
+    their coefficients read from R's four entries.
     """
     (r00, r01), (r10, r11) = rel.tolist()
-    re_k = (r00.real, r11.real, r01.real + r10.real, r10.imag - r01.imag)
-    im_k = (r00.imag, r11.imag, r01.imag + r10.imag, r01.real - r10.real)
+    coef = [np.array([[z.real], [z.imag]])
+            for z in (r11, r00 - r11, r01 + r10, 2j * (r01 - r10))]
 
     def kernel(xb, out):
-        (a, b), (c, d) = xb[0].T, xb[1].T
-        p0, p1, u, v = a * a, b * b, a * b, a * d
-        p0 += c * c
-        p1 += d * d
-        u += c * d
-        v -= b * c
-        re, im = p0 * re_k[0], p0 * im_k[0]
-        for q, kr, ki in zip((p1, u, v), re_k[1:], im_k[1:]):
-            re += q * kr
-            im += q * ki
-        p0 += p1  # |z|^2
-        re *= re
-        im *= im
-        re += im
-        p0 *= p0
-        np.divide(re, p0, out=out)
+        u, v = xb
+        t = v - 0.5
+        t *= math.pi
+        np.tan(t, out=t)  # tan(phi / 2)
+        w = t * t
+        w += 1.0
+        h = 1.0 - u
+        h *= u
+        np.sqrt(h, out=h)
+        h /= w
+        np.subtract(2.0, w, out=w)
+        w *= h  # sqrt(u (1 - u)) cos phi
+        t *= h  # sqrt(u (1 - u)) sin phi / 2
+        amp = u * coef[1]
+        amp += coef[0]
+        part = w * coef[2]
+        amp += part
+        np.multiply(t, coef[3], out=part)
+        amp += part
+        amp *= amp
+        np.add(amp[0], amp[1], out=out)
 
     return kernel
 
@@ -233,32 +242,38 @@ def _complex_overlaps(rel: np.ndarray):
 def overlap_samples(u1: Gate, u2: Gate, samples: int, seed: int) -> np.ndarray:
     """Draw |<psi|U1^dag U2|psi>|^2 over uniform pure states.
 
-    States are complex Gaussian vectors z = x[0] + i x[1], the unitarily
-    invariant ensemble in any dimension, with x drawn in one call of shape
-    (2, samples, d); those are the same values, in the same order, as a draw
-    of the real parts followed by a draw of the imaginary parts.  z is never
-    normalized: each sample is |z^dag R z|^2 / |z|^4 with R = U1^dag U2.
-    R is read through `gates._pair`, so it is the one the other functions of
-    the same pair read.  Samples are evaluated in blocks of `_MC_BLOCK`, so
-    the temporaries stay small next to the draw, and a sample does not
-    depend on the block size.  A qubit block is evaluated with real
-    elementwise arithmetic on the draw's strided columns, its coefficients
-    read from R's four entries (`_qubit_overlaps`); every other d forms the
-    complex block and contracts it with R (`_complex_overlaps`).  The qubit
-    path reads R, not the `_su2_frame` that criterion 5's closed form reads,
-    so the sampler stays an independent check of that form and keeps the
-    part of R that is not unitary for a gate accepted at a loose `tol`.
-    A sample count that is not an integer >= 1,
-    or a seed that is not an integer >= 0, raises ValidationError; a count
-    whose 2 samples d normals exceed `numkit.MAX_DRAW_VALUES` raises
-    SizeLimitError before anything is drawn.
+    With R = U1^dag U2 read through `gates._pair` (the R the other functions
+    of the same pair read), samples are evaluated in blocks of `_MC_BLOCK`,
+    so the temporaries stay small next to the draw, and a sample does not
+    depend on the block size.  A qubit state takes two uniforms, drawn in
+    one call of shape (2, samples): z = (sqrt(u), sqrt(1 - u) e^{i phi})
+    with u = x[0] and phi = 2 pi (x[1] - 1/2), unit by construction, and
+    each sample is |z^dag R z|^2 in real elementwise arithmetic
+    (`_qubit_overlaps`).  Its coefficients are read from R's four entries,
+    not from the `_su2_frame` that criterion 5's closed form reads, so the
+    sampler stays an independent check of that form and keeps the part of R
+    that is not unitary for a gate accepted at a loose `tol`.  Any other d
+    draws complex Gaussian vectors z = x[0] + i x[1], the unitarily
+    invariant ensemble in any dimension, in one call of shape
+    (2, samples, d), the same values in the same order as a draw of the
+    real parts followed by one of the imaginary parts; z is never
+    normalized: each sample is |z^dag R z|^2 / |z|^4 (`_complex_overlaps`).
+    A sample count that is not an integer >= 1, or a seed that is not an
+    integer >= 0, raises ValidationError; a count whose draw (2 values per
+    qubit sample, 2 d normals otherwise) exceeds `numkit.MAX_DRAW_VALUES`
+    raises SizeLimitError before anything is drawn.
     """
     _check_pair(u1, u2)
     _check_int(samples, "sample count", 1)
-    _check_draw(2 * int(samples) * u1.dim, f"sample count {samples}")
+    qubit = u1.dim == 2
+    shape = (2, int(samples)) if qubit else (2, int(samples), u1.dim)
+    _check_draw(math.prod(shape), f"sample count {samples}")
     rel = _pair(u1, u2)[0]
-    kernel = _qubit_overlaps(rel) if u1.dim == 2 else _complex_overlaps(rel)
-    x = _rng(seed).standard_normal((2, samples, u1.dim))
+    rng = _rng(seed)
+    if qubit:
+        kernel, x = _qubit_overlaps(rel), rng.random(shape)
+    else:
+        kernel, x = _complex_overlaps(rel), rng.standard_normal(shape)
     out = np.empty(samples)
     block, start = _MC_BLOCK, 0
     while start < samples:

@@ -621,9 +621,8 @@ def test_commands_take_only_the_options_they_read(capsys, tmp_path, monkeypatch,
 @pytest.mark.parametrize("command", sorted(READS))
 def test_every_command_renders_its_help(capsys, command):
     # argparse formats help strings such as %(default)g only when help is printed
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--help"])
-    assert exc.value.code == 0
+    code, out, err = run(capsys, [command, "--help"])
+    assert code == 0 and out.startswith(f"usage: gatediscrim {command} ") and err == ""
 
 
 # The CLI contract: a fixed battery over every command and its error exits.

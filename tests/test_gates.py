@@ -526,6 +526,20 @@ def test_min_copies_examples():
     assert min_copies(Gate.identity(2), rot(math.pi / 4)) == 2  # exact boundary
 
 
+def test_min_copies_at_exact_boundaries():
+    # pairs at distance pi / (2m) up to rounding: the distance's few units of
+    # roundoff move the ratio by up to ~u m^2, which once read m + 1 for about
+    # half the pairs at m >= 1571; m copies already leave no overlap
+    for m in (2, 16, 1571, 10**4, 10**6):
+        rng = np.random.default_rng(m)
+        half_arc = np.exp([0.5j * math.pi / m, -0.5j * math.pi / m])
+        for _ in range(300):
+            u1, w = haar_unitary(2, rng, special=True), haar_unitary(2, rng)
+            g1, g2 = Gate(u1), Gate(u1 @ (w * half_arc) @ w.conj().T)
+            assert min_copies(g1, g2) == m
+            assert probe_overlap(g1, g2, optimal_probe_ncopies(g1, g2), m) <= 1e-16
+
+
 def test_min_copies_identical_gates():
     u = Gate(haar_unitary(2, np.random.default_rng(11), special=True))
     with pytest.raises(IdenticalGatesError):
