@@ -3,8 +3,8 @@
 For seeded random qubit gate pairs, minimizes the branch overlap
 numerically (Wolfe's certified min-norm point over the eigenphases of the
 full tensor power) and compares with cos^2 of the covering-arc half-width
-at one, two, and three parallel uses.  Prints worst-case error and timing
-per copy count.
+at one to six parallel uses.  Prints worst-case error and timing per copy
+count.
 
 Usage:
     python scripts/oracle_vs_closed_form.py --pairs 25 --seed 3
@@ -27,7 +27,7 @@ def main() -> None:
     pairs = list(zip(gates[::2], gates[1::2]))
 
     print(f"{'n':>3} {'worst |closed - oracle|':>24} {'seconds':>9}")
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4, 5, 6):
         worst = 0.0
         start = time.perf_counter()
         for u1, u2 in pairs:

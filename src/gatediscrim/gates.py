@@ -49,9 +49,10 @@ _FACTOR_NORM_TOL = 1e-14
 # The oracle's duality-gap tolerance and major-iteration cap.
 _WOLFE_GAP_TOL = 1e-14
 _WOLFE_MAX_ITER = 100
-# Largest tensor-power dimension the oracle diagonalizes.  Its cost grows as
-# the cube of the dimension: a qubit pair took 0.7 / 5.6 / 49 s at n = 9 / 10
-# / 11 (dimension 512 / 1024 / 2048) on a 2-core x86-64 host.
+# Largest tensor-power dimension whose eigenvalues the oracle computes.  Its
+# cost grows as the cube of the dimension: a qubit pair took 0.10 / 0.54 s at
+# n = 9 / 10 (dimension 512 / 1024), and the eigenvalue call alone 3.6 s at
+# n = 11 (dimension 2048), on a 2-core x86-64 host.
 _ORACLE_MAX_DIM = 1024
 
 
@@ -284,8 +285,9 @@ def _pair(u1: Gate, u2: Gate) -> tuple[np.ndarray, tuple | None]:
     The one place a pair function forms them: `gate_distance` (and through
     it both fidelities and `min_copies`), the probe builders,
     `probe_overlap`, `oracle_min_overlap` and `geometry.overlap_samples`
-    read the pair here (for d > 2 through `_pair_spectrum`), so the functions
-    of one pair form U1^dag U2 and its frame once.  The memo holds only the
+    read the pair here (for d != 2 `gate_distance`, `optimal_probe_separable`
+    and the oracle at n = 1 through `_pair_spectrum`), so the functions of
+    one pair form U1^dag U2 and its frame once.  The memo holds only the
     last pair, keyed on the two `Gate` objects by identity; a `Gate` cannot
     change after validation, and the memo keeps both alive, so a hit always
     returns what a miss would form.
@@ -300,13 +302,15 @@ def _pair(u1: Gate, u2: Gate) -> tuple[np.ndarray, tuple | None]:
 
 @functools.lru_cache(maxsize=1)
 def _pair_spectrum(u1: Gate, u2: Gate) -> numkit.UnitaryEigen:
-    """`numkit.eig_unitary` of a checked pair's U1^dag U2, at `_pair_tol`.
+    """`numkit.eig_unitary` of a checked pair's U1^dag U2, at `_pair_tol`, for d != 2.
 
-    The one place a pair is diagonalized: `gate_distance` and
-    `optimal_probe_separable` for d > 2, and `oracle_min_overlap` at n = 1
-    (where the power is U1^dag U2 itself), so the functions of one pair run
-    one eigendecomposition.  Like `_pair`, it holds only the last pair, keyed
-    on the two `Gate` objects by identity; the spectrum is read-only.
+    The one place a pair is diagonalized: `gate_distance`,
+    `optimal_probe_separable` and `oracle_min_overlap` at n = 1 (where the
+    power is U1^dag U2 itself) for d != 2, so the functions of one pair run
+    one eigendecomposition.  Qubit pairs never come here: their distance and
+    probes come from `_su2_frame`, and their oracle reads eigenvalues only.
+    Like `_pair`, it holds only the last pair, keyed on the two `Gate`
+    objects by identity; the spectrum is read-only.
     """
     return numkit.eig_unitary(_pair(u1, u2)[0], _pair_tol(u1, u2))
 
@@ -681,14 +685,16 @@ def _ncopies_probe(delta, alpha2, beta2) -> ProbeState:
 # Brute-force oracle
 
 
-def _affine_min_weights(pts: np.ndarray) -> np.ndarray:
-    """Affine weights of the point nearest 0 on the affine hull of 1-3 unit vectors."""
+def _affine_min_weights(pts: list) -> list:
+    """Affine weights of the point nearest 0 on the affine hull of 1-3 unit
+    vectors, given as (x, y) pairs of floats."""
     if len(pts) < 3:  # the hull of equal-norm points comes nearest at their mean
-        return np.full(len(pts), 1.0 / len(pts))
+        return [1.0 / len(pts)] * len(pts)
     # three points span the plane: barycentric coordinates of the origin
-    a, b = np.roll(pts, -1, axis=0), np.roll(pts, -2, axis=0)
-    c = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-    return c / c.sum()
+    (x0, y0), (x1, y1), (x2, y2) = pts
+    c = (x1 * y2 - y1 * x2, x2 * y0 - y2 * x0, x0 * y1 - y0 * x1)
+    total = c[0] + (c[1] + c[2])
+    return [ck / total for ck in c]
 
 
 def _wolfe_min_norm(phases: np.ndarray) -> tuple[float, float, int]:
@@ -700,26 +706,32 @@ def _wolfe_min_norm(phases: np.ndarray) -> tuple[float, float, int]:
     Returns (upper, lower, iterations): upper = |x|^2 for the primal point x,
     lower = max(0, min_k <x/|x|, z_k>)^2 (0 when x = 0), which no hull point
     undercuts.  Raises ConvergenceError past _WOLFE_MAX_ITER iterations.
+    Only the products <x, z_k> over all points are numpy; the corral of at
+    most three points, as (x, y) pairs, and its weights are Python floats.
     """
-    pts = np.stack([np.cos(phases), np.sin(phases)], axis=1)
-    corral, w = [0], np.ones(1)
+    cos, sin = np.cos(phases), np.sin(phases)
+    corral, w = [(float(cos[0]), float(sin[0]))], [1.0]
     for iteration in range(1, _WOLFE_MAX_ITER + 1):
-        x = w @ pts[corral]
-        upper = float(x @ x)
-        dots = pts @ x
+        x0 = x1 = 0.0
+        for wk, (c, s) in zip(w, corral):
+            x0, x1 = x0 + wk * c, x1 + wk * s
+        upper = x0 * x0 + x1 * x1
+        dots = cos * x0 + sin * x1
         j = int(np.argmin(dots))
         gap = upper - float(dots[j])
         if gap <= _WOLFE_GAP_TOL:
             lower = max(0.0, float(dots[j])) ** 2 / upper if upper > 0.0 else 0.0
             return upper, lower, iteration
-        corral, w = corral + [j], np.append(w, 0.0)
-        while (v := _affine_min_weights(pts[corral])).min() <= 0.0:
+        corral, w = corral + [(float(cos[j]), float(sin[j]))], w + [0.0]
+        while min(v := _affine_min_weights(corral)) <= 0.0:
             # Step from w towards v until a weight reaches 0; drop that point.
-            neg = np.flatnonzero(v <= 0.0)
-            ratios = w[neg] / (w[neg] - v[neg])
-            w = w + ratios.min() * (v - w)
-            w[neg[np.argmin(ratios)]] = 0.0
-            corral, w = [k for k, wk in zip(corral, w) if wk > 0.0], w[w > 0.0]
+            neg = [i for i, vi in enumerate(v) if vi <= 0.0]
+            ratios = [w[i] / (w[i] - v[i]) for i in neg]
+            step = min(ratios)
+            w = [wi + step * (vi - wi) for wi, vi in zip(w, v)]
+            w[neg[ratios.index(step)]] = 0.0
+            keep = [i for i, wi in enumerate(w) if wi > 0.0]
+            corral, w = [corral[i] for i in keep], [w[i] for i in keep]
         w = v
     raise ConvergenceError(f"min-norm point: gap {gap:.3e} still open after "
                            f"{_WOLFE_MAX_ITER} iterations")
@@ -733,24 +745,25 @@ def oracle_min_overlap(u1: Gate, u2: Gate, n: int) -> float:
     eigenphases of the n-fold tensor power of U1^dag U2; every weight vector
     on the simplex is realizable by some entangled probe, so this spans the
     true feasible set.  It stops on a duality gap of at most 1e-14 and
-    raises ConvergenceError if that gap stays open.  The full tensor power is
-    diagonalized: single-copy phases are never added up, and no phases are
-    sorted into a covering arc.  The power's deviation from unitarity grows
-    n-fold, so it is checked at n times the pair's `_pair_tol`; at n = 1 the
-    power is U1^dag U2 itself, and its spectrum is the pair's
-    `_pair_spectrum`.  Powers above `_ORACLE_MAX_DIM` are refused with
+    raises ConvergenceError if that gap stays open.  The full tensor power's
+    eigenvalues are computed (`numkit._unitary_phases`, one LAPACK call with
+    no eigenvectors): single-copy phases are never added up, and no phases
+    are sorted into a covering arc.  The power's deviation from unitarity
+    grows n-fold, so it is checked at n times the pair's `_pair_tol`.  At
+    n = 1 a pair with d != 2 reads the spectrum `gate_distance` forms
+    (`_pair_spectrum`) instead.  Powers above `_ORACLE_MAX_DIM` are refused with
     SizeLimitError before any is formed; an `n` that is not an integer >= 1
     raises ValidationError.
     """
     _check_pair(u1, u2)
     numkit._check_int(n, "copy count", 1)
     numkit._check_size(u1.dim, n, _ORACLE_MAX_DIM, "oracle dimension")
-    if n == 1:
-        eig = _pair_spectrum(u1, u2)
+    if n == 1 and u1.dim != 2:
+        phases = _pair_spectrum(u1, u2).phases
     else:
         big = numkit.tensor_power(_pair(u1, u2)[0], n)
-        eig = numkit.eig_unitary(big, n * _pair_tol(u1, u2))
-    upper, _, _ = _wolfe_min_norm(eig.phases)
+        phases = numkit._unitary_phases(big, n * _pair_tol(u1, u2))
+    upper, _, _ = _wolfe_min_norm(phases)
     return upper
 
 

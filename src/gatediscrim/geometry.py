@@ -155,14 +155,14 @@ def haar_sample_su2(seed: int, n: int) -> SU2ParamSample:
     """
     _check_int(n, "sample count", 1)
     _check_draw(3 * int(n), f"sample count {n}")
-    rng = _rng(seed)
-    t1 = np.arcsin(np.sqrt(rng.random(n)))
-    t2 = rng.uniform(0.0, 2.0 * math.pi, n)
-    t3 = rng.uniform(0.0, 2.0 * math.pi, n)
+    # one draw of 3 n uniforms, the stream of random(n) and two uniform(0, 2 pi, n)
+    # calls, which return 0 + 2 pi r: the same bits
+    t = _rng(seed).random((3, int(n)))
+    np.arcsin(np.sqrt(t[0], out=t[0]), out=t[0])
+    t[1:] *= 2.0 * math.pi
     # in range by construction: random() < 1, and 2 pi r rounds below 2 pi for every r < 1
-    for t in (t1, t2, t3):
-        t.setflags(write=False)
-    return SU2ParamSample(t1, t2, t3)
+    t.setflags(write=False)
+    return SU2ParamSample(t[0], t[1], t[2])
 
 
 @dataclass(frozen=True)
@@ -179,8 +179,12 @@ class MonteCarloEstimate:
         n = vals.size
         if n < 2:
             raise ValidationError(f"a standard error needs at least 2 samples, got {n}")
-        err = float(vals.std(ddof=1) / math.sqrt(n))
-        return cls(estimate=float(vals.mean()), stderr=err, samples=n)
+        mean = vals.mean()
+        # vals.std(ddof=1) to the bit, without forming the mean a second time
+        dev = vals - mean
+        np.multiply(dev, dev, out=dev)
+        err = float(np.sqrt(np.add.reduce(dev) / (n - 1)) / math.sqrt(n))
+        return cls(estimate=float(mean), stderr=err, samples=n)
 
 
 def _qubit_overlaps(rel: np.ndarray):

@@ -171,6 +171,27 @@ def eig_unitary(u, tol: float = DEFAULT_TOL) -> UnitaryEigen:
     )
 
 
+def _unitary_phases(m, tol: float) -> np.ndarray:
+    """Eigenphases in [-pi, pi] of a unitary matrix, unsorted, without vectors.
+
+    One LAPACK eigenvalue call (zgeev through `np.linalg.eigvals`) after the
+    check ||M^dag M - 1||_max <= tol, which raises ValidationError as
+    `eig_unitary` does.  Accuracy: M lies within O(tol) of its unitary polar
+    factor Q, and zgeev is backward stable, so the computed eigenvalues are
+    exact for M + E with ||E|| = O(u ||M||), u = 2**-53.  Q is normal, so by
+    Bauer-Fike every computed eigenvalue, and so every phase, lies within
+    O(tol + u) of one of Q's.  A LinAlgError (no convergence) raises
+    ConvergenceError.
+    """
+    m = _as_square(m)
+    if not validate_unitary(m, tol):
+        raise ValidationError("matrix is not unitary within tolerance")
+    try:
+        return np.angle(np.linalg.eigvals(m))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigenvalues did not converge (dim {m.shape[0]})") from exc
+
+
 def tensor_power(u, n: int) -> np.ndarray:
     """Kronecker power U^(x)n; refuses results larger than MAX_TENSOR_DIM."""
     m = _as_square(u)

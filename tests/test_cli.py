@@ -564,6 +564,19 @@ def test_oracle_iteration_cap_exit_code(capsys, monkeypatch, tmp_path):
     assert "non-convergence" in err and "gap" in err
 
 
+def test_oracle_eigenvalue_failure_exit_code(capsys, monkeypatch, gate_files):
+    # LAPACK's non-convergence on the power reaches the CLI as exit 3
+    def no_convergence(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    a, b = gate_files
+    monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
+    code, out, err = run(capsys, ["oracle", "--u1", a, "--u2", b, "--n", "2"])
+    assert code == 3
+    assert out == ""
+    assert "non-convergence" in err
+
+
 def test_identical_gates_exit_code(capsys, gate_files):
     a, _ = gate_files
     code, _, err = run(capsys, ["ncopies", "--u1", a, "--u2", a])

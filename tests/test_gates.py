@@ -214,13 +214,18 @@ def test_pair_spectra_are_taken_at_the_gates_tolerance():
 
 def test_a_qudit_pair_is_diagonalized_once(monkeypatch):
     # distance, fidelity, copies, separable probe and the oracle at n = 1 of one
-    # SU(3) pair share one eigendecomposition of U1^dag U2; n = 2 runs its own
-    calls = []
-    original = numkit.eig_unitary
+    # SU(3) pair share one eigendecomposition of U1^dag U2; n = 2 reads only the
+    # eigenvalues of its power
+    calls, phase_calls = [], []
+    original, original_phases = numkit.eig_unitary, numkit._unitary_phases
 
     def counted(u, tol=numkit.DEFAULT_TOL):
         calls.append(tol)
         return original(u, tol)
+
+    def counted_phases(m, tol):
+        phase_calls.append(tol)
+        return original_phases(m, tol)
 
     rng = np.random.default_rng(33)
     u1, u2 = (Gate(haar_unitary(3, rng, special=True)) for _ in range(2))
@@ -228,15 +233,17 @@ def test_a_qudit_pair_is_diagonalized_once(monkeypatch):
                 oracle_min_overlap(u1, u2, 1))
     u1, u2 = Gate(u1.matrix), Gate(u2.matrix)  # new objects: the memo misses
     monkeypatch.setattr(numkit, "eig_unitary", counted)
+    monkeypatch.setattr(numkit, "_unitary_phases", counted_phases)
     got = (gate_distance(u1, u2), optimal_probe_separable(u1, u2).system,
            oracle_min_overlap(u1, u2, 1))
     gate_fidelity_sud(u1, u2)
     min_copies(u1, u2)
-    assert calls == [gates_mod._pair_tol(u1, u2)]
+    assert calls == [gates_mod._pair_tol(u1, u2)] and phase_calls == []
     assert got[0] == expected[0] and got[2] == expected[2]
     assert np.array_equal(got[1], expected[1])
     oracle_min_overlap(u1, u2, 2)
-    assert calls == [gates_mod._pair_tol(u1, u2), 2 * gates_mod._pair_tol(u1, u2)]
+    assert calls == [gates_mod._pair_tol(u1, u2)]
+    assert phase_calls == [2 * gates_mod._pair_tol(u1, u2)]
 
 
 def test_accepted_gate_coincides_with_itself_up_to_phase():
@@ -1215,9 +1222,15 @@ def test_oracle_certified_interval_boundaries():
             closed = 0.0 if n * delta >= math.pi / 2 else math.cos(n * delta) ** 2
             phases = eig_unitary(tensor_power(rel, n)).phases
             upper, _ = _assert_certified(phases, closed)
-            u1 = Gate.identity(2)
-            got = oracle_min_overlap(u1, Gate(rel), n)
-            assert got <= upper
+            u1, u2 = Gate.identity(2), Gate(rel)
+            got = oracle_min_overlap(u1, u2, n)
+            # the oracle's own eigensolver gives the upper bound it must meet exactly;
+            # the eig_unitary phases give one within rounding of it
+            oracle_upper, _ = _assert_certified(
+                numkit._unitary_phases(tensor_power(rel, n), n * gates_mod._pair_tol(u1, u2)),
+                closed)
+            assert got <= oracle_upper
+            assert abs(got - upper) <= 1e-15
     # identical gates: every phase equal, the minimum is 1
     assert _assert_certified(np.zeros(8), 1.0) == (1.0, 1.0)
     assert _assert_certified(np.full(5, 2.5), 1.0)[0] == pytest.approx(1.0, abs=1e-15)
@@ -1225,6 +1238,27 @@ def test_oracle_certified_interval_boundaries():
     lam = np.exp(1j * np.array([0.7, 0.7, -1.4]))
     for n in (1, 2, 3):
         _assert_certified(eig_unitary(tensor_power(np.diag(lam), n)).phases)
+
+
+def test_oracle_agrees_with_wolfe_on_the_eig_unitary_phases():
+    # the oracle reads eigenvalues only; the full eigendecomposition of the same
+    # power gives the same minimum up to rounding
+    rng = np.random.default_rng(27)
+    cases = [(2, n) for n in range(1, 9)] + [(3, n) for n in range(1, 5)] + [(8, 1), (8, 2)]
+    for d, n in cases:
+        for _ in range(3):
+            u1, u2 = Gate(haar_unitary(d, rng)), Gate(haar_unitary(d, rng))
+            big = tensor_power(u1.matrix.conj().T @ u2.matrix, n)
+            want, _, _ = _wolfe_min_norm(eig_unitary(big).phases)
+            assert abs(oracle_min_overlap(u1, u2, n) - want) <= 1e-14
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(st.floats(-2 * math.pi, 2 * math.pi), min_size=1, max_size=40))
+def test_wolfe_interval_holds_the_convex_minimum_property(phases):
+    upper, lower, _ = _wolfe_min_norm(np.array(phases))
+    assert 0.0 <= lower
+    assert lower - 1e-12 <= convex_min_overlap(phases) <= upper + 1e-12
 
 
 def test_random_probes_never_undercut_certified_lower_bound():

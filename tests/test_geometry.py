@@ -158,6 +158,29 @@ def test_haar_sample_arrays_back_the_sequence():
         params[300]
 
 
+def test_haar_sample_is_the_three_call_draw():
+    # one draw of 3 n uniforms gives the bits of random(n) and two uniform(0, 2 pi, n)
+    for seed in (0, 3, 17, 99):
+        for n in (1, 2, 10_000):
+            rng = np.random.default_rng(seed)
+            t1 = np.arcsin(np.sqrt(rng.random(n)))
+            t2 = rng.uniform(0.0, 2.0 * math.pi, n)
+            t3 = rng.uniform(0.0, 2.0 * math.pi, n)
+            got = haar_sample_su2(seed, n)
+            for want, col in zip((t1, t2, t3), (got.theta1, got.theta2, got.theta3)):
+                assert np.array_equal(col, want) and not col.flags.writeable
+
+
+def test_monte_carlo_estimate_is_mean_and_std_to_the_bit():
+    rng = np.random.default_rng(46)
+    for n in (*range(2, 40), 127, 128, 129, 1001, 4096, 4097, 20_000):
+        vals = rng.random(n) ** rng.uniform(0.5, 4.0)
+        est = geometry.MonteCarloEstimate.from_samples(vals)
+        assert est.estimate == float(vals.mean())
+        assert est.stderr == float(vals.std(ddof=1) / math.sqrt(n))
+        assert est.samples == n
+
+
 def test_avg_fidelity_closed_form_cases():
     u = Gate.identity(2)
     assert abs(avg_fidelity_su2_closed(u, u) - 1.0) <= 1e-12

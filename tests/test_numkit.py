@@ -116,6 +116,25 @@ def test_eig_unitary_convergence_error_path(monkeypatch):
         eig_unitary(haar_unitary(3, np.random.default_rng(0)))
 
 
+def test_unitary_phases_match_eig_unitary_and_share_its_checks(monkeypatch):
+    rng = np.random.default_rng(2)
+    for dim in (1, 2, 3, 8, 32):
+        u = haar_unitary(dim, rng)
+        got = np.sort(numkit._unitary_phases(u, numkit.DEFAULT_TOL))
+        assert np.abs(got - eig_unitary(u).phases).max() <= 1e-13
+    with pytest.raises(ValidationError, match="not unitary within tolerance"):
+        numkit._unitary_phases(np.diag([1.0, 2.0]), numkit.DEFAULT_TOL)
+    with pytest.raises(DimensionError):
+        numkit._unitary_phases(np.ones((2, 3)), numkit.DEFAULT_TOL)
+
+    def no_convergence(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        numkit._unitary_phases(np.eye(4), numkit.DEFAULT_TOL)
+
+
 def test_eig_unitary_mixing_weights_are_fixed_draws(monkeypatch):
     # the scalar draws of a generator seeded 0x1D5A3, and no call builds one
     rng = np.random.default_rng(0x1D5A3)
