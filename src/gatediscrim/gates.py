@@ -40,12 +40,6 @@ _ARC_RESOLUTION = math.ulp(2.0 * math.pi) / 2.0
 # exactly the remaining weight reads 0 or ~2e-16 depending on the last bit
 # of delta, and would otherwise add terms with coefficients of ~1e-8.
 _WEIGHT_DUST = 1e-15
-# How far a library-built probe's factors may stray from unit norm and
-# orthogonality, and its branch weights from summing to 1: about 90 units of
-# roundoff (2**-53).  Unit orthonormal factors with unit weight sum make the
-# norm 1 at every N, so this replaces the full N-copy contraction, which
-# raises each factor's rounding to the power N.
-_FACTOR_NORM_TOL = 1e-14
 # The oracle's duality-gap tolerance and major-iteration cap.
 _WOLFE_GAP_TOL = 1e-14
 _WOLFE_MAX_ITER = 100
@@ -66,13 +60,15 @@ class Gate:
     """A unitary operation on C^dim: a validated, read-only matrix.
 
     The matrix is checked for unitarity within `tol` on construction and
-    stored as a read-only copy.  `matrix`, `dim` and `tol` are read-only
+    stored as a read-only copy.  What the library forms from accepted gates
+    (relative gates, their tensor powers, probe factors) is not checked
+    again; only `eig_unitary`, which a d != 2 pair's spectrum comes from
+    (`_pair_spectrum`), keeps its own checks, at the tolerance `_pair_tol`
+    derives from the gates'.  `matrix`, `dim` and `tol` are read-only
     properties, so a gate never changes after validation and the pair memo
     `_pair`, keyed on the gate objects, never outlives the matrices it was
-    formed from; a pair's spectrum is checked at a tolerance its gates can
-    meet (`_pair_tol`).  Callers read what they need from `matrix`: the
-    spectrum of a pair's relative gate through `_pair_spectrum`, the
-    determinant in `sphere_embed`.
+    formed from.  Callers read what they need from `matrix`: the spectrum of
+    a pair's relative gate, the determinant in `sphere_embed`.
     """
 
     def __init__(self, matrix, tol: float = DEFAULT_TOL):
@@ -155,13 +151,29 @@ def _check_pair(u1: Gate, u2: Gate, dim: int | None = None):
 
 
 def _pair_tol(u1: Gate, u2: Gate) -> float:
-    """Unitarity tolerance for U1^dag U2: 2 max(tol1, tol2) + DEFAULT_TOL.
+    """Eigensolver tolerance for R = U1^dag U2 of d x d gates: d t (2 + d t) + DEFAULT_TOL.
 
-    Each factor's deviation from unitarity carries into the product, so a
-    pair of gates accepted at a loose `tol` is diagonalized at a tolerance
-    its relative gate can meet; the DEFAULT_TOL term covers rounding.
+    With t = max(tol1, tol2), each gate A has ||A^dag A - 1||_max <= t, so
+    ||AA^dag - 1||_2 = ||A^dag A - 1||_2 <= d t: for square A the two
+    products have the same eigenvalues, and ||X||_2 <= ||X||_F <= d ||X||_max.
+    Writing R^dag R - 1 = U2^dag (U1 U1^dag - 1) U2 + (U2^dag U2 - 1),
+
+        ||R^dag R - 1||_max <= ||R^dag R - 1||_2
+                            <= ||U1 U1^dag - 1||_2 ||U2||_2^2 + ||U2^dag U2 - 1||_2
+                            <= d t (1 + d t) + d t,
+
+    which `eig_unitary`'s unitarity check reads.  R's unitary polar factor
+    Q has ||R - Q||_2 = max_k |s_k - 1| <= max_k |s_k^2 - 1| = ||R^dag R -
+    1||_2 over R's singular values s_k, so the same bound caps the residual
+    ||R v - e^{i phi} v|| of Q's eigenvectors on R, which its residual check
+    reads.  The DEFAULT_TOL term covers rounding.  The max-entry norm is not
+    invariant under U2^dag (.) U2, so no multiple of t alone holds: with F
+    the 3 x 3 DFT and J all ones, U = F (1 + a J / 3) has U^dag U - 1 =
+    (2a + a^2) J / 3 but U U^dag - 1 = (2a + a^2) e0 e0^dag, whose largest
+    entry is three times larger.
     """
-    return 2.0 * max(u1.tol, u2.tol) + DEFAULT_TOL
+    d, t = u1.dim, max(u1.tol, u2.tol)
+    return d * t * (2.0 + d * t) + DEFAULT_TOL
 
 
 def gate_fidelity_su2(u1: Gate, u2: Gate) -> float:
@@ -307,7 +319,9 @@ def _pair_spectrum(u1: Gate, u2: Gate) -> numkit.UnitaryEigen:
     The one place a pair is diagonalized: `gate_distance`,
     `optimal_probe_separable` and `oracle_min_overlap` at n = 1 (where the
     power is U1^dag U2 itself) for d != 2, so the functions of one pair run
-    one eigendecomposition.  Qubit pairs never come here: their distance and
+    one eigendecomposition.  `_pair_tol` bounds how far U1^dag U2 of two
+    accepted gates can be from unitary, so every accepted pair passes the
+    solver's unitarity check.  Qubit pairs never come here: their distance and
     probes come from `_su2_frame`, and their oracle reads eigenvalues only.
     Like `_pair`, it holds only the last pair, keyed on the two `Gate`
     objects by identity; the spectrum is read-only.
@@ -395,9 +409,9 @@ class ProbeState:
     array is read-only.  `ProbeState(...)` stores read-only copies of its
     inputs, refuses non-finite entries and checks the full norm within
     1e-10.  The probes the library builds itself (`_library_probe`) keep
-    the arrays they were built from, and their builders check the factors
-    instead: unit, orthogonal and with branch weights summing to 1, within
-    `_FACTOR_NORM_TOL`.
+    the arrays they were built from, unchecked: their factors are unit and
+    orthogonal, and their branch weights sum to 1, by construction, so the
+    norm is 1 at every N (the test suite checks the factors and the norm).
     """
 
     coeffs: np.ndarray
@@ -471,7 +485,7 @@ def _library_probe(coeffs: np.ndarray, system: np.ndarray,
     The arrays are made read-only in place and set without `__post_init__`:
     no copy, no shape check and no norm contraction.  Callers pass `coeffs`
     as complex128 and `counts` as int64 (all ones when None), the dtypes the
-    public constructor stores, and check their factors' norms themselves.
+    public constructor stores, and factors of unit norm.
     """
     if counts is None:
         counts = np.ones(system.shape[1], np.int64)
@@ -480,13 +494,6 @@ def _library_probe(coeffs: np.ndarray, system: np.ndarray,
     probe = object.__new__(ProbeState)
     probe.__dict__.update(coeffs=coeffs, system=system, ancilla=None, counts=counts)
     return probe
-
-
-def _check_factor_norm(deviation: float) -> None:
-    """Refuse a library-built probe whose factors stray from unit norm by more than
-    `_FACTOR_NORM_TOL` (`deviation` is the largest such residual)."""
-    if not deviation <= _FACTOR_NORM_TOL:
-        raise ValidationError(f"probe factors off unit norm by {deviation!r}")
 
 
 def _factor_gram(x: np.ndarray, y: np.ndarray, counts=1) -> np.ndarray:
@@ -575,7 +582,8 @@ def optimal_probe_separable(u1: Gate, u2: Gate) -> ProbeState:
     overlap cos^2(delta) and needs no ancilla.  For qubit gates delta <=
     pi/2 always, so this separable probe already achieves the optimal
     fidelity; its two eigenvectors come from the closed form of
-    `_su2_folded_eigenbasis`, other dimensions diagonalize U1^dag U2.
+    `_su2_folded_eigenbasis`, other dimensions diagonalize U1^dag U2.  Either
+    way v_a and v_b are orthonormal, so the factor is unit.
     """
     _check_pair(u1, u2)
     frame = _pair(u1, u2)[1]
@@ -591,7 +599,6 @@ def optimal_probe_separable(u1: Gate, u2: Gate) -> ProbeState:
         idx_b = int(np.argmin(diffs_b))
         v_a, v_b = eig.vectors[:, idx_a], eig.vectors[:, idx_b]
     psi = (v_a + v_b) / math.sqrt(2.0)
-    _check_factor_norm(abs(np.vdot(psi, psi) - 1.0))
     return _library_probe(np.ones(1, complex), psi[None, None, :])
 
 
@@ -634,10 +641,9 @@ def optimal_probe_ncopies(u1: Gate, u2: Gate) -> ProbeState:
     copies and on the last floor(N/2): it is stored as at most two counted
     columns, each term picking w+ or w- per column, so its size does not
     grow with N.  U1^dag U2 and its `_su2_frame` are read from `_pair`, and
-    `_ncopies_probe` builds the state from that frame and checks its
-    factors, not the N-copy norm (`_library_probe`).  The tests check that
-    the residual overlap stays within 1e-8 and each branch weight within
-    [0, 1/2].
+    `_ncopies_probe` builds the state from that frame (`_library_probe`).
+    The tests check that the residual overlap stays within 1e-8, each branch
+    weight within [0, 1/2], and the factors and the norm within rounding.
     """
     _check_pair(u1, u2, dim=2)
     return _ncopies_probe(*_pair(u1, u2)[1])
@@ -650,9 +656,8 @@ def _ncopies_probe(delta, alpha2, beta2) -> ProbeState:
     `protocol.HypothesisSet`) pass it in.  N comes from delta, and (w+, w-)
     from the closed form `_su2_folded_eigenbasis(alpha2, beta2)`.  Every step
     runs on Python scalars, and `coeffs`, `system` and `counts` are each
-    formed by one `np.array` call.  The norm is checked on the scalars, in a
-    form N cannot amplify: w+ and w- unit and orthogonal, and the branch
-    weights summing to 1, each within `_FACTOR_NORM_TOL`.
+    formed by one `np.array` call.  w+ and w- are unit and orthogonal, and
+    the branch weights sum to 1, by construction.
     """
     delta = float(delta)  # a numpy scalar would make every step below a numpy call
     n = _copies_for_distance(delta)
@@ -668,11 +673,6 @@ def _ncopies_probe(delta, alpha2, beta2) -> ProbeState:
     if rem > _WEIGHT_DUST:
         terms += ([(rem, (w_plus, w_minus)), (rem, (w_minus, w_plus))] if parity == 1
                   else [(rem, (w_plus, w_minus))])
-    (p0, p1), (m0, m1) = w_plus, w_minus
-    _check_factor_norm(max(abs(abs(p0) ** 2 + abs(p1) ** 2 - 1.0),
-                           abs(abs(m0) ** 2 + abs(m1) ** 2 - 1.0),
-                           abs(p0.conjugate() * m0 + p1.conjugate() * m1),
-                           abs(sum(weight for weight, _ in terms) - 1.0)))
     counts = [(n + 1) // 2, n // 2] if n > 1 else [1]
     return _library_probe(
         np.array([math.sqrt(weight) for weight, _ in terms], complex),
@@ -702,10 +702,15 @@ def _wolfe_min_norm(phases: np.ndarray) -> tuple[float, float, int]:
 
     Wolfe's min-norm-point algorithm (Math. Programming 11, 1976) on the
     points z_k = (cos phi_k, sin phi_k), whose corral holds at most three
-    points in the plane, stopped once |x|^2 - min_k <x, z_k> <= _WOLFE_GAP_TOL.
-    Returns (upper, lower, iterations): upper = |x|^2 for the primal point x,
-    lower = max(0, min_k <x/|x|, z_k>)^2 (0 when x = 0), which no hull point
-    undercuts.  Raises ConvergenceError past _WOLFE_MAX_ITER iterations.
+    points in the plane, stopped once |x|^2 - min_k <x, z_k> <= _WOLFE_GAP_TOL
+    or once the corral holds three points.  Returns (upper, lower,
+    iterations): upper = |x|^2 for the primal point x, lower = max(0,
+    min_k <x/|x|, z_k>)^2 (0 when x = 0), which no hull point undercuts.
+    Three corral points are kept only with positive affine weights for the
+    origin, so the origin is in their hull and lower = 0; the rounded x may
+    still leave a gap above the tolerance, and a fourth point would not fit
+    the plane.
+    Raises ConvergenceError past _WOLFE_MAX_ITER iterations.
     Only the products <x, z_k> over all points are numpy; the corral of at
     most three points, as (x, y) pairs, and its weights are Python floats.
     """
@@ -716,6 +721,8 @@ def _wolfe_min_norm(phases: np.ndarray) -> tuple[float, float, int]:
         for wk, (c, s) in zip(w, corral):
             x0, x1 = x0 + wk * c, x1 + wk * s
         upper = x0 * x0 + x1 * x1
+        if len(corral) == 3:
+            return upper, 0.0, iteration
         dots = cos * x0 + sin * x1
         j = int(np.argmin(dots))
         gap = upper - float(dots[j])
@@ -748,12 +755,14 @@ def oracle_min_overlap(u1: Gate, u2: Gate, n: int) -> float:
     raises ConvergenceError if that gap stays open.  The full tensor power's
     eigenvalues are computed (`numkit._unitary_phases`, one LAPACK call with
     no eigenvectors): single-copy phases are never added up, and no phases
-    are sorted into a covering arc.  The power's deviation from unitarity
-    grows n-fold, so it is checked at n times the pair's `_pair_tol`.  At
-    n = 1 a pair with d != 2 reads the spectrum `gate_distance` forms
-    (`_pair_spectrum`) instead.  Powers above `_ORACLE_MAX_DIM` are refused with
-    SizeLimitError before any is formed; an `n` that is not an integer >= 1
-    raises ValidationError.
+    are sorted into a covering arc.  The power is formed here from an
+    accepted pair and is not checked again: by Bauer-Fike its phases lie
+    within about 2 n d t of a unitary's, t the larger of the gates'
+    tolerances (`numkit._unitary_phases`).  At n = 1 a pair with d != 2
+    reads the spectrum `gate_distance` forms (`_pair_spectrum`) instead.
+    Powers above `_ORACLE_MAX_DIM` are refused with SizeLimitError before
+    any is formed; an `n` that is not an integer >= 1 raises
+    ValidationError.
     """
     _check_pair(u1, u2)
     numkit._check_int(n, "copy count", 1)
@@ -762,7 +771,7 @@ def oracle_min_overlap(u1: Gate, u2: Gate, n: int) -> float:
         phases = _pair_spectrum(u1, u2).phases
     else:
         big = numkit.tensor_power(_pair(u1, u2)[0], n)
-        phases = numkit._unitary_phases(big, n * _pair_tol(u1, u2))
+        phases = numkit._unitary_phases(big)
     upper, _, _ = _wolfe_min_norm(phases)
     return upper
 

@@ -171,21 +171,21 @@ def eig_unitary(u, tol: float = DEFAULT_TOL) -> UnitaryEigen:
     )
 
 
-def _unitary_phases(m, tol: float) -> np.ndarray:
-    """Eigenphases in [-pi, pi] of a unitary matrix, unsorted, without vectors.
+def _unitary_phases(m: np.ndarray) -> np.ndarray:
+    """Eigenphases in [-pi, pi] of a square matrix near unitary, unsorted, without vectors.
 
-    One LAPACK eigenvalue call (zgeev through `np.linalg.eigvals`) after the
-    check ||M^dag M - 1||_max <= tol, which raises ValidationError as
-    `eig_unitary` does.  Accuracy: M lies within O(tol) of its unitary polar
-    factor Q, and zgeev is backward stable, so the computed eigenvalues are
-    exact for M + E with ||E|| = O(u ||M||), u = 2**-53.  Q is normal, so by
-    Bauer-Fike every computed eigenvalue, and so every phase, lies within
-    O(tol + u) of one of Q's.  A LinAlgError (no convergence) raises
-    ConvergenceError.
+    One LAPACK eigenvalue call (zgeev through `np.linalg.eigvals`), with no
+    unitarity check: callers pass a matrix they formed from validated gates.
+    Accuracy: with ||M^dag M - 1||_2 <= e, M lies within e of its unitary
+    polar factor Q, and zgeev is backward stable, so the computed eigenvalues
+    are exact for M + E with ||E|| = O(u ||M||), u = 2**-53.  Q is normal,
+    so by Bauer-Fike every computed eigenvalue, and so every phase, lies
+    within O(e + u) of one of Q's.  For the n-fold tensor power of R =
+    U1^dag U2 of d x d gates accepted at tolerances up to t, e = ||(R^dag
+    R)^(x)n - 1||_2 <= (1 + e1)^n - 1, about 2 n d t, where e1 = d t (2 + d t)
+    bounds ||R^dag R - 1||_2 (`gates._pair_tol`).  A LinAlgError (no
+    convergence) raises ConvergenceError.
     """
-    m = _as_square(m)
-    if not validate_unitary(m, tol):
-        raise ValidationError("matrix is not unitary within tolerance")
     try:
         return np.angle(np.linalg.eigvals(m))
     except np.linalg.LinAlgError as exc:

@@ -29,6 +29,21 @@ def haar_unitary(dim: int, rng: np.random.Generator, special: bool = False) -> n
     return q
 
 
+def loose_tolerance_pairs() -> list[tuple[np.ndarray, np.ndarray]]:
+    """Two matrix pairs whose gates pass at tol 1e-6, each a half-circle apart.
+
+    F (1 + a J / 3) against the identity, F the 3 x 3 DFT and J all ones:
+    U U^dag - 1 has entries three times those of U^dag U - 1.  H (1 + b J / 2)
+    against 1 + b J / 2, H the Hadamard matrix: U1^dag U2 is off unitary by
+    more than twice 1e-6.
+    """
+    dft = np.exp(2j * np.pi * np.outer(range(3), range(3)) / 3) / np.sqrt(3)
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
+    near_one = np.eye(2) + 0.99e-6 * np.ones((2, 2)) / 2
+    return [(dft @ (np.eye(3) + 1.485e-6 * np.ones((3, 3)) / 3), np.eye(3)),
+            (hadamard @ near_one, near_one)]
+
+
 def rand_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)

@@ -8,7 +8,7 @@ import pytest
 
 from gatediscrim import ConvergenceError, Gate, geometry, su2_from_params
 from gatediscrim.cli import main
-from helpers import haar_unitary
+from helpers import haar_unitary, loose_tolerance_pairs
 
 
 def write_matrix(path, m):
@@ -141,7 +141,7 @@ def test_tol_reaches_the_pair_commands(capsys, gate_files, tmp_path):
 
 def test_tol_reaches_the_oracle(capsys, gate_files, tmp_path):
     # the n-fold power of U1^dag U2 drifts from unitarity n-fold (~2e-9 n
-    # here); the oracle diagonalizes it at n times the pair's tolerance
+    # here); the oracle forms it from the accepted pair and does not check it again
     a, _ = gate_files
     scaled = (1.0 + 1e-9) * np.diag([np.exp(1j * math.pi / 3), np.exp(-1j * math.pi / 3)])
     b = write_matrix(tmp_path / "scaled.json", scaled)
@@ -149,6 +149,35 @@ def test_tol_reaches_the_oracle(capsys, gate_files, tmp_path):
         code, out, err = run(capsys, ["oracle", "--u1", a, "--u2", b, "--n", n, "--tol", "1e-6"])
         assert code == 0, err
         assert abs(json.loads(out)["result"] - closed) <= 1e-9
+
+
+@pytest.mark.parametrize("m1, m2", loose_tolerance_pairs(), ids=["dft-qutrit", "hadamard-qubit"])
+def test_pairs_accepted_at_tol_reach_every_command(capsys, tmp_path, m1, m2):
+    # both gates pass at --tol 1e-6, so every pair command accepts the pair; the
+    # two are a half-circle apart, one copy discriminates them perfectly
+    a, b = write_matrix(tmp_path / "a.json", m1), write_matrix(tmp_path / "b.json", m2)
+    for argv, check in [
+        (["distance"], lambda r: abs(r - math.pi / 2) <= 1e-12),
+        (["ncopies"], lambda r: r == 1),
+        (["probe", "--kind", "separable"], lambda r: r["overlap"] <= 1e-11),
+        (["oracle", "--n", "2"], lambda r: r <= 1e-12),
+    ]:
+        code, out, err = run(capsys, [*argv, "--u1", a, "--u2", b, "--tol", "1e-6"])
+        assert code == 0, err
+        assert check(json.loads(out)["result"])
+
+
+def test_oracle_on_a_thin_corral(capsys, tmp_path):
+    # I against an exactly unitary gate at N = 2: Wolfe's corral holds three
+    # points around the origin before its rounded gap closes
+    a = write_matrix(tmp_path / "a.json", np.eye(2))
+    b = write_matrix(tmp_path / "b.json", [
+        [0.97892092835969 - 0.17059109371769834j, 0.009982765063411154 + 0.11186080263117326j],
+        [-0.028523576813298427 - 0.108622743149754j, -0.9787946618170682 + 0.17131408358570285j],
+    ])
+    code, out, err = run(capsys, ["oracle", "--u1", a, "--u2", b, "--n", "2"])
+    assert code == 0, err
+    assert json.loads(out)["result"] <= 1e-16
 
 
 def test_oracle_cap_is_bad_input(capsys, gate_files, monkeypatch):
