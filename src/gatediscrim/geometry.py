@@ -53,14 +53,17 @@ class SphereCoords:
 
 # Relative anti-Hermitian residual above which metric_form_matrix warns.
 _TANGENT_SOFT_TOL = 1e-6
-# Samples overlap_samples evaluates at a time (at least 2), on both paths, so
-# a block's temporaries stay small next to the draw.  In loops of 2e4-sample
+# Samples overlap_samples evaluates at a time, on both paths, so a block's
+# temporaries stay small next to the draw.  In loops of 2e4-sample
 # calls at d = 2, 3 and 8, and in a loop mixing oracle, Monte-Carlo and Haar
 # calls over d = 2..32, blocks of 1024 to 4096 fault no pages in, and 4096 is
 # the fastest for d = 2 (~0.46 ms a qubit call); at 8192 and above both the
 # mixed and a qubit-only loop faulted ~2700 pages in per pass of 18 qubit
 # calls, as glibc handed the heap top back after each call.
 _MC_BLOCK = 4096
+# Column multiple the qubit kernel pads each block's product to, so that
+# BLAS's blocking, and with it a sample's bits, do not depend on the block.
+_QUBIT_PAD = 16
 
 
 def metric_form_matrix(u: Gate, du) -> float:
@@ -188,26 +191,38 @@ class MonteCarloEstimate:
 
 
 def _qubit_overlaps(rel: np.ndarray):
-    """The d = 2 block kernel: real elementwise arithmetic on two uniforms.
+    """The d = 2 block kernel: elementwise arithmetic on two uniforms, then one real product.
 
     The state z = (sqrt(u), sqrt(1 - u) e^{i phi}) with phi = 2 pi (v - 1/2)
     gives z^dag R z = R11 + (R00 - R11) u + sqrt(u (1 - u)) ((R01 + R10) cos phi
     + i (R01 - R10) sin phi).  With t = tan(phi / 2) and h = sqrt(u (1 - u)) /
     (1 + t^2), sqrt(u (1 - u)) cos phi = h (2 - (1 + t^2)) and sqrt(u (1 - u))
     sin phi = 2 t h, so the block takes one tan and no sin, cos or complex exp.
-    The real and imaginary parts are evaluated as the two rows of one array,
-    their coefficients read from R's four entries.
+    The rows 1, u, sqrt(u (1 - u)) cos phi and sqrt(u (1 - u)) sin phi / 2 are
+    written into one (4, b') array, b' the block length b rounded up to a
+    multiple of `_QUBIT_PAD` with zero columns, and one real (2, 4) @ (4, b')
+    product with R's four coefficients gives the real and imaginary parts.
+    BLAS's last bits depend on where a column falls within the kernel's
+    blocking; padded to 16 columns a sample's bits do not depend on the block
+    under any OpenBLAS kernel tried (Haswell, Zen, SkylakeX, Sandybridge,
+    Nehalem, Prescott), unpadded they moved under Nehalem.
     """
     (r00, r01), (r10, r11) = rel.tolist()
-    coef = [np.array([[z.real], [z.imag]])
-            for z in (r11, r00 - r11, r01 + r10, 2j * (r01 - r10))]
+    cols = (r11, r00 - r11, r01 + r10, 2j * (r01 - r10))
+    coef = np.array([[z.real for z in cols], [z.imag for z in cols]])
 
     def kernel(xb, out):
         u, v = xb
-        t = v - 0.5
+        b = u.size
+        rows = np.empty((4, -(-b // _QUBIT_PAD) * _QUBIT_PAD))
+        rows[:, b:] = 0.0  # pad columns: garbage squared could overflow
+        rows[0, :b] = 1.0
+        rows[1, :b] = u
+        w, t = rows[2, :b], rows[3, :b]
+        np.subtract(v, 0.5, out=t)
         t *= math.pi
         np.tan(t, out=t)  # tan(phi / 2)
-        w = t * t
+        np.multiply(t, t, out=w)
         w += 1.0
         h = 1.0 - u
         h *= u
@@ -216,26 +231,25 @@ def _qubit_overlaps(rel: np.ndarray):
         np.subtract(2.0, w, out=w)
         w *= h  # sqrt(u (1 - u)) cos phi
         t *= h  # sqrt(u (1 - u)) sin phi / 2
-        amp = u * coef[1]
-        amp += coef[0]
-        part = w * coef[2]
-        amp += part
-        np.multiply(t, coef[3], out=part)
-        amp += part
+        amp = coef @ rows
         amp *= amp
-        np.add(amp[0], amp[1], out=out)
+        np.add(amp[0, :b], amp[1, :b], out=out)
 
     return kernel
 
 
 def _complex_overlaps(rel: np.ndarray):
-    """The block kernel of any other d: one product z R^T and two contractions."""
-    rel_t = rel.T
+    """The block kernel of any other d: z R^T and two contractions, all in einsum.
+
+    einsum's own loops, not BLAS: zgemm's `z @ R^T` moved samples by up to
+    7.8e-16 with the block under OpenBLAS's Haswell kernel, einsum's sums
+    take each row alone.
+    """
 
     def kernel(xb, out):
         z = np.empty(xb.shape[1:], dtype=complex)
         z.real, z.imag = xb
-        amp = np.einsum("si,si->s", z.conj(), z @ rel_t)
+        amp = np.einsum("si,si->s", z.conj(), np.einsum("si,ji->sj", z, rel))
         zv = z.view(float)
         norm2 = np.einsum("si,si->s", zv, zv)
         np.divide(amp.real ** 2 + amp.imag ** 2, norm2 * norm2, out=out)
@@ -249,19 +263,21 @@ def overlap_samples(u1: Gate, u2: Gate, samples: int, seed: int) -> np.ndarray:
     With R = U1^dag U2 read through `gates._pair` (the R the other functions
     of the same pair read), samples are evaluated in blocks of `_MC_BLOCK`,
     so the temporaries stay small next to the draw, and a sample does not
-    depend on the block size.  A qubit state takes two uniforms, drawn in
-    one call of shape (2, samples): z = (sqrt(u), sqrt(1 - u) e^{i phi})
-    with u = x[0] and phi = 2 pi (x[1] - 1/2), unit by construction, and
-    each sample is |z^dag R z|^2 in real elementwise arithmetic
-    (`_qubit_overlaps`).  Its coefficients are read from R's four entries,
-    not from the `_su2_frame` that criterion 5's closed form reads, so the
-    sampler stays an independent check of that form and keeps the part of R
-    that is not unitary for a gate accepted at a loose `tol`.  Any other d
-    draws complex Gaussian vectors z = x[0] + i x[1], the unitarily
-    invariant ensemble in any dimension, in one call of shape
-    (2, samples, d), the same values in the same order as a draw of the
-    real parts followed by one of the imaginary parts; z is never
-    normalized: each sample is |z^dag R z|^2 / |z|^4 (`_complex_overlaps`).
+    depend on the block size, nor on the OpenBLAS kernel: a tail, one
+    sample included, is a block like any other.  A qubit state takes two
+    uniforms, drawn in one call of shape (2, samples): z = (sqrt(u),
+    sqrt(1 - u) e^{i phi}) with u = x[0] and phi = 2 pi (x[1] - 1/2), unit
+    by construction, and each sample is |z^dag R z|^2 from real elementwise
+    arithmetic and one padded real matrix product (`_qubit_overlaps`).  Its
+    coefficients are read from R's four entries, not from the `_su2_frame`
+    that criterion 5's closed form reads, so the sampler stays an
+    independent check of that form and keeps the part of R that is not
+    unitary for a gate accepted at a loose `tol`.  Any other d draws complex
+    Gaussian vectors z = x[0] + i x[1], the unitarily invariant ensemble in
+    any dimension, in one call of shape (2, samples, d), the same values in
+    the same order as a draw of the real parts followed by one of the
+    imaginary parts; z is never normalized: each sample is |z^dag R z|^2 /
+    |z|^4, contracted in einsum's own loops (`_complex_overlaps`).
     A sample count that is not an integer >= 1, or a seed that is not an
     integer >= 0, raises ValidationError; a count whose draw (2 values per
     qubit sample, 2 d normals otherwise) exceeds `numkit.MAX_DRAW_VALUES`
@@ -279,13 +295,9 @@ def overlap_samples(u1: Gate, u2: Gate, samples: int, seed: int) -> np.ndarray:
     else:
         kernel, x = _complex_overlaps(rel), rng.standard_normal(shape)
     out = np.empty(samples)
-    block, start = _MC_BLOCK, 0
-    while start < samples:
-        # BLAS takes a one-row product through its matrix-vector kernel, whose
-        # last bits differ: a one-sample tail joins the block before it
-        stop = start + block if samples - start > block + 1 else samples
-        kernel(x[:, start:stop], out[start:stop])
-        start = stop
+    block = _MC_BLOCK
+    for start in range(0, samples, block):
+        kernel(x[:, start:start + block], out[start:start + block])
     return out
 
 

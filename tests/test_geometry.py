@@ -379,11 +379,12 @@ def test_qubit_overlaps_follow_the_bloch_ensemble():
 
 
 def test_qubit_overlaps_need_no_contraction(monkeypatch):
-    # d = 2 is elementwise arithmetic on the draw; other d contract complex
-    # blocks, two contractions per block.  The first call forms the pair's R.
+    # d = 2 is elementwise arithmetic on the draw and one real product; other
+    # d take z R^T and two contractions per block, all three in einsum.  The
+    # first call forms the pair's R.
     rng = np.random.default_rng(45)
     einsum, calls = np.einsum, []
-    for d, expect in ((2, 0), (3, 4)):
+    for d, expect in ((2, 0), (3, 6)):
         u1, u2 = Gate(haar_unitary(d, rng)), Gate(haar_unitary(d, rng))
         overlap_samples(u1, u2, 10, 1)
         calls.clear()

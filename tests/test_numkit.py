@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import inspect
 
 import numpy as np
@@ -190,11 +191,29 @@ def test_tensor_power_eigenphases_match_sums():
             assert _phase_multiset_close(got, ref)
 
 
+def test_tensor_power_is_kron_to_the_byte():
+    # Each step broadcasts the products np.kron forms, so the powers are
+    # np.kron's byte for byte, unitary or not.  Up to the oracle's cap of
+    # dimension 1024, the largest power the library itself forms; a
+    # 4096 x 4096 complex power alone takes 256 MiB.
+    rng = np.random.default_rng(29)
+    for d in (2, 3, 4):
+        general = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        for m in (haar_unitary(d, rng), general):
+            n = 1
+            while d**n <= gd.gates._ORACLE_MAX_DIM:
+                ref = functools.reduce(np.kron, [m] * n)
+                assert tensor_power(m, n).tobytes() == ref.tobytes(), (d, n)
+                n += 1
+
+
 def test_tensor_power_validation():
     u = np.eye(2)
     assert np.allclose(tensor_power(u, 1), u)
     with pytest.raises(ValidationError):
         tensor_power(u, 0)
+    with pytest.raises(ValidationError, match="must be an integer"):
+        tensor_power(u, 2.5)  # not a bare TypeError from range
     with pytest.raises(SizeLimitError):
         tensor_power(u, 13)  # 2^13 > 4096
     with pytest.raises(SizeLimitError, match=r"2\^1000000000000 exceeds the cap 4096"):
