@@ -57,33 +57,30 @@ def _freeze(arr, dtype=complex) -> np.ndarray:
 
 
 class Gate:
-    """A unitary operation on C^dim: a validated, read-only matrix.
+    """A unitary operation on C^dim: a validated, read-only unitary matrix.
 
-    The matrix is checked for unitarity within `tol` on construction and
-    stored as a read-only copy.  What the library forms from accepted gates
-    (relative gates, their tensor powers, probe factors) is not checked
-    again; only `eig_unitary`, which a d != 2 pair's spectrum comes from
-    (`_pair_spectrum`), keeps its own checks, at the tolerance `_pair_tol`
-    derives from the gates'.  `matrix`, `dim` and `tol` are read-only
-    properties, so a gate never changes after validation and the pair memo
-    `_pair`, keyed on the gate objects, never outlives the matrices it was
-    formed from.  Callers read what they need from `matrix`: the spectrum of
-    a pair's relative gate, the determinant in `sphere_embed`.
+    The matrix M is accepted when ||M^dag M - 1||_max <= `tol`, and the gate
+    stores its unitary polar factor, the nearest unitary matrix
+    (`numkit._unitary_factor`), as a read-only array: M itself, byte for
+    byte, when M is unitary to rounding.  M with ||M^dag M - 1||_F > 1/2 is
+    refused, which a tol <= 1/(2 dim) never does.  What the library forms
+    from gates (relative gates, their tensor powers, probe factors) is
+    therefore unitary to rounding and is not checked again.  `matrix`,
+    `dim` and `tol` are read-only properties, so a gate never changes after
+    validation and the pair memo `_pair`, keyed on the gate objects, never
+    outlives the matrices it was formed from.  Callers read what they need
+    from `matrix`: the spectrum of a pair's relative gate, the determinant
+    in `sphere_embed`.
     """
 
     def __init__(self, matrix, tol: float = DEFAULT_TOL):
-        m = np.asarray(matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionError(f"gate matrix must be square, got {m.shape}")
-        if not numkit.validate_unitary(m, tol):
-            raise ValidationError("gate matrix is not unitary within tolerance")
-        self._matrix = _freeze(m)
-        self._dim = int(m.shape[0])
+        self._matrix = _freeze(numkit._unitary_factor(matrix, tol))
+        self._dim = self._matrix.shape[0]
         self._tol = float(tol)
 
     @property
     def matrix(self) -> np.ndarray:
-        """The validated matrix, a read-only array."""
+        """The unitary polar factor of the accepted matrix, a read-only array."""
         return self._matrix
 
     @property
@@ -148,32 +145,6 @@ def _check_pair(u1: Gate, u2: Gate, dim: int | None = None):
         raise DimensionError(f"gate dimensions differ: {u1.dim} vs {u2.dim}")
     if dim is not None and u1.dim != dim:
         raise DimensionError(f"operation requires dimension {dim}, got {u1.dim}")
-
-
-def _pair_tol(u1: Gate, u2: Gate) -> float:
-    """Eigensolver tolerance for R = U1^dag U2 of d x d gates: d t (2 + d t) + DEFAULT_TOL.
-
-    With t = max(tol1, tol2), each gate A has ||A^dag A - 1||_max <= t, so
-    ||AA^dag - 1||_2 = ||A^dag A - 1||_2 <= d t: for square A the two
-    products have the same eigenvalues, and ||X||_2 <= ||X||_F <= d ||X||_max.
-    Writing R^dag R - 1 = U2^dag (U1 U1^dag - 1) U2 + (U2^dag U2 - 1),
-
-        ||R^dag R - 1||_max <= ||R^dag R - 1||_2
-                            <= ||U1 U1^dag - 1||_2 ||U2||_2^2 + ||U2^dag U2 - 1||_2
-                            <= d t (1 + d t) + d t,
-
-    which `eig_unitary`'s unitarity check reads.  R's unitary polar factor
-    Q has ||R - Q||_2 = max_k |s_k - 1| <= max_k |s_k^2 - 1| = ||R^dag R -
-    1||_2 over R's singular values s_k, so the same bound caps the residual
-    ||R v - e^{i phi} v|| of Q's eigenvectors on R, which its residual check
-    reads.  The DEFAULT_TOL term covers rounding.  The max-entry norm is not
-    invariant under U2^dag (.) U2, so no multiple of t alone holds: with F
-    the 3 x 3 DFT and J all ones, U = F (1 + a J / 3) has U^dag U - 1 =
-    (2a + a^2) J / 3 but U U^dag - 1 = (2a + a^2) e0 e0^dag, whose largest
-    entry is three times larger.
-    """
-    d, t = u1.dim, max(u1.tol, u2.tol)
-    return d * t * (2.0 + d * t) + DEFAULT_TOL
 
 
 def gate_fidelity_su2(u1: Gate, u2: Gate) -> float:
@@ -264,9 +235,9 @@ def _su2_frame(rel):
     Re alpha and sin a = |(Im alpha, beta)|, so the covering half-arc delta =
     min(a, pi - a) <= pi/2 is atan2(hypot(Im alpha, |beta|), |Re alpha|); the
     other root negates alpha and beta.  Reading them from both rows drops the
-    part of R that is not unitary (rounding, or a looser `Gate` tolerance), so
-    U^dag U reads 0.  A pair and a stack take one numpy path and give the same
-    bits; half-arcs below _ARC_RESOLUTION read as 0.  The eigenbasis is
+    part of R that is not unitary by rounding, so U^dag U reads 0.  A pair
+    and a stack take one numpy path and give the same bits; half-arcs below
+    _ARC_RESOLUTION read as 0.  The eigenbasis is
     `_su2_folded_eigenbasis(2 alpha, 2 beta)`.
     """
     rel = np.asarray(rel)
@@ -280,12 +251,12 @@ def _su2_frame(rel):
 
 
 def _relative_matrix(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
-    """U1^dag U2 for matrices of shape (..., d, d) of already validated gates.
+    """U1^dag U2 for matrices of shape (..., d, d) of already accepted gates.
 
-    The one place a pair's relative gate is formed.  Validation stays at the
-    `Gate` boundary, at the tolerance each gate was accepted with; the
-    product is not checked again here.  A single pair and a stack of pairs go through the same
-    contraction, so they give the same bits.
+    The one place a pair's relative gate is formed.  Gates are unitary to
+    rounding (`Gate`), so the product is too and is not checked here.  A
+    single pair and a stack of pairs go through the same contraction, so
+    they give the same bits.
     """
     return np.einsum("...ji,...jk->...ik", m1.conj(), m2)
 
@@ -314,19 +285,19 @@ def _pair(u1: Gate, u2: Gate) -> tuple[np.ndarray, tuple | None]:
 
 @functools.lru_cache(maxsize=1)
 def _pair_spectrum(u1: Gate, u2: Gate) -> numkit.UnitaryEigen:
-    """`numkit.eig_unitary` of a checked pair's U1^dag U2, at `_pair_tol`, for d != 2.
+    """`numkit.eig_unitary` of a checked pair's U1^dag U2, at DEFAULT_TOL, for d != 2.
 
     The one place a pair is diagonalized: `gate_distance`,
     `optimal_probe_separable` and `oracle_min_overlap` at n = 1 (where the
     power is U1^dag U2 itself) for d != 2, so the functions of one pair run
-    one eigendecomposition.  `_pair_tol` bounds how far U1^dag U2 of two
-    accepted gates can be from unitary, so every accepted pair passes the
-    solver's unitarity check.  Qubit pairs never come here: their distance and
-    probes come from `_su2_frame`, and their oracle reads eigenvalues only.
+    one eigendecomposition.  Both gates are unitary to rounding, so U1^dag
+    U2 is too, whatever tolerance they were accepted at.  Qubit pairs never
+    come here: their distance and probes come from `_su2_frame`, and their
+    oracle reads eigenvalues only.
     Like `_pair`, it holds only the last pair, keyed on the two `Gate`
     objects by identity; the spectrum is read-only.
     """
-    return numkit.eig_unitary(_pair(u1, u2)[0], _pair_tol(u1, u2))
+    return numkit.eig_unitary(_pair(u1, u2)[0], DEFAULT_TOL)
 
 
 def gate_distance(u1: Gate, u2: Gate) -> float:
@@ -760,10 +731,9 @@ def oracle_min_overlap(u1: Gate, u2: Gate, n: int) -> float:
     eigenvalues are computed (`numkit._unitary_phases`, one LAPACK call with
     no eigenvectors): single-copy phases are never added up, and no phases
     are sorted into a covering arc.  The power is formed here from an
-    accepted pair and is not checked again: by Bauer-Fike its phases lie
-    within about 2 n d t of a unitary's, t the larger of the gates'
-    tolerances (`numkit._unitary_phases`).  At n = 1 a pair with d != 2
-    reads the spectrum `gate_distance` forms (`_pair_spectrum`) instead.
+    accepted pair, unitary to rounding, and is not checked again.  At n = 1
+    a pair with d != 2 reads the spectrum `gate_distance` forms
+    (`_pair_spectrum`) instead.
     Powers above `_ORACLE_MAX_DIM` are refused with SizeLimitError before
     any is formed; an `n` that is not an integer >= 1 raises
     ValidationError.

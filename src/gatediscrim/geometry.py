@@ -113,17 +113,14 @@ def su2_tangent(params: GateSU2Params, t: TangentIncrement) -> np.ndarray:
 def sphere_embed(u: Gate) -> SphereCoords:
     """Top-row coordinates of a qubit gate with |det - 1| <= 1e-8 on the unit 3-sphere.
 
-    The gate's unitarity was checked at its own `tol`, looser than the
-    sphere's 1e-12, so the row (a, b) is scaled to unit norm first.
+    A gate is unitary to rounding (`Gate`), so its top row (a, b) is a unit vector.
     """
     if not isinstance(u, Gate) or u.dim != 2:
         raise DimensionError("sphere_embed expects a 2x2 Gate")
     if abs(np.linalg.det(u.matrix) - 1.0) > 1e-8:
         raise ValidationError("sphere_embed requires a special-unitary gate")
     a, b = complex(u.matrix[0, 0]), complex(u.matrix[0, 1])
-    norm = math.hypot(abs(a), abs(b))
-    return SphereCoords(a_re=a.real / norm, a_im=a.imag / norm, b_re=b.real / norm,
-                        b_im=b.imag / norm)
+    return SphereCoords(a_re=a.real, a_im=a.imag, b_re=b.real, b_im=b.imag)
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,10 +268,9 @@ def overlap_samples(u1: Gate, u2: Gate, samples: int, seed: int) -> np.ndarray:
     arithmetic and one padded real matrix product (`_qubit_overlaps`).  Its
     coefficients are read from R's four entries, not from the `_su2_frame`
     that criterion 5's closed form reads, so the sampler stays an
-    independent check of that form and keeps the part of R that is not
-    unitary for a gate accepted at a loose `tol`.  Any other d draws complex
-    Gaussian vectors z = x[0] + i x[1], the unitarily invariant ensemble in
-    any dimension, in one call of shape (2, samples, d), the same values in
+    independent check of that form.  Any other d draws complex Gaussian
+    vectors z = x[0] + i x[1], the unitarily invariant ensemble in any
+    dimension, in one call of shape (2, samples, d), the same values in
     the same order as a draw of the real parts followed by one of the
     imaginary parts; z is never normalized: each sample is |z^dag R z|^2 /
     |z|^4, contracted in einsum's own loops (`_complex_overlaps`).

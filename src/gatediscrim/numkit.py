@@ -16,16 +16,26 @@ DEFAULT_TOL = 1e-10
 MAX_TENSOR_DIM = 4096
 # Most random values one seeded draw may hold: 2**25 float64 values, 256 MiB.
 MAX_DRAW_VALUES = 2**25
-# Mixing weights eig_unitary tries before raising ConvergenceError.
-_EIG_ATTEMPTS = 6
-
-# The Hermitian mixing weights eig_unitary tries, in order.  Fixed so that
-# the decomposition is a pure function of its input: they are the scalar
-# draws np.random.default_rng(0x1D5A3).uniform(0.3, 1.7), written out so that
-# neither a call nor the import builds a generator (importing numpy.random
-# alone takes ~14 ms).
-_MIX_WEIGHTS = (1.5082927390849898, 1.2087984074136136, 0.5729704267355618,
-                0.74334567301566, 0.30234106209316886, 1.4212000157430702)
+# The Hermitian mixing weight of eig_unitary: a fixed scalar, the first draw of
+# np.random.default_rng(0x1D5A3).uniform(0.3, 1.7), written out so that the
+# decomposition is a pure function of its input and neither a call nor the
+# import builds a generator (importing numpy.random alone takes ~14 ms).
+_MIX_WEIGHT = 1.5082927390849898
+# eig_unitary's clusters: eigenvalues of H1 + gamma*H2 closer than this.  An
+# eigenvector of an eigenvalue g away from all others is accurate to about
+# 4 u / g (u = 2**-53; residual times gap measured up to 3.7 u on 10**4 Haar
+# unitaries at d = 32), and its residual on U moves by as much when its
+# neighbour's phase is far from its own, so outside clusters residuals stay
+# near 4e-12 or below, well under DEFAULT_TOL.
+_CLUSTER_GAP = 1e-4
+# A Gram defect ||M^dag M - 1||_max at or below _ROUNDING_DEFECT * d is
+# rounding, and `_unitary_factor` keeps such a matrix as it is.  The floor
+# ends its loop: a Newton-Schulz step from a matrix unitary to rounding left
+# at most 10 u (u = 2**-53) at d <= 32, and 15 u at d = 64, under each of the
+# OpenBLAS Haswell, SkylakeX, Sandybridge, Nehalem and Prescott kernels.
+# The gates the benchmark builds measure at most 21 u (d = 2), so none of
+# them takes a step.
+_ROUNDING_DEFECT = 16 * 2.0**-53
 
 
 def _as_square(m) -> np.ndarray:
@@ -69,11 +79,11 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def validate_unitary(m, tol: float = DEFAULT_TOL) -> bool:
-    """True when ||M^dag M - 1||_max <= tol, for every matrix of a (..., d, d) stack.
+def _gram_defect(m, tol: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """M as a complex array, G = M^dag M - 1 and ||G||_max, for a (..., d, d) stack M.
 
     Raises DimensionError on non-square input, ValidationError unless `tol`
-    is finite and >= 0 (Gate and eig_unitary check `tol` through here).
+    is finite and >= 0, the checks `validate_unitary` makes.
     """
     if not 0.0 <= tol < np.inf:
         raise ValidationError(f"tolerance must be finite and >= 0, got {tol!r}")
@@ -83,7 +93,41 @@ def validate_unitary(m, tol: float = DEFAULT_TOL) -> bool:
     d = m.shape[-1]
     gram = m.conj().swapaxes(-1, -2) @ m
     gram.reshape(*gram.shape[:-2], d * d)[..., :: d + 1] -= 1.0  # M^dag M - 1, in place
-    return bool(np.abs(gram).max() <= tol)
+    return m, gram, np.abs(gram).max()
+
+
+def validate_unitary(m, tol: float = DEFAULT_TOL) -> bool:
+    """True when ||M^dag M - 1||_max <= tol, for every matrix of a (..., d, d) stack.
+
+    Raises DimensionError on non-square input, ValidationError unless `tol`
+    is finite and >= 0.
+    """
+    return bool(_gram_defect(m, tol)[2] <= tol)
+
+
+def _unitary_factor(m, tol: float) -> np.ndarray:
+    """The unitary polar factor Q of a square matrix M accepted at `tol`.
+
+    M is refused with ValidationError unless ||G||_max <= tol, G = M^dag M -
+    1 (`validate_unitary`), and, when it is not unitary to rounding, unless
+    ||G||_F <= 1/2.  While ||G||_max > _ROUNDING_DEFECT * d, Newton-Schulz
+    steps M <- M - M G / 2 (Higham, Functions of Matrices, SIAM 2008, ch. 8)
+    move every singular value s of M to s (3 - s^2) / 2: with e = 1 - s^2
+    the next e is e^2 (3 + e) / 4, so from |e| <= ||G||_F <= 1/2 the defect
+    falls quadratically and reaches rounding within 6 steps.  A gate
+    accepted at tol <= 1/(2d), DEFAULT_TOL included, is never refused, as
+    ||G||_F <= d ||G||_max.  A matrix unitary to rounding is returned as it
+    is, with no numpy call beyond its Gram product and its largest entry.
+    """
+    m, gram, defect = _gram_defect(_as_square(m), tol)
+    if not defect <= tol:
+        raise ValidationError("matrix is not unitary within tolerance")
+    floor = _ROUNDING_DEFECT * m.shape[0]
+    if defect > floor and (defect > 0.5 or np.linalg.norm(gram) > 0.5):
+        raise ValidationError("matrix is too far from unitary: ||M^dag M - 1||_F > 1/2")
+    while defect > floor:
+        m, gram, defect = _gram_defect(m - m @ gram / 2.0, tol)
+    return m
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,66 +169,56 @@ def _split_clusters(values: np.ndarray, gap: float) -> list[slice]:
 def eig_unitary(u, tol: float = DEFAULT_TOL) -> UnitaryEigen:
     """Eigenphases and orthonormal eigenvectors of a unitary matrix.
 
-    Reduces to a Hermitian problem: with H1 = (U + U^dag)/2 and
-    H2 = (U - U^dag)/(2i), the matrix H1 + gamma*H2 is Hermitian and shares
-    eigenvectors with U, so `eigh` applies.  A cluster of H1 + gamma*H2
-    eigenvalues may still mix distinct eigenphases (cos a + gamma*sin a can
-    collide), so inside each cluster the compression of H2 is diagonalized as
-    a second stage; the pair (cos, sin) separates any two distinct phases.
-    Phases come from Rayleigh quotients and every pair (phase, vector) must
-    pass the residual check ||U v - exp(i*phi) v|| <= tol.  Up to
-    `_EIG_ATTEMPTS` mixing weights (`_MIX_WEIGHTS`) are tried before
-    ConvergenceError.
+    U is accepted at `tol` and replaced by its unitary polar factor
+    (`_unitary_factor`; U itself when it is unitary to rounding), so the
+    result is always a unitary's.  Reduces to a Hermitian problem: with H1 =
+    (U + U^dag)/2 and H2 = (U - U^dag)/(2i), the matrix H1 + gamma*H2
+    is Hermitian and shares eigenvectors with U, so `eigh` applies; gamma is
+    the fixed `_MIX_WEIGHT`.  A cluster of H1 + gamma*H2 eigenvalues (gaps
+    below `_CLUSTER_GAP`) may still mix distinct eigenphases (cos a +
+    gamma*sin a can collide), so inside each cluster U's compression, a
+    normal matrix of the cluster's size, is diagonalized as a second stage
+    and its eigenvectors made orthonormal again; whatever its phases, this
+    mixes only eigenvectors of nearly equal phases, which moves no residual.
+    Phases come from Rayleigh quotients, and every pair (phase, vector) must
+    pass the residual check ||U v - exp(i*phi) v|| <= tol, or
+    ConvergenceError is raised.
     """
-    m = _as_square(u)
-    if not validate_unitary(m, tol):
-        raise ValidationError("matrix is not unitary within tolerance")
-    d = m.shape[0]
+    m = _unitary_factor(u, tol)
     h1 = (m + m.conj().T) / 2.0
     h2 = (m - m.conj().T) / 2.0j
-    last_residual = np.inf
-    for gamma in _MIX_WEIGHTS[:_EIG_ATTEMPTS]:
-        w, vecs = np.linalg.eigh(h1 + gamma * h2)
-        for cl in _split_clusters(w, 1e-8):
-            if cl.stop - cl.start < 2:
-                continue
-            block = vecs[:, cl]
-            # Second stage: split the cluster by the sine part, then restore
-            # orthonormality of the rotated block.
-            _, rot = np.linalg.eigh(block.conj().T @ h2 @ block)
-            q, _ = np.linalg.qr(block @ rot)
-            vecs[:, cl] = q
-        mv = m @ vecs
-        phases = _principal(np.angle(np.einsum("ik,ik->k", vecs.conj(), mv)))
-        residual = np.abs(mv - vecs * np.exp(1j * phases)).max()
-        if residual <= tol:
-            order = np.argsort(phases, kind="stable")
-            out_vecs = _fix_gauge(vecs[:, order])
-            out_vecs.setflags(write=False)
-            out_phases = phases[order]
-            out_phases.setflags(write=False)
-            return UnitaryEigen(phases=out_phases, vectors=out_vecs)
-        last_residual = residual
-    raise ConvergenceError(
-        f"eigendecomposition residual {last_residual:.3e} above {tol:.1e} "
-        f"after {_EIG_ATTEMPTS} attempts (dim {d})"
-    )
+    w, vecs = np.linalg.eigh(h1 + _MIX_WEIGHT * h2)
+    for cl in _split_clusters(w, _CLUSTER_GAP):
+        if cl.stop - cl.start < 2:
+            continue
+        block = vecs[:, cl]
+        # Second stage: diagonalize U's compression to the cluster, then
+        # restore orthonormality of the rotated block.
+        _, rot = np.linalg.eig(block.conj().T @ m @ block)
+        q, _ = np.linalg.qr(block @ rot)
+        vecs[:, cl] = q
+    mv = m @ vecs
+    phases = _principal(np.angle(np.einsum("ik,ik->k", vecs.conj(), mv)))
+    residual = np.abs(mv - vecs * np.exp(1j * phases)).max()
+    if not residual <= tol:
+        raise ConvergenceError(f"eigendecomposition residual {residual:.3e} above "
+                               f"{tol:.1e} (dim {m.shape[0]})")
+    order = np.argsort(phases, kind="stable")
+    out_vecs = _fix_gauge(vecs[:, order])
+    out_vecs.setflags(write=False)
+    out_phases = phases[order]
+    out_phases.setflags(write=False)
+    return UnitaryEigen(phases=out_phases, vectors=out_vecs)
 
 
 def _unitary_phases(m: np.ndarray) -> np.ndarray:
-    """Eigenphases in [-pi, pi] of a square matrix near unitary, unsorted, without vectors.
+    """Eigenphases in [-pi, pi] of a square matrix unitary to rounding, unsorted, without vectors.
 
     One LAPACK eigenvalue call (zgeev through `np.linalg.eigvals`), with no
-    unitarity check: callers pass a matrix they formed from validated gates.
-    Accuracy: with ||M^dag M - 1||_2 <= e, M lies within e of its unitary
-    polar factor Q, and zgeev is backward stable, so the computed eigenvalues
-    are exact for M + E with ||E|| = O(u ||M||), u = 2**-53.  Q is normal,
-    so by Bauer-Fike every computed eigenvalue, and so every phase, lies
-    within O(e + u) of one of Q's.  For the n-fold tensor power of R =
-    U1^dag U2 of d x d gates accepted at tolerances up to t, e = ||(R^dag
-    R)^(x)n - 1||_2 <= (1 + e1)^n - 1, about 2 n d t, where e1 = d t (2 + d t)
-    bounds ||R^dag R - 1||_2 (`gates._pair_tol`).  A LinAlgError (no
-    convergence) raises ConvergenceError.
+    unitarity check: callers pass a matrix they formed from accepted gates,
+    which are unitary to rounding.  zgeev is backward stable, so each phase
+    is off by O(u ||M||), u = 2**-53, from one of a unitary's.  A
+    LinAlgError (no convergence) raises ConvergenceError.
     """
     try:
         return np.angle(np.linalg.eigvals(m))

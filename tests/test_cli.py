@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -407,6 +408,26 @@ def test_discriminate_identifies_every_member(capsys, tmp_path, gates, total_run
         assert code == 0, err
         result = json.loads(out)["result"]
         assert (result["identified"], result["total_runs"]) == (true, total_runs)
+
+
+def test_a_gate_too_far_from_unitary_exits_2_not_1(capsys, tmp_path):
+    # accepted at --tol 0.5, a qubit gate scaled by 1.2 made N = 15707964
+    # copies, and 1.2^(2N) overflowed: under -W error the RuntimeWarning
+    # escaped main (exit 1); ||M^dag M - 1||_F = 0.62 > 1/2 is refused.  So
+    # is 1e150 W at --tol 1e300, whose ||M^dag M - 1||_F used to overflow.
+    w = haar_unitary(2, np.random.default_rng(0))
+    a = write_matrix(tmp_path / "a.json", w)
+    b = write_matrix(tmp_path / "b.json", 1.2 * w @ off_diagonal_rotation(1e-7))
+    c = write_matrix(tmp_path / "c.json", 1e150 * w)
+    set_file = tmp_path / "set.json"
+    set_file.write_text('{"gates": [%s]}' % ",".join(Path(p).read_text() for p in (a, b)))
+    for argv in (["probe", "--kind", "ncopies", "--u1", a, "--u2", b, "--tol", "0.5"],
+                 ["discriminate", "--set", str(set_file), "--true", "0", "--tol", "0.5"],
+                 ["distance", "--u1", c, "--u2", c, "--tol", "1e300"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(capsys, argv)
+        assert code in (0, 2), err
 
 
 def test_determinism_byte_identical(capsys, gate_files):

@@ -60,6 +60,106 @@ def test_eig_unitary_rejects_non_unitary():
         eig_unitary(np.diag([1.0, 0.5]))
 
 
+def householder_to_e0(d: int) -> np.ndarray:
+    """The real reflector V with V f = e0, f the unit all-ones vector."""
+    w = np.ones(d) / np.sqrt(d) - np.eye(d)[0]
+    return np.eye(d) - 2.0 * np.outer(w, w) / (w @ w)
+
+
+@pytest.mark.parametrize("dim", [3, 8, 32])
+def test_eig_unitary_diagonalizes_the_polar_factor_of_a_non_normal_matrix(dim):
+    # U = W V (1 + a J / d) has U^dag U - 1 = (2a + a^2) J / d, largest entry
+    # 0.99 tol, but U U^dag - 1 = (2a + a^2) W e0 e0^dag W^dag, up to d times
+    # larger: the residual of U's own eigenvectors used to exceed tol (exit 3)
+    rng = np.random.default_rng(5)
+    for tol in (1e-8, 1e-6, 1e-3):
+        a = np.sqrt(1.0 + 0.99 * dim * tol) - 1.0
+        for _ in range(4):
+            q = haar_unitary(dim, rng) @ householder_to_e0(dim)  # U's polar factor
+            eig = eig_unitary(q @ (np.eye(dim) + a * np.ones((dim, dim)) / dim), tol)
+            # residuals on Q measured up to 4.5e-12, at d = 32
+            assert np.abs(q @ eig.vectors - eig.vectors * np.exp(1j * eig.phases)).max() <= 1e-11
+            assert np.abs(eig.phases - np.sort(np.angle(np.linalg.eigvals(q)))).max() <= 1e-14
+
+
+def test_eig_unitary_separates_close_and_colliding_phases():
+    # with one mixing weight gamma, H1 + gamma H2 has eigenvalues R cos(a - t0),
+    # t0 = atan(gamma): phases t0 + t and t0 - t - dt collide there, which a
+    # cluster gap of 1e-8 missed; and phases near +/-pi/2 split by 1e-10 ..
+    # 1e-7 barely move the sine part that used to split a cluster, leaving
+    # residuals up to 2.9e-9 at the default tol even with six weights
+    rng = np.random.default_rng(0)
+    t0 = np.arctan(numkit._MIX_WEIGHT)
+    spectra = [[c, c + split, 0.3, -2.0] for c in (np.pi / 2, -np.pi / 2, t0)
+               for split in (1e-7, 3e-8, 1e-8, 3e-9, 1e-9, 1e-10)]
+    spectra += [[t0 + t, t0 - t - dt, 0.3, -2.0] for t in (0.1, 0.7, 1.5, np.pi / 2, 2.5, 3.1)
+                for dt in (0.0, 1e-12, 1e-9, 1e-7, 1e-6, 1e-5, 1e-4)]
+    for phases in spectra:
+        for _ in range(3):
+            v = haar_unitary(4, rng)
+            u = (v * np.exp(1j * np.array(phases))) @ v.conj().T
+            eig = eig_unitary(u)
+            assert np.abs(u @ eig.vectors - eig.vectors * np.exp(1j * eig.phases)).max() <= 1e-11
+            assert np.abs(eig.phases - np.sort(numkit._principal(phases))).max() <= 1e-14
+
+
+def counted_gram_defects(monkeypatch) -> list:
+    """Record each Gram defect `numkit._unitary_factor` forms: the input's, then one a step."""
+    defects, original = [], numkit._gram_defect
+
+    def counted(m, tol):
+        out = original(m, tol)
+        defects.append(out[2])
+        return out
+
+    monkeypatch.setattr(numkit, "_gram_defect", counted)
+    return defects
+
+
+@pytest.mark.parametrize("dim", [2, 3, 8, 32])
+def test_newton_schulz_reaches_rounding_within_six_steps_at_the_bound(dim, monkeypatch):
+    # ||M^dag M - 1||_F = 1/2 on one singular value s^2 = 1/2, the slowest case:
+    # e = 1 - s^2 goes 0.5, 0.22, 0.042, 1.5e-3, 2.1e-6, 3.7e-12, then rounding
+    rng = np.random.default_rng(dim)
+    w = haar_unitary(dim, rng)
+    scale = np.ones(dim)
+    scale[0] = np.sqrt(0.5)
+    m = w * scale
+    assert 0.5 - 1e-15 <= np.linalg.norm(m.conj().T @ m - np.eye(dim)) <= 0.5
+    defects = counted_gram_defects(monkeypatch)
+    q = gd.Gate(m, tol=0.5).matrix
+    assert len(defects) - 1 <= 6
+    assert defects[-1] <= 16 * dim * 2.0**-53 < defects[-2]
+    assert np.abs(q - w).max() <= 1e-14  # W diag(s) has polar factor W
+    # just past the bound, or with every entry of M^dag M - 1 small but
+    # ||M^dag M - 1||_F > 1/2, the matrix is refused before any step
+    scale[0] = np.sqrt(0.5 - 1e-9)
+    with pytest.raises(ValidationError, match="too far from unitary"):
+        gd.Gate(w * scale, tol=1.0)
+    near = w * np.sqrt(1.0 - 0.6 / np.sqrt(dim))  # ||.||_max = 0.6 / sqrt(d), ||.||_F = 0.6
+    with pytest.raises(ValidationError, match="too far from unitary"):
+        eig_unitary(near, tol=0.6)
+
+
+def test_matrices_unitary_to_rounding_are_stored_byte_for_byte(monkeypatch):
+    # a Gram defect at most 16 d u takes no step and no numpy call past the
+    # Gram product and its largest entry; one above it is stepped to rounding
+    rng = np.random.default_rng(8)
+    defects = counted_gram_defects(monkeypatch)
+    for dim in (1, 2, 3, 4, 8, 32):
+        floor = 16 * dim * 2.0**-53
+        for _ in range(20):
+            m = haar_unitary(dim, rng)
+            assert np.abs(m.conj().T @ m - np.eye(dim)).max() <= floor
+            for kept in (m, m * (1.0 + 2.0**-53)):
+                assert gd.Gate(kept).matrix.tobytes() == kept.tobytes()
+            stepped = gd.Gate(m * (1.0 + 2 * floor)).matrix
+            assert validate_unitary(stepped, floor) and np.abs(stepped - m).max() <= 4 * floor
+    del defects[:]
+    gd.Gate(np.eye(3))
+    assert len(defects) == 1
+
+
 def test_eig_unitary_diagonal_case():
     phases = np.array([-2.0, 0.3, 1.1])
     u = np.diag(np.exp(1j * phases))
@@ -110,10 +210,11 @@ def test_eig_unitary_output_is_read_only():
 
 
 def test_eig_unitary_convergence_error_path(monkeypatch):
-    # An honest non-convergence is hard to trigger; exercise the guard by
-    # exhausting the attempt budget before any attempt is made.
-    monkeypatch.setattr(numkit, "_EIG_ATTEMPTS", 0)
-    with pytest.raises(ConvergenceError):
+    # An honest non-convergence is hard to trigger; exercise the guard with a
+    # Hermitian solver that returns the right eigenvalues in a wrong basis.
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: (eigh(h)[0], np.eye(h.shape[0], dtype=complex)))
+    with pytest.raises(ConvergenceError, match="residual"):
         eig_unitary(haar_unitary(3, np.random.default_rng(0)))
 
 
@@ -133,10 +234,9 @@ def test_unitary_phases_match_eig_unitary_and_share_its_checks(monkeypatch):
 
 
 def test_eig_unitary_mixing_weights_are_fixed_draws(monkeypatch):
-    # the scalar draws of a generator seeded 0x1D5A3, and no call builds one
-    rng = np.random.default_rng(0x1D5A3)
-    scalar = [rng.uniform(0.3, 1.7) for _ in range(numkit._EIG_ATTEMPTS)]
-    assert list(numkit._MIX_WEIGHTS) == scalar
+    # the one weight is the first scalar draw of a generator seeded 0x1D5A3,
+    # and no call builds one
+    assert numkit._MIX_WEIGHT == np.random.default_rng(0x1D5A3).uniform(0.3, 1.7)
     u = haar_unitary(3, np.random.default_rng(1))
 
     def forbidden(*args, **kwargs):
