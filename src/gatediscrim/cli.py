@@ -142,7 +142,10 @@ def _parse_matrix(data, what: str = "matrix") -> np.ndarray:
 
 
 def _parse_gate(data, what: str, tol: float) -> Gate:
-    return Gate(_parse_matrix(data, what=what), tol=tol)
+    # entries past ~1e154 overflow the Gram product of the check; its inf or
+    # NaN defect is refused, so the warning says nothing the error does not
+    with np.errstate(over="ignore", invalid="ignore"):
+        return Gate(_parse_matrix(data, what=what), tol=tol)
 
 
 def _load_pair(args) -> tuple[Gate, Gate]:

@@ -612,26 +612,28 @@ def optimal_probe_ncopies(u1: Gate, u2: Gate) -> ProbeState:
     copies and on the last floor(N/2): it is stored as at most two counted
     columns, each term picking w+ or w- per column, so its size does not
     grow with N.  U1^dag U2 and its `_su2_frame` are read from `_pair`, and
-    `_ncopies_probe` builds the state from that frame (`_library_probe`).
+    `_ncopies_probe` builds the state from that frame and N
+    (`_library_probe`).
     The tests check that the residual overlap stays within 1e-8, each branch
     weight within [0, 1/2], and the factors and the norm within rounding.
     """
     _check_pair(u1, u2, dim=2)
-    return _ncopies_probe(*_pair(u1, u2)[1])
+    delta, alpha2, beta2 = _pair(u1, u2)[1]
+    delta = float(delta)  # a numpy scalar would make every step below a numpy call
+    return _ncopies_probe(delta, alpha2, beta2, _copies_for_distance(delta))
 
 
-def _ncopies_probe(delta, alpha2, beta2) -> ProbeState:
-    """The probe of `optimal_probe_ncopies` for one pair's frame `_su2_frame(R)`.
+def _ncopies_probe(delta: float, alpha2, beta2, n: int) -> ProbeState:
+    """The probe of `optimal_probe_ncopies` for one pair's frame `_su2_frame(R)` and N.
 
-    Callers that hold the frame already (the frames of
-    `protocol.HypothesisSet`) pass it in.  N comes from delta, and (w+, w-)
+    Callers that hold the frame already (the tests of
+    `protocol.HypothesisSet`) pass it in, with delta a Python float and
+    n = `_copies_for_distance(delta)`, which they keep.  (w+, w-) come
     from the closed form `_su2_folded_eigenbasis(alpha2, beta2)`.  Every step
     runs on Python scalars, and `coeffs`, `system` and `counts` are each
     formed by one `np.array` call.  w+ and w- are unit and orthogonal, and
     the branch weights sum to 1, by construction.
     """
-    delta = float(delta)  # a numpy scalar would make every step below a numpy call
-    n = _copies_for_distance(delta)
     w_plus, w_minus = _su2_folded_eigenbasis(alpha2, beta2)
     parity = n % 2
     c_par, c_n = math.cos(parity * delta), math.cos(n * delta)

@@ -7,14 +7,17 @@ one candidate per round and never removes the true gate.  k candidates are
 identified in k-1 rounds with certainty.  Candidates are told apart up to a
 global phase only, so any qubit unitaries qualify, whatever their determinants.
 
-A plan is a schedule of pairs; it builds nothing.  Each pair's test is built
+A plan is a schedule of pairs; it builds nothing.  Each pair's test is made
 the first time a simulation runs it (or `TestPlan.tests` is read) and kept
-in its hypothesis set, so every test is built at most once per set.  The
-set forms every ordered relative gate U_i^dag U_j and its qubit frame once,
-on construction: a test's probe is built from its pair's frame, and an
-in-set round reads U_i^dag U_true from the set.  A test also keeps the
-target-outcome probability of each in-set true gate it has run against, so
-repeated simulations on a set contract each (pair, truth) only once; an
+in its hypothesis set, so every test is made at most once per set.  A test
+holds its pair, its copy count and its pair's frame; its probe is built
+from that frame the first time it is read, and at most once.  The set forms
+every ordered relative gate U_i^dag U_j and its qubit frame once, on
+construction, and an in-set round reads U_i^dag U_true from the set.
+A round whose pair holds the in-set true gate needs no probe: its outcome
+is certain by construction, so its target probability is read, 1 or 0, not
+computed.  Any other in-set round keeps its target probability in the test,
+so repeated simulations on a set contract each (pair, truth) only once; an
 out-of-set true gate is contracted every round.
 
 The most distant surviving pair is read from a ranked list of all pairs,
@@ -34,6 +37,7 @@ from .gates import (
     IDENTICAL_TOL,
     Gate,
     ProbeState,
+    _copies_for_distance,
     _ncopies_probe,
     _probe_amplitude,
     _relative_matrix,
@@ -65,10 +69,10 @@ class HypothesisSet:
     ties in row-major order.  Planning and re-planning take the first
     ranked pair whose two members survive, which is the survivors' most
     distant pair.  The set also keeps each pair's `EliminationTest` once it
-    is first built, so plans and simulations on the set build every test at
-    most once (at most k(k-1)/2 of them), and each test keeps at most k
-    round probabilities, one per in-set true gate.  A new set starts with
-    none.
+    is first made, so plans and simulations on the set make every test, and
+    build its probe, at most once (at most k(k-1)/2 of them), and each test
+    keeps at most k - 2 round probabilities, one per in-set true gate
+    outside its pair.  A new set starts with none.
     """
 
     gates: tuple[Gate, ...]
@@ -118,26 +122,33 @@ class HypothesisSet:
 class EliminationTest:
     """One pairwise discrimination round.
 
-    `copies`, the probe's, is read once and kept.  The measurement is the
-    projective pair {P, 1 - P} with P onto the target, the probe's image
+    `copies` is N = min_copies of the pair, and `_frame` the pair's qubit
+    frame (delta, 2 alpha, 2 beta) from `gates._su2_frame`, as Python
+    scalars.  `probe` is built from them the first time it is read
+    (`optimal_probe_ncopies` of the pair, bit for bit) and kept, so a test
+    whose rounds all hold the true gate builds none.  The measurement is
+    the projective pair {P, 1 - P} with P onto the target, the probe's image
     under candidate `pair[0]` (`h.gates[pair[0]]`).  Landing on P rules out
     `pair[1]` (the images are orthogonal), the complement rules out
     `pair[0]`.  The probability of landing on P when candidate t is the true
     gate, |<probe|(U_pair[0]^dag U_t)^(x)N|probe>|^2, depends only on the test
-    and t, so `simulate_elimination` keeps it privately, keyed by t, the
-    first time it runs the test against t (at most k entries).  Dense work
-    on the probe goes through `ProbeState.to_vector`.
+    and t: it is 1 for t = pair[0] and 0 for t = pair[1], by construction,
+    and `simulate_elimination` reads those; for any other in-set t it keeps
+    the contracted value privately, keyed by t, the first time it runs the
+    test against t (at most k - 2 entries).  Dense work on the probe goes
+    through `ProbeState.to_vector`.
     """
 
     pair: tuple[int, int]
-    probe: ProbeState
+    copies: int
+    _frame: tuple[float, complex, complex] = field(repr=False, compare=False)
     _p_target: dict[int, float] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
 
     @cached_property
-    def copies(self) -> int:
-        return self.probe.copies
+    def probe(self) -> ProbeState:
+        return _ncopies_probe(*self._frame, self.copies)
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,9 +186,11 @@ class TestRecord:
 
     `p_target` is the probability of the target outcome (P onto the test's
     target, which discards `pair[1]`) that the round's outcome was drawn
-    from: 1 when the true gate is `pair[0]`, 0 up to rounding when it is
-    `pair[1]`.  For an out-of-set true gate, where neither outcome is
-    guaranteed, it is the round's real risk of discarding `pair[1]`.
+    from: exactly 1.0 when the true gate is `pair[0]` and exactly 0.0 when
+    it is `pair[1]`, values read, not contracted.  For an in-set true gate
+    outside the pair it is the contracted probability.  For an out-of-set
+    true gate, where neither outcome is guaranteed, it is the round's real
+    risk of discarding `pair[1]`.
     """
 
     pair: tuple[int, int]
@@ -216,17 +229,19 @@ def _next_alive(pairs, alive: set[int]) -> tuple[int, int] | None:
 
 
 def _build_test(h: HypothesisSet, i: int, j: int) -> EliminationTest:
-    """Pair (i, j)'s test from the set's cache, built there on first use.
+    """Pair (i, j)'s test from the set's cache, made there on first use.
 
-    The probe is `optimal_probe_ncopies(h.gates[i], h.gates[j])` bit for
-    bit, in either order of the pair, built from the frame the set stored
-    for U_i^dag U_j, so no relative gate is formed here.
+    The test takes N from the pair's half-arc and keeps the frame the set
+    stored for U_i^dag U_j, so no relative gate is formed and no probe is
+    built here.  Its probe, built on first read, is
+    `optimal_probe_ncopies(h.gates[i], h.gates[j])` bit for bit, in either
+    order of the pair.
     """
     test = h._tests.get((i, j))
     if test is None:
-        delta, alpha2, beta2 = h._frames
-        probe = _ncopies_probe(delta[i, j], alpha2[i, j], beta2[i, j])
-        test = h._tests[i, j] = EliminationTest(pair=(i, j), probe=probe)
+        delta, alpha2, beta2 = (part[i, j].item() for part in h._frames)
+        test = h._tests[i, j] = EliminationTest(
+            (i, j), _copies_for_distance(delta), (delta, alpha2, beta2))
     return test
 
 
@@ -264,9 +279,13 @@ def simulate_elimination(
     both survive; otherwise the round is re-planned greedily among the
     survivors, from the set's ranked list of pairs as in `plan_elimination`,
     with one pass over that list per simulation.  Each round's test comes
-    from the set's cache, so only the rounds that run are built, each once
-    per set.  For an in-set true gate the round's target probability is read
-    from the test's memo, filled the first time the test runs against that
+    from the set's cache, so only the rounds that run make a test, each once
+    per set.  A round whose pair (i, j) holds the in-set true gate reads its
+    target probability: 1.0 when the truth is i (the target is its image),
+    0.0 when it is j (the two images are orthogonal).  It builds no probe
+    and contracts nothing, so a round against an in-set truth cannot
+    discard it.  Any other in-set round reads its target probability from
+    the test's memo, filled the first time the test runs against that
     `true_index` from the set's U_i^dag U_true, so no relative gate is formed;
     an out-of-set `true_gate` is contracted with the probe every round and
     never stored, its relative matrices to all k candidates formed in one
@@ -299,8 +318,11 @@ def simulate_elimination(
     for u in uniforms:
         i, j = _next_alive(pending, alive) or _next_alive(ranked, alive)
         test = _build_test(h, i, j)
-        p_target = test._p_target.get(true_index)  # None for an out-of-set gate
-        if p_target is None:
+        if true_index == i:
+            p_target = 1.0
+        elif true_index == j:
+            p_target = 0.0
+        elif (p_target := test._p_target.get(true_index)) is None:  # always for a stranger
             rel = h._rels[i, true_index] if in_set else rels[i]
             p_target = min(1.0, abs(_probe_amplitude(test.probe, rel)) ** 2)
             if in_set:

@@ -3,7 +3,8 @@
 Every generator takes an explicit Generator so tests stay reproducible.  The
 dense references (reduced states, probe images, two-probe amplitudes, the
 spectral reconstruction) and the any-d average fidelity check the library's
-results; the library itself needs none of them.
+results; the library itself needs none of them.  The Kolmogorov-Smirnov
+statistics and the Gauss-Legendre rule check the sampler with numpy alone.
 """
 import dataclasses
 import itertools
@@ -128,3 +129,47 @@ def avg_fidelity_exact(u1, u2) -> float:
     rel = np.asarray(u1).conj().T @ np.asarray(u2)
     d = rel.shape[0]
     return float((d + abs(np.trace(rel)) ** 2) / (d * (d + 1)))
+
+
+def ks_statistic(sample, cdf) -> float:
+    """One-sample Kolmogorov-Smirnov statistic sup |F_n - F| of `sample` against `cdf`.
+
+    The empirical CDF jumps at the sorted sample, so the supremum is the
+    largest of i/n - F(x_i) and F(x_i) - (i - 1)/n (Kolmogorov 1933); the
+    same terms as `scipy.stats.kstest`'s statistic, which it matches bit for bit.
+    """
+    x = np.sort(sample)
+    n = x.size
+    cdf_vals = cdf(x)
+    return float(max((np.arange(1.0, n + 1) / n - cdf_vals).max(),
+                     (cdf_vals - np.arange(0.0, n) / n).max()))
+
+
+def ks_statistic_2samp(a, b) -> float:
+    """Two-sample Kolmogorov-Smirnov statistic sup |F_a - F_b| over the pooled sample.
+
+    Both empirical CDFs are read at every pooled point by `searchsorted`, as
+    `scipy.stats.ks_2samp` does.  It matches scipy's statistic bit for bit
+    when either sample has more than 10 000 points; below that, scipy's exact
+    path rounds it to the nearest multiple of 1/lcm(len(a), len(b)).
+    """
+    a, b = np.sort(a), np.sort(b)
+    pooled = np.concatenate([a, b])
+    diff = (np.searchsorted(a, pooled, side="right") / a.size
+            - np.searchsorted(b, pooled, side="right") / b.size)
+    return float(max(-diff.min(), diff.max()))
+
+
+def gauss_legendre_2d(f, x_range, y_range) -> float:
+    """Integral of f(x, y) over a rectangle by the 32 x 32 Gauss-Legendre product rule.
+
+    `f` takes arrays.  The rule is exact for polynomials of degree 63 in
+    each variable, and the smooth trigonometric integrands of the sampler
+    checks converge far faster than that.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(32)
+    (x0, x1), (y0, y1) = x_range, y_range
+    x = (x1 - x0) / 2.0 * nodes + (x1 + x0) / 2.0
+    y = (y1 - y0) / 2.0 * nodes + (y1 + y0) / 2.0
+    values = f(x[:, None], y[None, :])
+    return float(weights @ values @ weights * (x1 - x0) * (y1 - y0) / 4.0)

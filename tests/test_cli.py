@@ -430,6 +430,20 @@ def test_a_gate_too_far_from_unitary_exits_2_not_1(capsys, tmp_path):
         assert code in (0, 2), err
 
 
+def test_a_gate_whose_gram_product_overflows_exits_2(capsys, tmp_path):
+    # entries of 1e160 overflow M^dag M in the gate check: under -W error
+    # numpy's "overflow encountered in matmul" escaped main (exit 1); the
+    # infinite defect is refused, even at --tol 1e300
+    for name, m in (("full", np.full((2, 2), 1e160)), ("diag", 1e160 * np.eye(2))):
+        path = write_matrix(tmp_path / f"{name}.json", m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["distance", "--u1", path, "--u2", path,
+                                          "--tol", "1e300"])
+        assert (code, out) == (2, ""), err
+        assert "not unitary" in err, err
+
+
 def test_determinism_byte_identical(capsys, gate_files):
     a, b = gate_files
     argv = ["oracle", "--u1", a, "--u2", b, "--n", "2"]

@@ -1174,7 +1174,10 @@ def test_the_pair_memo_never_goes_stale():
         assert [_bits(f) for f in frame] == [_bits(f) for f in _su2_frame(fresh)]
         assert _bits(gate_distance(x, y)) == _bits(float(_su2_frame(fresh)[0]))
         probe = optimal_probe_ncopies(x, y)
-        direct = gates_mod._ncopies_probe(*_su2_frame(fresh))
+        delta, alpha2, beta2 = _su2_frame(fresh)
+        delta = float(delta)
+        direct = gates_mod._ncopies_probe(delta, alpha2, beta2,
+                                          gates_mod._copies_for_distance(delta))
         for name in ("coeffs", "system", "counts"):
             assert _bits(getattr(probe, name)) == _bits(getattr(direct, name))
 

@@ -1,21 +1,19 @@
-"""Statistics of the invariant-measure parameter sampler that need scipy: a
-Kolmogorov-Smirnov test of its marginal, a two-sample test of its left
-invariance, and a quadrature of the mean of |tr U|^2."""
+"""Statistics of the invariant-measure parameter sampler: a Kolmogorov-Smirnov
+test of its marginal, a two-sample test of its left invariance, and a
+quadrature of the mean of |tr U|^2."""
 import math
 
 import numpy as np
-from scipy import integrate, stats
 
 from gatediscrim import Gate, haar_sample_su2
-from helpers import haar_unitary
+from helpers import gauss_legendre_2d, haar_unitary, ks_statistic, ks_statistic_2samp
 
 
 def test_haar_theta1_marginal():
     # inverse-transform construction: theta1 ~ sin(2 theta1) d theta1,
     # i.e. CDF sin^2
     t1 = haar_sample_su2(11, 100_000).theta1
-    ks = stats.kstest(t1, lambda x: np.sin(x) ** 2)
-    assert ks.statistic <= 0.01
+    assert ks_statistic(t1, lambda x: np.sin(x) ** 2) <= 0.01
 
 
 def test_haar_left_invariance_of_fidelity_distribution():
@@ -34,8 +32,7 @@ def test_haar_left_invariance_of_fidelity_distribution():
         tr = m[0, 0] * u11 + m[1, 0] * (-np.conj(u12)) + m[0, 1] * u12 + m[1, 1] * np.conj(u11)
         return np.abs(tr) ** 2 / 4.0
 
-    ks = stats.ks_2samp(fids(v1, 35), fids(v2, 36))
-    assert ks.statistic <= 0.02
+    assert ks_statistic_2samp(fids(v1, 35), fids(v2, 36)) <= 0.02
 
 
 def test_mean_trace_squared_is_one():
@@ -44,16 +41,9 @@ def test_mean_trace_squared_is_one():
     t1, t2 = params.theta1, params.theta2
     mc = np.mean(4.0 * np.cos(t1) ** 2 * np.cos(t2) ** 2)
 
-    ref, _ = integrate.dblquad(
-        lambda t2_, t1_: 4.0
-        * math.cos(t1_) ** 2
-        * math.cos(t2_) ** 2
-        * math.sin(2.0 * t1_)
+    ref = gauss_legendre_2d(
+        lambda t1_, t2_: 4.0 * np.cos(t1_) ** 2 * np.cos(t2_) ** 2 * np.sin(2.0 * t1_)
         / (2.0 * math.pi),
-        0.0,
-        math.pi / 2,
-        0.0,
-        2.0 * math.pi,
-    )
+        (0.0, math.pi / 2), (0.0, 2.0 * math.pi))
     assert abs(ref - 1.0) <= 1e-9
     assert abs(mc - ref) <= 0.02

@@ -391,6 +391,7 @@ def test_fixed_settings_are_constants_not_parameters():
     for cls, member in ((gd.ProbeState, "system_density"), (gd.EliminationTest, "target"),
                         (gd.EliminationTest, "povm"), (gd.UnitaryEigen, "reconstruct")):
         assert not hasattr(cls, member), (cls.__name__, member)
-    assert [f.name for f in dataclasses.fields(gd.EliminationTest)] == ["pair", "probe", "_p_target"]
+    assert [f.name for f in dataclasses.fields(gd.EliminationTest)] == [
+        "pair", "copies", "_frame", "_p_target"]
     for func in (gd.Gate, gd.validate_unitary, gd.eig_unitary):
         assert "tol" in inspect.signature(func).parameters

@@ -12,24 +12,31 @@ import numpy as np
 import pytest
 
 import gatediscrim as gd
+from gatediscrim.gates import _probe_amplitude
 from gatediscrim.numkit import DEFAULT_TOL
 from helpers import haar_unitary
 
 U = 2.0**-53
 
 
-def round_is_sound(record, truth: int) -> bool:
+def round_is_sound(h, record, truth: int) -> bool:
     """Whether a round against in-set `truth` keeps it with certainty, up to rounding.
 
-    Against pair[0] the round contracts N copies of U0^dag U0 = 1 + G, G the
-    stored gate's Gram defect, with ||G||_2 <= d ||G||_max <= 16 d^2 u = 64 u
-    (u = 2**-53), so p_target may fall short of 1 by rounding that grows with
-    N: at most 2 N 64 u (measured at most 64 N u, on the loose sets below).
-    Against pair[1] the branches are orthogonal.
+    A round whose pair holds the truth reads p_target = 1 or 0 without
+    contracting, so the check contracts the round's probe itself, with the
+    set's U_i^dag U_truth.  Against pair[0] that is N copies of U0^dag U0 =
+    1 + G, G the stored gate's Gram defect, with ||G||_2 <= d ||G||_max <=
+    16 d^2 u = 64 u (u = 2**-53), so the contraction may fall short of 1 by
+    rounding that grows with N: at most 2 N 64 u (measured at most 64 N u, on
+    the loose sets below).  Against pair[1] the branches are orthogonal.
     """
-    if record.pair[0] == truth:
-        return record.p_target >= 1.0 - 128 * record.copies * U
-    return record.pair[1] != truth or record.p_target <= 1e-9
+    i, j = record.pair
+    if truth not in (i, j):
+        return True
+    p = min(1.0, abs(_probe_amplitude(h._tests[i, j].probe, h._rels[i, truth])) ** 2)
+    if i == truth:
+        return record.p_target == 1.0 and p >= 1.0 - 128 * record.copies * U
+    return record.p_target == 0.0 and p <= 1e-9
 
 
 def rotation(delta: float, rng) -> np.ndarray:
@@ -64,7 +71,7 @@ def test_a_scaled_member_is_kept_with_certainty(tol, s, delta):
             res = gd.simulate_elimination(plan, h, true_index=truth, seed=seed)
             (record,) = res.trace
             assert record.pair == (0, 1) and res.identified_index == truth
-            assert round_is_sound(record, truth), record
+            assert round_is_sound(h, record, truth), record
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-4])
@@ -129,7 +136,7 @@ def test_elimination_convicts_the_true_gate_in_sets_accepted_at_a_loose_tol():
         failures += res.identified_index != truth
         assert res.total_runs == sum(gd.min_copies(gates[i], gates[j])
                                      for i, j in (rec.pair for rec in res.trace))
-        assert all(round_is_sound(rec, truth) for rec in res.trace), res.trace
+        assert all(round_is_sound(h, rec, truth) for rec in res.trace), res.trace
     pauli = [np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], np.diag([1, -1])]
     h = gd.HypothesisSet(tuple(gd.Gate((1.0 + 4.5e-7 * (-1) ** i) * np.array(m), 1e-6)
                                for i, m in enumerate(pauli)))

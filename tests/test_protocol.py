@@ -18,13 +18,14 @@ from gatediscrim import (
     probe_overlap,
     simulate_elimination,
 )
-from gatediscrim.gates import _relative_matrix, _su2_frame
+from gatediscrim.gates import _probe_amplitude, _relative_matrix, _su2_frame
 from gatediscrim.protocol import _next_alive
 from helpers import apply_copies, haar_unitary, term_amplitude
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1j], [1j, 0.0]])
 SZ = np.diag([1.0, -1.0]).astype(complex)
+U = 2.0**-53
 
 PAULI_SET = HypothesisSet(gates=(Gate.identity(2), Gate(1j * SX), Gate(1j * SZ)))
 FOUR_PAULI_SET = HypothesisSet(
@@ -63,15 +64,22 @@ def test_set_with_determinant_minus_one_identifies_every_index():
 
 def test_elimination_test_stores_pair_and_probe():
     # the candidate a test's target is formed with is h.gates[pair[0]]; the
-    # test itself keeps only the pair, the probe and its memo
-    for t in plan_elimination(FOUR_PAULI_SET).tests:
+    # test keeps the pair, its copy count and the pair's frame, and builds
+    # its probe from them on first read, once
+    h = HypothesisSet(gates=FOUR_PAULI_SET.gates)
+    for t in plan_elimination(h).tests:
         fields = dataclasses.fields(t)
-        assert [f.name for f in fields if f.init] == ["pair", "probe"]
+        assert [f.name for f in fields if f.init] == ["pair", "copies", "_frame"]
+        assert [f.name for f in fields if f.repr] == ["pair", "copies"]
         # the one other field is the private memo of round probabilities
         (memo,) = [f for f in fields if not f.init]
         assert memo.name == "_p_target" and not (memo.repr or memo.compare)
-        assert t.copies == t.probe.copies
         assert type(t.copies) is int
+        assert [type(x) for x in t._frame] == [float, complex, complex]
+        assert "probe" not in t.__dict__
+        probe = t.probe
+        assert t.__dict__["probe"] is probe and t.probe is probe
+        assert t.copies == probe.copies
 
 
 def test_plan_shape_and_orthogonal_images():
@@ -549,9 +557,9 @@ def test_round_probability_is_one_contraction_of_the_probe():
                 assert abs(record.p_target - abs(old) ** 2) <= 1e-12
                 assert 0.0 <= record.p_target <= 1.0
                 if "true_index" in kwargs and kwargs["true_index"] in record.pair:
-                    # the true gate is one of the pair: the outcome is certain
-                    certain = float(kwargs["true_index"] == record.pair[0])
-                    assert abs(record.p_target - certain) <= 1e-12
+                    # the true gate is one of the pair: the outcome is certain,
+                    # and the round reads its probability exactly
+                    assert record.p_target == float(kwargs["true_index"] == record.pair[0])
                 checked += 1
     assert checked > 100
 
@@ -580,8 +588,8 @@ def test_each_test_is_built_once_per_set(monkeypatch):
     original_test = gatediscrim.protocol.EliminationTest
     original_build = gatediscrim.protocol._build_test
 
-    def recorded_test(**kwargs):
-        built.append(original_test(**kwargs))
+    def recorded_test(*args):
+        built.append(original_test(*args))
         return built[-1]
 
     def recorded_build(h, i, j):
@@ -606,8 +614,11 @@ def test_each_test_is_built_once_per_set(monkeypatch):
                 assert test is h._tests[record.pair]
                 if record.pair in planned:
                     assert test is planned[record.pair]
-                if "true_index" in kwargs:
-                    assert test._p_target[kwargs["true_index"]] == record.p_target
+                truth = kwargs.get("true_index")
+                if truth in record.pair:  # certain: read, not kept
+                    assert truth not in test._p_target
+                elif truth is not None:
+                    assert test._p_target[truth] == record.p_target
     # reading the plan builds what the runs skipped, once, and then only reads
     tests = plan.tests
     assert all(a is b for a, b in zip(tests, plan.tests, strict=True))
@@ -637,16 +648,20 @@ def test_in_set_round_probability_is_computed_once_per_pair_and_truth(monkeypatc
                 sim = simulate_elimination(plan, h, true_index=t, seed=seed)
                 assert len(calls) <= len(sim.trace)
                 for probe in calls:
-                    pair = next(p for p, test in h._tests.items() if test.probe is probe)
+                    pair = next(p for p, test in h._tests.items()
+                                if test.__dict__.get("probe") is probe)
                     contracted[pair, t] = contracted.get((pair, t), 0) + 1
                 for record in sim.trace:
+                    if t in record.pair:  # certain: read exactly, never contracted
+                        assert record.p_target == float(t == record.pair[0])
+                        continue
                     assert seen.setdefault((record.pair, t), record.p_target) == record.p_target
         assert set(contracted) == set(seen)
         assert all(n == 1 for n in contracted.values())
         stored = {(pair, t): p for pair, test in h._tests.items()
                   for t, p in test._p_target.items()}
         assert stored == seen
-        assert all(len(test._p_target) <= k for test in h._tests.values())
+        assert all(len(test._p_target) <= k - 2 for test in h._tests.values())
         # an out-of-set true gate is contracted every round and never stored
         for seed in range(4):
             stranger = Gate(haar_unitary(2, rng))
@@ -656,6 +671,75 @@ def test_in_set_round_probability_is_computed_once_per_pair_and_truth(monkeypatc
             assert all(c is h._tests[r.pair].probe for c, r in zip(calls, sim.trace))
             assert {(pair, t): p for pair, test in h._tests.items()
                     for t, p in test._p_target.items()} == stored
+
+
+def test_a_certain_round_keeps_the_truth_at_any_copy_count():
+    # {W, W V diag(e^{i delta}, e^{-i delta}) V^dag} at delta = 1e-8: contracting
+    # N = 157 079 633 copies of U0^dag U0 as formed in floating point read
+    # p_target as low as 1 - 2.8e-7 against the truth 0, so about one run in
+    # 3.6e6 named the other gate.  The round now reads 1 or 0 and builds no probe.
+    delta = 1e-8
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        w, v = haar_unitary(2, rng), haar_unitary(2, rng)
+        h = HypothesisSet(gates=(Gate(w), Gate(w @ (v * np.exp([1j * delta, -1j * delta]))
+                                                @ v.conj().T)))
+        plan = plan_elimination(h)
+        for truth in (0, 1):
+            sim = simulate_elimination(plan, h, true_index=truth, seed=seed)
+            (record,) = sim.trace
+            assert record.pair == (0, 1) and abs(record.copies - 157079633) <= 4
+            assert record.p_target == float(truth == 0)
+            assert sim.identified_index == truth
+        (test,) = h._tests.values()
+        assert "probe" not in test.__dict__ and test._p_target == {}
+
+
+def test_the_contraction_a_certain_round_skips_stays_within_rounding():
+    # a round whose pair holds the truth reads 1 or 0; its probe, contracted
+    # anyway with the set's U_i^dag U_true, stays within 128 N u of 1 for the
+    # truth pair[0], and within criterion 3's 1e-16 of 0 for the truth pair[1]
+    rng = np.random.default_rng(31)
+    checked = 0
+    for k in range(3, 17):
+        h = random_set(k, rng)
+        plan = plan_elimination(h)
+        for t in range(k):
+            for record in simulate_elimination(plan, h, true_index=t, seed=t).trace:
+                i, j = record.pair
+                if t not in (i, j):
+                    continue
+                test = h._tests[i, j]
+                p = abs(_probe_amplitude(test.probe, h._rels[i, t])) ** 2
+                if t == i:
+                    assert record.p_target == 1.0 and abs(p - 1.0) <= 128 * test.copies * U
+                else:
+                    assert record.p_target == 0.0 and p <= 1e-16
+                checked += 1
+    assert checked > 200
+
+
+def test_an_in_set_run_builds_one_probe_per_round_without_the_truth(monkeypatch):
+    built = []
+    original = gatediscrim.protocol._ncopies_probe
+
+    def recorded(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(gatediscrim.protocol, "_ncopies_probe", recorded)
+    rng = np.random.default_rng(32)
+    for k in (2, 3, 5, 8, 16):
+        gates = random_set(k, rng).gates
+        for t in range(k):
+            h = HypothesisSet(gates=gates)  # fresh: no test made yet
+            built.clear()
+            sim = simulate_elimination(plan_elimination(h), h, true_index=t, seed=t)
+            uncertain = [r.pair for r in sim.trace if t not in r.pair]
+            assert len(built) == len(uncertain)
+            assert {pair for pair, test in h._tests.items()
+                    if "probe" in test.__dict__} == set(uncertain)
+            assert {pair for pair, test in h._tests.items() if test._p_target} == set(uncertain)
 
 
 def test_a_warm_set_gives_the_results_of_a_cold_one():
@@ -713,14 +797,22 @@ def test_cached_probes_match_the_public_builder():
 
 
 def test_a_test_reads_its_copy_count_once(monkeypatch):
+    # N is computed once, when the test is made, and never read from a probe
     reads = []
     original = gatediscrim.gates.ProbeState.copies
+    counts = []
+    original_count = gatediscrim.protocol._copies_for_distance
 
     def counted(probe):
         reads.append(probe)
         return original.fget(probe)
 
+    def counted_copies(delta):
+        counts.append(delta)
+        return original_count(delta)
+
     monkeypatch.setattr(gatediscrim.gates.ProbeState, "copies", property(counted))
+    monkeypatch.setattr(gatediscrim.protocol, "_copies_for_distance", counted_copies)
     rng = np.random.default_rng(25)
     h = random_set(8, rng)
     plan = plan_elimination(h)
@@ -733,9 +825,10 @@ def test_a_test_reads_its_copy_count_once(monkeypatch):
                 sim = simulate_elimination(plan, h, seed=seed, **kwargs)
                 assert sim.total_runs == sum(r.copies for r in sim.trace)
 
-    run_all()  # builds every test these runs reach and runs each at least once
+    run_all()  # makes every test these runs reach and runs each at least once
     built = dict(h._tests)
-    reads.clear()
+    assert len(counts) == len(built) and reads == []
+    counts.clear()
     run_all()
     assert h._tests == built
-    assert reads == []
+    assert reads == [] and counts == []
