@@ -54,7 +54,7 @@ from .geometry import (
     sphere_embed,
     su2_tangent,
 )
-from .numkit import UnitaryEigen, eig_unitary, tensor_power, validate_unitary
+from .numkit import UnitaryEigen, eig_unitary, tensor_power
 from .protocol import (
     EliminationTest,
     HypothesisSet,
@@ -126,5 +126,4 @@ __all__ = [
     "su2_tangent",
     "su3_example_gate",
     "tensor_power",
-    "validate_unitary",
 ]

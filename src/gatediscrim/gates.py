@@ -63,20 +63,21 @@ class Gate:
     stores its unitary polar factor, the nearest unitary matrix
     (`numkit._unitary_factor`), as a read-only array: M itself, byte for
     byte, when M is unitary to rounding.  M with ||M^dag M - 1||_F > 1/2 is
-    refused, which a tol <= 1/(2 dim) never does.  What the library forms
+    refused, which a tol <= 1/(2 dim) never does.  `tol` is the library's
+    one settable tolerance, and it is not kept.  What the library forms
     from gates (relative gates, their tensor powers, probe factors) is
-    therefore unitary to rounding and is not checked again.  `matrix`,
-    `dim` and `tol` are read-only properties, so a gate never changes after
-    validation and the pair memo `_pair`, keyed on the gate objects, never
-    outlives the matrices it was formed from.  Callers read what they need
-    from `matrix`: the spectrum of a pair's relative gate, the determinant
-    in `sphere_embed`.
+    therefore unitary to rounding and is not checked again, with one
+    exception: `numkit.eig_unitary` re-checks a d > 2 pair's U1^dag U2.
+    `matrix` and `dim` are read-only properties, so a gate never changes
+    after validation and the pair memo `_pair`, keyed on the gate objects,
+    never outlives the matrices it was formed from.  Callers read what they
+    need from `matrix`: the spectrum of a pair's relative gate, the
+    determinant in `sphere_embed`.
     """
 
     def __init__(self, matrix, tol: float = DEFAULT_TOL):
         self._matrix = _freeze(numkit._unitary_factor(matrix, tol))
         self._dim = self._matrix.shape[0]
-        self._tol = float(tol)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -87,11 +88,6 @@ class Gate:
     def dim(self) -> int:
         """The dimension d of C^d the gate acts on."""
         return self._dim
-
-    @property
-    def tol(self) -> float:
-        """The unitarity tolerance the matrix was accepted at."""
-        return self._tol
 
     @classmethod
     def identity(cls, dim: int) -> "Gate":
@@ -285,19 +281,20 @@ def _pair(u1: Gate, u2: Gate) -> tuple[np.ndarray, tuple | None]:
 
 @functools.lru_cache(maxsize=1)
 def _pair_spectrum(u1: Gate, u2: Gate) -> numkit.UnitaryEigen:
-    """`numkit.eig_unitary` of a checked pair's U1^dag U2, at DEFAULT_TOL, for d != 2.
+    """`numkit.eig_unitary` of a checked pair's U1^dag U2, for d != 2.
 
     The one place a pair is diagonalized: `gate_distance`,
     `optimal_probe_separable` and `oracle_min_overlap` at n = 1 (where the
     power is U1^dag U2 itself) for d != 2, so the functions of one pair run
     one eigendecomposition.  Both gates are unitary to rounding, so U1^dag
-    U2 is too, whatever tolerance they were accepted at.  Qubit pairs never
+    U2 is too, whatever tolerance they were accepted at, and passes
+    `eig_unitary`'s check at DEFAULT_TOL with no step.  Qubit pairs never
     come here: their distance and probes come from `_su2_frame`, and their
     oracle reads eigenvalues only.
     Like `_pair`, it holds only the last pair, keyed on the two `Gate`
     objects by identity; the spectrum is read-only.
     """
-    return numkit.eig_unitary(_pair(u1, u2)[0], DEFAULT_TOL)
+    return numkit.eig_unitary(_pair(u1, u2)[0])
 
 
 def gate_distance(u1: Gate, u2: Gate) -> float:
@@ -554,9 +551,12 @@ def optimal_probe_separable(u1: Gate, u2: Gate) -> ProbeState:
     pi/2 always, so this separable probe already achieves the optimal
     fidelity; its two eigenvectors come from the closed form of
     `_su2_folded_eigenbasis`, other dimensions diagonalize U1^dag U2.  Either
-    way v_a and v_b are orthonormal, so the factor is unit.
+    way v_a and v_b are orthonormal, so the factor is unit.  Gates of
+    dimension 1 have a single eigenvector and no probe: DimensionError.
     """
     _check_pair(u1, u2)
+    if u1.dim < 2:
+        raise DimensionError(f"a probe needs dimension >= 2, got {u1.dim}")
     frame = _pair(u1, u2)[1]
     if frame is not None:
         v_a, v_b = np.array(_su2_folded_eigenbasis(*frame[1:]))

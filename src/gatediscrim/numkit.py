@@ -39,9 +39,12 @@ _ROUNDING_DEFECT = 16 * 2.0**-53
 
 
 def _as_square(m) -> np.ndarray:
+    """M as a complex array; DimensionError unless it is a square matrix of dimension >= 1."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
+    if m.shape[0] == 0:
+        raise DimensionError("expected a matrix of dimension >= 1, got shape (0, 0)")
     return m
 
 
@@ -79,38 +82,22 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _gram_defect(m, tol: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """M as a complex array, G = M^dag M - 1 and ||G||_max, for a (..., d, d) stack M.
-
-    Raises DimensionError on non-square input, ValidationError unless `tol`
-    is finite and >= 0, the checks `validate_unitary` makes.
-    """
-    if not 0.0 <= tol < np.inf:
-        raise ValidationError(f"tolerance must be finite and >= 0, got {tol!r}")
-    m = np.asarray(m, dtype=complex)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
-    d = m.shape[-1]
-    gram = m.conj().swapaxes(-1, -2) @ m
-    gram.reshape(*gram.shape[:-2], d * d)[..., :: d + 1] -= 1.0  # M^dag M - 1, in place
-    return m, gram, np.abs(gram).max()
-
-
-def validate_unitary(m, tol: float = DEFAULT_TOL) -> bool:
-    """True when ||M^dag M - 1||_max <= tol, for every matrix of a (..., d, d) stack.
-
-    Raises DimensionError on non-square input, ValidationError unless `tol`
-    is finite and >= 0.
-    """
-    return bool(_gram_defect(m, tol)[2] <= tol)
+def _gram_defect(m: np.ndarray) -> tuple[np.ndarray, float]:
+    """G = M^dag M - 1 and ||G||_max for a square complex 2-D array M."""
+    d = m.shape[0]
+    gram = m.conj().T @ m
+    gram.reshape(d * d)[:: d + 1] -= 1.0  # M^dag M - 1, in place
+    return gram, np.abs(gram).max()
 
 
 def _unitary_factor(m, tol: float) -> np.ndarray:
     """The unitary polar factor Q of a square matrix M accepted at `tol`.
 
-    M is refused with ValidationError unless ||G||_max <= tol, G = M^dag M -
-    1 (`validate_unitary`), and, when it is not unitary to rounding, unless
-    ||G||_F <= 1/2.  While ||G||_max > _ROUNDING_DEFECT * d, Newton-Schulz
+    The library's one unitarity check.  M is refused with DimensionError
+    unless it is a square matrix of dimension >= 1 (`_as_square`), then
+    with ValidationError unless `tol` is finite and >= 0, unless ||G||_max
+    <= tol, G = M^dag M - 1, and, when it is not unitary to rounding,
+    unless ||G||_F <= 1/2.  While ||G||_max > _ROUNDING_DEFECT * d, Newton-Schulz
     steps M <- M - M G / 2 (Higham, Functions of Matrices, SIAM 2008, ch. 8)
     move every singular value s of M to s (3 - s^2) / 2: with e = 1 - s^2
     the next e is e^2 (3 + e) / 4, so from |e| <= ||G||_F <= 1/2 the defect
@@ -119,14 +106,18 @@ def _unitary_factor(m, tol: float) -> np.ndarray:
     ||G||_F <= d ||G||_max.  A matrix unitary to rounding is returned as it
     is, with no numpy call beyond its Gram product and its largest entry.
     """
-    m, gram, defect = _gram_defect(_as_square(m), tol)
+    m = _as_square(m)
+    if not 0.0 <= tol < np.inf:
+        raise ValidationError(f"tolerance must be finite and >= 0, got {tol!r}")
+    gram, defect = _gram_defect(m)
     if not defect <= tol:
         raise ValidationError("matrix is not unitary within tolerance")
     floor = _ROUNDING_DEFECT * m.shape[0]
     if defect > floor and (defect > 0.5 or np.linalg.norm(gram) > 0.5):
         raise ValidationError("matrix is too far from unitary: ||M^dag M - 1||_F > 1/2")
     while defect > floor:
-        m, gram, defect = _gram_defect(m - m @ gram / 2.0, tol)
+        m = m - m @ gram / 2.0
+        gram, defect = _gram_defect(m)
     return m
 
 
@@ -166,25 +157,27 @@ def _split_clusters(values: np.ndarray, gap: float) -> list[slice]:
     return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
 
 
-def eig_unitary(u, tol: float = DEFAULT_TOL) -> UnitaryEigen:
+def eig_unitary(u) -> UnitaryEigen:
     """Eigenphases and orthonormal eigenvectors of a unitary matrix.
 
-    U is accepted at `tol` and replaced by its unitary polar factor
+    U is accepted at DEFAULT_TOL and replaced by its unitary polar factor
     (`_unitary_factor`; U itself when it is unitary to rounding), so the
-    result is always a unitary's.  Reduces to a Hermitian problem: with H1 =
-    (U + U^dag)/2 and H2 = (U - U^dag)/(2i), the matrix H1 + gamma*H2
-    is Hermitian and shares eigenvectors with U, so `eigh` applies; gamma is
-    the fixed `_MIX_WEIGHT`.  A cluster of H1 + gamma*H2 eigenvalues (gaps
+    result is always a unitary's.  A matrix accepted at another tolerance
+    goes in as `Gate(u, tol).matrix`, the same polar factor, which takes no
+    step here.  Reduces to a Hermitian problem: with H1 = (U + U^dag)/2 and
+    H2 = (U - U^dag)/(2i), the matrix H1 + gamma*H2 is Hermitian and shares
+    eigenvectors with U, so `eigh` applies; gamma is the fixed
+    `_MIX_WEIGHT`.  A cluster of H1 + gamma*H2 eigenvalues (gaps
     below `_CLUSTER_GAP`) may still mix distinct eigenphases (cos a +
     gamma*sin a can collide), so inside each cluster U's compression, a
     normal matrix of the cluster's size, is diagonalized as a second stage
     and its eigenvectors made orthonormal again; whatever its phases, this
     mixes only eigenvectors of nearly equal phases, which moves no residual.
     Phases come from Rayleigh quotients, and every pair (phase, vector) must
-    pass the residual check ||U v - exp(i*phi) v|| <= tol, or
+    pass the residual check ||U v - exp(i*phi) v|| <= DEFAULT_TOL, or
     ConvergenceError is raised.
     """
-    m = _unitary_factor(u, tol)
+    m = _unitary_factor(u, DEFAULT_TOL)
     h1 = (m + m.conj().T) / 2.0
     h2 = (m - m.conj().T) / 2.0j
     w, vecs = np.linalg.eigh(h1 + _MIX_WEIGHT * h2)
@@ -200,9 +193,9 @@ def eig_unitary(u, tol: float = DEFAULT_TOL) -> UnitaryEigen:
     mv = m @ vecs
     phases = _principal(np.angle(np.einsum("ik,ik->k", vecs.conj(), mv)))
     residual = np.abs(mv - vecs * np.exp(1j * phases)).max()
-    if not residual <= tol:
+    if not residual <= DEFAULT_TOL:
         raise ConvergenceError(f"eigendecomposition residual {residual:.3e} above "
-                               f"{tol:.1e} (dim {m.shape[0]})")
+                               f"{DEFAULT_TOL:.1e} (dim {m.shape[0]})")
     order = np.argsort(phases, kind="stable")
     out_vecs = _fix_gauge(vecs[:, order])
     out_vecs.setflags(write=False)

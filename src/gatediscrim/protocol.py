@@ -63,8 +63,10 @@ class HypothesisSet:
     k x k x 2 x 2), as is its frame (delta, 2 alpha, 2 beta) from one stacked
     `gates._su2_frame` call (`_frames`, three k x k arrays).  Each pair's
     probe is built from its frame, and in-set rounds read U_i^dag U_true
-    from `_rels`.  `distances` mirrors the frame's half-arcs of the pairs
-    i < j, so it is exactly symmetric.  The same
+    from `_rels`.  `distances` is the frame's half-arc table itself: it
+    is exactly symmetric, as `_su2_frame(R^dag)` reads (conj alpha, -beta)
+    and so the same half-arc as R, and its diagonal reads 0, as U^dag U
+    is formed exactly Hermitian, so beta = 0 and alpha is real.  The same
     table ranks every pair (i, j), i < j, once: by distance, largest first,
     ties in row-major order.  Planning and re-planning take the first
     ranked pair whose two members survive, which is the survivors' most
@@ -100,14 +102,12 @@ class HypothesisSet:
         rels = _relative_matrix(mats[:, None], mats[None, :])
         frames = _su2_frame(rels)
         upper = np.arange(k)[:, None] < np.arange(k)  # the pairs i < j
-        table = np.where(upper, frames[0], 0.0)
-        table = table + table.T  # the mirrored upper triangle, exactly symmetric
         rows, cols = np.nonzero(upper)  # in row-major order, as is delta
         delta = frames[0][upper]
         order = np.argsort(-delta, kind="stable")  # stable: ties keep row-major order
-        for array in (table, mats, rels, *frames):
+        for array in (mats, rels, *frames):
             array.setflags(write=False)
-        self.__dict__.update(distances=table, _mats=mats, _rels=rels, _frames=frames,
+        self.__dict__.update(distances=frames[0], _mats=mats, _rels=rels, _frames=frames,
                              _ranked=tuple(zip(rows[order].tolist(), cols[order].tolist())))
         close = np.flatnonzero(delta <= IDENTICAL_TOL)
         if close.size:  # the first such pair in row-major order

@@ -45,6 +45,12 @@ def loose_tolerance_pairs() -> list[tuple[np.ndarray, np.ndarray]]:
             (hadamard @ near_one, near_one)]
 
 
+def gram_defect(m) -> float:
+    """||M^dag M - 1||_max of a square matrix M: how far it is from unitary."""
+    m = np.asarray(m)
+    return float(np.abs(m.conj().T @ m - np.eye(m.shape[0])).max())
+
+
 def rand_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)

@@ -410,6 +410,15 @@ def test_discriminate_identifies_every_member(capsys, tmp_path, gates, total_run
         assert (result["identified"], result["total_runs"]) == (true, total_runs)
 
 
+def test_a_separable_probe_of_one_dimensional_gates_exits_2(capsys, tmp_path):
+    # it used to print the vector [[1.4142135623730949, 0]], of norm^2 2, with exit 0
+    a = write_matrix(tmp_path / "a.json", [[1.0]])
+    b = write_matrix(tmp_path / "b.json", [[1j]])
+    code, out, err = run(capsys, ["probe", "--kind", "separable", "--u1", a, "--u2", b])
+    assert (code, out) == (2, ""), out
+    assert "dimension >= 2" in err, err
+
+
 def test_a_gate_too_far_from_unitary_exits_2_not_1(capsys, tmp_path):
     # accepted at --tol 0.5, a qubit gate scaled by 1.2 made N = 15707964
     # copies, and 1.2^(2N) overflowed: under -W error the RuntimeWarning

@@ -34,7 +34,6 @@ from gatediscrim import (
     su2_from_params,
     su3_example_gate,
     tensor_power,
-    validate_unitary,
 )
 from gatediscrim.gates import (
     _pair,
@@ -46,8 +45,8 @@ from gatediscrim.gates import (
 )
 from gatediscrim import gates as gates_mod
 from gatediscrim import geometry, numkit
-from helpers import (apply_copies, haar_unitary, loose_tolerance_pairs, system_density,
-                     term_amplitude)
+from helpers import (apply_copies, gram_defect, haar_unitary, loose_tolerance_pairs,
+                     system_density, term_amplitude)
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -83,12 +82,14 @@ def test_gate_matrix_read_only_and_array():
     assert np.asarray(g).shape == (2, 2)
 
 
-def test_gate_keeps_its_tolerance_read_only():
-    assert Gate(np.eye(2)).tol == numkit.DEFAULT_TOL
-    g = Gate(np.eye(2), tol=1e-6)
-    assert g.tol == 1e-6
-    with pytest.raises(AttributeError):
-        g.tol = 1e-3
+def test_gate_keeps_no_tolerance():
+    # the tolerance only decides acceptance: gates accepted at different
+    # tolerances hold the same polar factor and nothing else
+    m = (1.0 + 4e-11) * np.diag([1.0, 1j])
+    loose, default = Gate(m, tol=1e-6), Gate(m)
+    assert loose.matrix.tobytes() == default.matrix.tobytes()
+    assert vars(loose).keys() == {"_matrix", "_dim"}
+    assert not hasattr(loose, "tol")
 
 
 def test_gate_matrix_and_dim_are_read_only_properties():
@@ -215,7 +216,7 @@ def test_products_of_accepted_gates_are_not_revalidated():
     s = 1.0 + 4.5e-11
     u1, u2 = Gate(s * np.eye(2)), Gate(s * rot(0.3).matrix)
     for m in (u1.matrix, u2.matrix, _relative_matrix(u1.matrix, u2.matrix)):
-        assert validate_unitary(m, 32 * 2.0**-53)
+        assert gram_defect(m) <= 32 * 2.0**-53
     assert abs(gate_fidelity_su2(u1, u2) - math.cos(0.3) ** 2) <= 1e-9
     assert abs(gate_distance(u1, u2) - 0.3) <= 1e-9
     assert min_copies(u1, u2) == 6
@@ -260,9 +261,9 @@ def test_a_qudit_pair_is_diagonalized_once(monkeypatch):
     calls, phase_calls = [], []
     original, original_phases = numkit.eig_unitary, numkit._unitary_phases
 
-    def counted(u, tol=numkit.DEFAULT_TOL):
-        calls.append(tol)
-        return original(u, tol)
+    def counted(u):
+        calls.append(u.shape)
+        return original(u)
 
     def counted_phases(m):
         phase_calls.append(m.shape)
@@ -279,11 +280,11 @@ def test_a_qudit_pair_is_diagonalized_once(monkeypatch):
            oracle_min_overlap(u1, u2, 1))
     gate_fidelity_sud(u1, u2)
     min_copies(u1, u2)
-    assert calls == [numkit.DEFAULT_TOL] and phase_calls == []
+    assert calls == [(3, 3)] and phase_calls == []
     assert got[0] == expected[0] and got[2] == expected[2]
     assert np.array_equal(got[1], expected[1])
     oracle_min_overlap(u1, u2, 2)
-    assert calls == [numkit.DEFAULT_TOL]
+    assert calls == [(3, 3)]
     assert phase_calls == [(9, 9)]
 
 
@@ -931,6 +932,15 @@ def test_separable_probe_full_norm_within_rounding(dim):
         probe = optimal_probe_separable(u1, u2)
         assert _norm_residual(probe) <= _NORM_C * 2.0**-53
         _assert_unit_factors(probe, probe.system[0])
+
+
+def test_separable_probe_refuses_dimension_one():
+    # two 1 x 1 gates have one eigenvector, which the probe took twice: a
+    # factor sqrt(2) v of norm^2 2, as ProbeState(...) would refuse at dim 1
+    u1, u2 = Gate(np.eye(1)), Gate([[1j]])
+    with pytest.raises(DimensionError, match="dimension >= 2"):
+        optimal_probe_separable(u1, u2)
+    assert gate_distance(u1, u2) == 0.0
 
 
 def test_small_angle_rotated_pair_builds():

@@ -15,44 +15,31 @@ from gatediscrim import (
     eig_unitary,
     numkit,
     tensor_power,
-    validate_unitary,
 )
 import gatediscrim as gd
-from helpers import haar_unitary, partial_trace_b, rand_state, reconstruct
-
-
-def test_validate_unitary_basic():
-    assert validate_unitary(np.eye(3))
-    assert validate_unitary(np.diag([1j, -1j]))
-    assert not validate_unitary(np.diag([1.0, 2.0]))
-    assert not validate_unitary(np.ones((2, 2)))
-    with pytest.raises(DimensionError):
-        validate_unitary(np.ones((2, 3)))
-
-
-def test_validate_unitary_stack_matches_the_identity_residual():
-    # the in-place diagonal shift gives the boolean ||M^dag M - 1||_max <= tol,
-    # for single matrices and stacks, on either side of the tolerance
-    rng = np.random.default_rng(3)
-    for shape, d in (((), 2), ((), 5), ((4,), 2), ((3, 2), 3)):
-        base = np.array([haar_unitary(d, rng) for _ in range(int(np.prod(shape)))])
-        base = base.reshape(*shape, d, d)
-        for scale in (0.0, 1e-12, 1e-9, 1e-7):
-            m = base + scale * rng.standard_normal(base.shape)
-            residual = np.abs(np.swapaxes(m.conj(), -1, -2) @ m - np.eye(d)).max()
-            for tol in (1e-10, residual, np.nextafter(residual, 0.0)):
-                assert validate_unitary(m, tol) == (residual <= tol)
+from helpers import gram_defect, haar_unitary, partial_trace_b, rand_state, reconstruct
 
 
 @pytest.mark.parametrize("tol", [np.inf, np.nan, -1.0])
 def test_tolerance_must_be_finite_and_nonnegative(tol):
-    # an infinite tolerance would accept any square matrix as unitary
-    for check in (gd.Gate, validate_unitary, eig_unitary):
-        with pytest.raises(ValidationError, match="tolerance"):
-            check(np.ones((2, 2)), tol=tol)
-    assert validate_unitary(np.eye(2), tol=0.0)
-    assert gd.Gate(np.eye(2), tol=0.0).tol == 0.0
-    assert np.array_equal(eig_unitary(np.eye(2), tol=0.0).phases, [0.0, 0.0])
+    # an infinite tolerance would accept any square matrix as unitary; the
+    # shape is checked first
+    with pytest.raises(ValidationError, match="tolerance"):
+        gd.Gate(np.ones((2, 2)), tol=tol)
+    with pytest.raises(DimensionError, match="square"):
+        gd.Gate(np.ones((2, 3)), tol=tol)
+    assert np.array_equal(gd.Gate(np.eye(2), tol=0.0).matrix, np.eye(2))
+    assert np.array_equal(eig_unitary(np.eye(2)).phases, [0.0, 0.0])
+
+
+def test_empty_matrices_are_refused():
+    # a 0 x 0 matrix used to end in numpy's bare ValueError (the maximum of an
+    # empty Gram defect) or, through tensor_power, in an empty power
+    empty = np.zeros((0, 0))
+    for call in (lambda: gd.Gate(empty), lambda: gd.Gate.identity(0),
+                 lambda: eig_unitary(empty), lambda: tensor_power(empty, 2)):
+        with pytest.raises(DimensionError, match="dimension >= 1"):
+            call()
 
 
 def test_eig_unitary_rejects_non_unitary():
@@ -76,7 +63,8 @@ def test_eig_unitary_diagonalizes_the_polar_factor_of_a_non_normal_matrix(dim):
         a = np.sqrt(1.0 + 0.99 * dim * tol) - 1.0
         for _ in range(4):
             q = haar_unitary(dim, rng) @ householder_to_e0(dim)  # U's polar factor
-            eig = eig_unitary(q @ (np.eye(dim) + a * np.ones((dim, dim)) / dim), tol)
+            eig = eig_unitary(gd.Gate(q @ (np.eye(dim) + a * np.ones((dim, dim)) / dim),
+                                      tol).matrix)
             # residuals on Q measured up to 4.5e-12, at d = 32
             assert np.abs(q @ eig.vectors - eig.vectors * np.exp(1j * eig.phases)).max() <= 1e-11
             assert np.abs(eig.phases - np.sort(np.angle(np.linalg.eigvals(q)))).max() <= 1e-14
@@ -107,9 +95,9 @@ def counted_gram_defects(monkeypatch) -> list:
     """Record each Gram defect `numkit._unitary_factor` forms: the input's, then one a step."""
     defects, original = [], numkit._gram_defect
 
-    def counted(m, tol):
-        out = original(m, tol)
-        defects.append(out[2])
+    def counted(m):
+        out = original(m)
+        defects.append(out[1])
         return out
 
     monkeypatch.setattr(numkit, "_gram_defect", counted)
@@ -138,7 +126,7 @@ def test_newton_schulz_reaches_rounding_within_six_steps_at_the_bound(dim, monke
         gd.Gate(w * scale, tol=1.0)
     near = w * np.sqrt(1.0 - 0.6 / np.sqrt(dim))  # ||.||_max = 0.6 / sqrt(d), ||.||_F = 0.6
     with pytest.raises(ValidationError, match="too far from unitary"):
-        eig_unitary(near, tol=0.6)
+        gd.Gate(near, tol=0.6)
 
 
 def test_matrices_unitary_to_rounding_are_stored_byte_for_byte(monkeypatch):
@@ -150,11 +138,11 @@ def test_matrices_unitary_to_rounding_are_stored_byte_for_byte(monkeypatch):
         floor = 16 * dim * 2.0**-53
         for _ in range(20):
             m = haar_unitary(dim, rng)
-            assert np.abs(m.conj().T @ m - np.eye(dim)).max() <= floor
+            assert gram_defect(m) <= floor
             for kept in (m, m * (1.0 + 2.0**-53)):
                 assert gd.Gate(kept).matrix.tobytes() == kept.tobytes()
             stepped = gd.Gate(m * (1.0 + 2 * floor)).matrix
-            assert validate_unitary(stepped, floor) and np.abs(stepped - m).max() <= 4 * floor
+            assert gram_defect(stepped) <= floor and np.abs(stepped - m).max() <= 4 * floor
     del defects[:]
     gd.Gate(np.eye(3))
     assert len(defects) == 1
@@ -366,8 +354,8 @@ def test_partial_trace_validation():
 
 
 def test_fixed_settings_are_constants_not_parameters():
-    # each of these reads a module constant at call time; only Gate,
-    # validate_unitary and eig_unitary take a tolerance
+    # each of these reads a module constant at call time; only Gate takes a
+    # tolerance (below)
     removed = {
         gd.eig_unitary: "max_attempts",
         gd.tensor_power: "max_dim",
@@ -393,5 +381,24 @@ def test_fixed_settings_are_constants_not_parameters():
         assert not hasattr(cls, member), (cls.__name__, member)
     assert [f.name for f in dataclasses.fields(gd.EliminationTest)] == [
         "pair", "copies", "_frame", "_p_target"]
-    for func in (gd.Gate, gd.validate_unitary, gd.eig_unitary):
-        assert "tol" in inspect.signature(func).parameters
+    for module, name in ((gd, "validate_unitary"), (numkit, "validate_unitary")):
+        assert not hasattr(module, name), (module.__name__, name)
+    assert not hasattr(gd.Gate, "tol") and not hasattr(gd.Gate(np.eye(2)), "_tol")
+    # every exported function, class constructor and public method: a new
+    # tolerance parameter anywhere but Gate(matrix, tol) fails here
+    takes_tol = []
+    for name in gd.__all__:
+        obj = getattr(gd, name)
+        if inspect.isclass(obj):
+            members = [(f"{name}.{attr}", value) for attr, value in vars(obj).items()
+                       if attr == "__init__" or not attr.startswith("_")]
+        else:
+            members = [(name, obj)]
+        for qualname, member in members:
+            # a property's getter, a cached property's or a classmethod's function
+            for wrapped in ("fget", "func", "__func__"):
+                member = getattr(member, wrapped, member)
+            if inspect.isfunction(member):
+                takes_tol += [(qualname, p) for p in inspect.signature(member).parameters
+                              if "tol" in p]
+    assert takes_tol == [("Gate.__init__", "tol")]

@@ -435,19 +435,25 @@ def test_most_distant_pair_matches_the_strict_scan():
 
 
 def test_distances_and_ranking_match_the_triu_reference():
-    # reference: the upper triangle from np.triu and the pairs from
-    # np.triu_indices, ranked by a stable sort; the set forms both from one
-    # i < j comparison, which must give the same bits and the same tie order
+    # reference: the upper triangle from np.triu mirrored, and the pairs from
+    # np.triu_indices, ranked by a stable sort; the set's distances are the
+    # frame's half-arc table itself, which must equal the mirror bit for bit
+    # (R^dag reads the half-arc of R, U^dag U reads 0), also for gates with
+    # global phases, and the ranking must give the same tie order
     s = 2**-0.5
     tie_set = [np.eye(2), SX, SY, SZ, s * (np.eye(2) + 1j * SX), s * (np.eye(2) + 1j * SY),
                s * (SX + SY), np.diag([1.0, 1j])]
     rng = np.random.default_rng(26)
     sets = [HypothesisSet(gates=tuple(Gate(m) for m in tie_set))]
     sets += [random_set(k, rng) for k in range(2, 18)]
+    sets += [HypothesisSet(tuple(Gate(np.exp(2j * np.pi * rng.random()) * haar_unitary(2, rng))
+                                 for _ in range(k)))
+             for k in rng.integers(2, 17, size=200)]
     for h in sets:
         k = len(h)
         upper = np.triu(h._frames[0], 1)
-        assert np.array_equal(h.distances, upper + upper.T)
+        assert h.distances is h._frames[0] and not h.distances.flags.writeable
+        assert h.distances.tobytes() == (upper + upper.T).tobytes()
         rows, cols = np.triu_indices(k, 1)
         order = np.argsort(-h._frames[0][rows, cols], kind="stable")
         assert h._ranked == tuple(zip(rows[order].tolist(), cols[order].tolist()))
