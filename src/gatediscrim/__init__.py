@@ -54,7 +54,7 @@ from .geometry import (
     sphere_embed,
     su2_tangent,
 )
-from .numkit import UnitaryEigen, eig_unitary, tensor_power
+from .numkit import tensor_power
 from .protocol import (
     EliminationTest,
     HypothesisSet,
@@ -91,7 +91,6 @@ __all__ = [
     "TangentIncrement",
     "TestPlan",
     "TestRecord",
-    "UnitaryEigen",
     "ValidationError",
     "as_density",
     "as_prob_dist",
@@ -101,7 +100,6 @@ __all__ = [
     "classical_distance",
     "classical_fidelity",
     "convex_min_overlap",
-    "eig_unitary",
     "gate_distance",
     "gate_fidelity_su2",
     "gate_fidelity_sud",

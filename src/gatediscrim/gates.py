@@ -64,10 +64,10 @@ class Gate:
     (`numkit._unitary_factor`), as a read-only array: M itself, byte for
     byte, when M is unitary to rounding.  M with ||M^dag M - 1||_F > 1/2 is
     refused, which a tol <= 1/(2 dim) never does.  `tol` is the library's
-    one settable tolerance, and it is not kept.  What the library forms
-    from gates (relative gates, their tensor powers, probe factors) is
-    therefore unitary to rounding and is not checked again, with one
-    exception: `numkit.eig_unitary` re-checks a d > 2 pair's U1^dag U2.
+    one settable tolerance, and it is not kept.  This is the library's
+    only unitarity check: what it forms from gates (relative gates, their
+    eigendecompositions and tensor powers, probe factors) is therefore
+    unitary to rounding and is not checked again.
     `matrix` and `dim` are read-only properties, so a gate never changes
     after validation and the pair memo `_pair`, keyed on the gate objects,
     never outlives the matrices it was formed from.  Callers read what they
@@ -94,9 +94,7 @@ class Gate:
         return cls(np.eye(dim))
 
     def __array__(self, dtype=None, copy=None):
-        if copy:
-            return np.array(self._matrix, dtype=dtype if dtype is not None else complex)
-        return self._matrix if dtype is None else self._matrix.astype(dtype, copy=False)
+        return np.array(self._matrix, dtype=dtype, copy=copy)
 
     def __repr__(self) -> str:
         return f"Gate(dim={self.dim})"
@@ -280,21 +278,20 @@ def _pair(u1: Gate, u2: Gate) -> tuple[np.ndarray, tuple | None]:
 
 
 @functools.lru_cache(maxsize=1)
-def _pair_spectrum(u1: Gate, u2: Gate) -> numkit.UnitaryEigen:
-    """`numkit.eig_unitary` of a checked pair's U1^dag U2, for d != 2.
+def _pair_spectrum(u1: Gate, u2: Gate) -> tuple[np.ndarray, np.ndarray]:
+    """(phases, vectors) of a checked pair's U1^dag U2, for d != 2 (`numkit._eig_unitary`).
 
     The one place a pair is diagonalized: `gate_distance`,
     `optimal_probe_separable` and `oracle_min_overlap` at n = 1 (where the
     power is U1^dag U2 itself) for d != 2, so the functions of one pair run
     one eigendecomposition.  Both gates are unitary to rounding, so U1^dag
-    U2 is too, whatever tolerance they were accepted at, and passes
-    `eig_unitary`'s check at DEFAULT_TOL with no step.  Qubit pairs never
-    come here: their distance and probes come from `_su2_frame`, and their
-    oracle reads eigenvalues only.
+    U2 is too, whatever tolerance they were accepted at, and it is not
+    checked again.  Qubit pairs never come here: their distance and probes
+    come from `_su2_frame`, and their oracle reads eigenvalues only.
     Like `_pair`, it holds only the last pair, keyed on the two `Gate`
-    objects by identity; the spectrum is read-only.
+    objects by identity; both arrays are read-only.
     """
-    return numkit.eig_unitary(_pair(u1, u2)[0])
+    return numkit._eig_unitary(_pair(u1, u2)[0])
 
 
 def gate_distance(u1: Gate, u2: Gate) -> float:
@@ -316,7 +313,7 @@ def gate_distance(u1: Gate, u2: Gate) -> float:
     frame = _pair(u1, u2)[1]
     if frame is not None:
         return float(frame[0])
-    return min(minimal_covering_arc(_pair_spectrum(u1, u2).phases).delta, _HALF_PI)
+    return min(minimal_covering_arc(_pair_spectrum(u1, u2)[0]).delta, _HALF_PI)
 
 
 def gate_fidelity_sud(u1: Gate, u2: Gate) -> float:
@@ -522,7 +519,7 @@ def _su2_folded_eigenbasis(alpha2, beta2) -> tuple[tuple[complex, ...], tuple[co
     < 0) S is a global phase away from one with phases +/-(pi - a), so the
     vectors trade roles.  The other root negates S, which only swaps w_plus
     and w_minus; no probe's overlap changes under that swap.  Both vectors
-    carry the gauge of `numkit.eig_unitary` (largest entry real positive).
+    carry the gauge of `numkit._eig_unitary` (largest entry real positive).
     For S = +/-1 (s = 0) the standard basis is returned.  The vectors are
     pairs of Python scalars, so callers form their arrays once.
     """
@@ -561,14 +558,14 @@ def optimal_probe_separable(u1: Gate, u2: Gate) -> ProbeState:
     if frame is not None:
         v_a, v_b = np.array(_su2_folded_eigenbasis(*frame[1:]))
     else:
-        eig = _pair_spectrum(u1, u2)
-        arc = minimal_covering_arc(eig.phases)
-        diffs = np.abs(numkit._principal(eig.phases - arc.extremes[0]))
+        phases, vectors = _pair_spectrum(u1, u2)
+        arc = minimal_covering_arc(phases)
+        diffs = np.abs(numkit._principal(phases - arc.extremes[0]))
         idx_a = int(np.argmin(diffs))
-        diffs_b = np.abs(numkit._principal(eig.phases - arc.extremes[1]))
+        diffs_b = np.abs(numkit._principal(phases - arc.extremes[1]))
         diffs_b[idx_a] = np.inf
         idx_b = int(np.argmin(diffs_b))
-        v_a, v_b = eig.vectors[:, idx_a], eig.vectors[:, idx_b]
+        v_a, v_b = vectors[:, idx_a], vectors[:, idx_b]
     psi = (v_a + v_b) / math.sqrt(2.0)
     return _library_probe(np.ones(1, complex), psi[None, None, :])
 
@@ -744,7 +741,7 @@ def oracle_min_overlap(u1: Gate, u2: Gate, n: int) -> float:
     numkit._check_int(n, "copy count", 1)
     numkit._check_size(u1.dim, n, _ORACLE_MAX_DIM, "oracle dimension")
     if n == 1 and u1.dim != 2:
-        phases = _pair_spectrum(u1, u2).phases
+        phases = _pair_spectrum(u1, u2)[0]
     else:
         big = numkit.tensor_power(_pair(u1, u2)[0], n)
         phases = numkit._unitary_phases(big)

@@ -1,11 +1,13 @@
 """Dense complex linear algebra helpers underlying gates and states.
 
-Everything here works on plain ndarrays (anything `np.asarray` accepts,
-including `Gate`, which exposes ``__array__``).
+The library's one unitarity check (`_unitary_factor`, which `Gate` runs)
+is private, as are the eigendecomposition of a d > 2 pair's relative gate
+(`_eig_unitary`) and the eigenvalues of a pair's tensor power
+(`_unitary_phases`); those two take matrices formed from accepted gates
+and check nothing again.  The public `tensor_power` takes anything
+`np.asarray` accepts, including `Gate`, which exposes ``__array__``.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,12 +18,12 @@ DEFAULT_TOL = 1e-10
 MAX_TENSOR_DIM = 4096
 # Most random values one seeded draw may hold: 2**25 float64 values, 256 MiB.
 MAX_DRAW_VALUES = 2**25
-# The Hermitian mixing weight of eig_unitary: a fixed scalar, the first draw of
-# np.random.default_rng(0x1D5A3).uniform(0.3, 1.7), written out so that the
+# The Hermitian mixing weight of _eig_unitary: a fixed scalar, the first draw
+# of np.random.default_rng(0x1D5A3).uniform(0.3, 1.7), written out so that the
 # decomposition is a pure function of its input and neither a call nor the
 # import builds a generator (importing numpy.random alone takes ~14 ms).
 _MIX_WEIGHT = 1.5082927390849898
-# eig_unitary's clusters: eigenvalues of H1 + gamma*H2 closer than this.  An
+# _eig_unitary's clusters: eigenvalues of H1 + gamma*H2 closer than this.  An
 # eigenvector of an eigenvalue g away from all others is accurate to about
 # 4 u / g (u = 2**-53; residual times gap measured up to 3.7 u on 10**4 Haar
 # unitaries at d = 32), and its residual on U moves by as much when its
@@ -49,10 +51,15 @@ def _as_square(m) -> np.ndarray:
 
 
 def _check_size(base: int, n: int, cap: int, what: str) -> None:
-    """Refuse base**n > cap with SizeLimitError.  A base >= 2 exceeds the cap once n
-    passes its bit length, so base**n is only formed for small n."""
+    """Refuse base**n > cap, or n > MAX_TENSOR_DIM factors, with SizeLimitError.
+    A base >= 2 exceeds the cap once n passes its bit length, so base**n is
+    only formed for small n; a power takes n - 1 steps whatever its base, so
+    base 1 is refused past MAX_TENSOR_DIM factors."""
     if base > 1 and n > cap.bit_length() or base**n > cap:
         raise SizeLimitError(f"{what} {base}^{n} exceeds the cap {cap}")
+    if n > MAX_TENSOR_DIM:
+        raise SizeLimitError(f"{what} {base}^{n} has {n} factors, above the cap "
+                             f"{MAX_TENSOR_DIM}")
 
 
 def _check_draw(values: int, what: str) -> None:
@@ -121,18 +128,6 @@ def _unitary_factor(m, tol: float) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True, eq=False)
-class UnitaryEigen:
-    """Spectral data of a unitary: ``sum_k exp(i*phases[k]) |v_k><v_k|``.
-
-    ``phases`` are sorted ascending in (-pi, pi]; ``vectors[:, k]`` is the
-    orthonormal eigenvector for ``phases[k]``.
-    """
-
-    phases: np.ndarray
-    vectors: np.ndarray
-
-
 def _principal(phi: np.ndarray) -> np.ndarray:
     """Map angles to the principal branch (-pi, pi]."""
     out = np.mod(np.asarray(phi, dtype=float) + np.pi, 2 * np.pi) - np.pi
@@ -157,14 +152,16 @@ def _split_clusters(values: np.ndarray, gap: float) -> list[slice]:
     return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
 
 
-def eig_unitary(u) -> UnitaryEigen:
-    """Eigenphases and orthonormal eigenvectors of a unitary matrix.
+def _eig_unitary(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenphases and orthonormal eigenvectors of a square matrix unitary to rounding.
 
-    U is accepted at DEFAULT_TOL and replaced by its unitary polar factor
-    (`_unitary_factor`; U itself when it is unitary to rounding), so the
-    result is always a unitary's.  A matrix accepted at another tolerance
-    goes in as `Gate(u, tol).matrix`, the same polar factor, which takes no
-    step here.  Reduces to a Hermitian problem: with H1 = (U + U^dag)/2 and
+    Returns read-only (phases, vectors), the order of `np.linalg.eigh`:
+    phases sorted ascending in (-pi, pi], vectors[:, k] the eigenvector of
+    phases[k] with its largest-magnitude entry real positive, so that
+    sum_k exp(i phases[k]) |v_k><v_k| is U.  U is not checked: callers pass
+    a matrix formed from accepted gates (`Gate`, the one unitarity check),
+    which is unitary to rounding.
+    Reduces to a Hermitian problem: with H1 = (U + U^dag)/2 and
     H2 = (U - U^dag)/(2i), the matrix H1 + gamma*H2 is Hermitian and shares
     eigenvectors with U, so `eigh` applies; gamma is the fixed
     `_MIX_WEIGHT`.  A cluster of H1 + gamma*H2 eigenvalues (gaps
@@ -177,7 +174,6 @@ def eig_unitary(u) -> UnitaryEigen:
     pass the residual check ||U v - exp(i*phi) v|| <= DEFAULT_TOL, or
     ConvergenceError is raised.
     """
-    m = _unitary_factor(u, DEFAULT_TOL)
     h1 = (m + m.conj().T) / 2.0
     h2 = (m - m.conj().T) / 2.0j
     w, vecs = np.linalg.eigh(h1 + _MIX_WEIGHT * h2)
@@ -201,7 +197,7 @@ def eig_unitary(u) -> UnitaryEigen:
     out_vecs.setflags(write=False)
     out_phases = phases[order]
     out_phases.setflags(write=False)
-    return UnitaryEigen(phases=out_phases, vectors=out_vecs)
+    return out_phases, out_vecs
 
 
 def _unitary_phases(m: np.ndarray) -> np.ndarray:

@@ -124,8 +124,10 @@ def term_amplitude(a, b, op: np.ndarray | None = None) -> complex:
 
 
 def reconstruct(eig) -> np.ndarray:
-    """The unitary sum_k exp(i phases[k]) |v_k><v_k| of a `numkit.UnitaryEigen`."""
-    return (eig.vectors * np.exp(1j * eig.phases)) @ eig.vectors.conj().T
+    """The unitary sum_k exp(i phases[k]) |v_k><v_k| of the (phases, vectors)
+    pair `numkit._eig_unitary` returns."""
+    phases, vectors = eig
+    return (vectors * np.exp(1j * phases)) @ vectors.conj().T
 
 
 def avg_fidelity_exact(u1, u2) -> float:

@@ -419,6 +419,19 @@ def test_a_separable_probe_of_one_dimensional_gates_exits_2(capsys, tmp_path):
     assert "dimension >= 2" in err, err
 
 
+def test_an_oracle_power_of_one_dimensional_gates_is_capped(capsys, tmp_path):
+    # 1^n never passes the dimension cap, and --n 1000000000000 used to run
+    # n - 1 steps of the tensor power without bound; up to 4096 factors it answers
+    a = write_matrix(tmp_path / "a.json", [[1.0]])
+    b = write_matrix(tmp_path / "b.json", [[1j]])
+    code, out, err = run(capsys, ["oracle", "--u1", a, "--u2", b, "--n", "1000000000000"])
+    assert (code, out) == (2, ""), out
+    assert "has 1000000000000 factors, above the cap 4096" in err, err
+    code, out, err = run(capsys, ["oracle", "--u1", a, "--u2", b, "--n", "4096"])
+    assert code == 0, err
+    assert json.loads(out)["result"] == 1.0
+
+
 def test_a_gate_too_far_from_unitary_exits_2_not_1(capsys, tmp_path):
     # accepted at --tol 0.5, a qubit gate scaled by 1.2 made N = 15707964
     # copies, and 1.2^(2N) overflowed: under -W error the RuntimeWarning

@@ -18,7 +18,6 @@ from gatediscrim import (
     SizeLimitError,
     ValidationError,
     convex_min_overlap,
-    eig_unitary,
     gate_distance,
     gate_fidelity_su2,
     gate_fidelity_sud,
@@ -45,6 +44,7 @@ from gatediscrim.gates import (
 )
 from gatediscrim import gates as gates_mod
 from gatediscrim import geometry, numkit
+from gatediscrim.numkit import _eig_unitary
 from helpers import (apply_copies, gram_defect, haar_unitary, loose_tolerance_pairs,
                      system_density, term_amplitude)
 
@@ -80,6 +80,15 @@ def test_gate_matrix_read_only_and_array():
     with pytest.raises(ValueError):
         g.matrix[0, 0] = 2.0
     assert np.asarray(g).shape == (2, 2)
+    # numpy's __array__ protocol: no copy unless asked or needed, and a copy
+    # that copy=False forbids raises ValueError instead of happening silently
+    assert np.asarray(g) is g.matrix and np.array(g, copy=False) is g.matrix
+    copied = np.array(g)
+    assert copied is not g.matrix and copied.flags.writeable
+    assert np.array_equal(copied, g.matrix)
+    assert np.asarray(g, dtype=np.complex64).dtype == np.complex64
+    with pytest.raises(ValueError):
+        np.array(g, copy=False, dtype=np.complex64)
 
 
 def test_gate_keeps_no_tolerance():
@@ -108,7 +117,7 @@ def test_gate_identity_and_tensor_power():
 
 def test_qubit_pair_and_its_embedding_agree():
     # Cross-path: a qubit pair takes the closed form, its d = 4 embedding
-    # U (x) 1_2 eig_unitary and the covering arc, with every relative phase
+    # U (x) 1_2 _eig_unitary and the covering arc, with every relative phase
     # doubled.  On 3000 Haar pairs the distances differed by at most 6.7e-16
     # (3 ulp of 1) and min_copies never; the bound leaves 1.5x of that.
     rng = np.random.default_rng(47)
@@ -228,9 +237,9 @@ def test_products_of_accepted_gates_are_not_revalidated():
 
 
 def test_pair_spectra_are_taken_at_the_gates_tolerance():
-    # s = 1 + 1e-9 passes Gate(tol=1e-6) but not the default 1e-10, and U1^dag U2
-    # is off unitary by ~2e-9: the pair's eigendecomposition runs at a tolerance
-    # the pair can meet, and its powers are not checked again
+    # s = 1 + 1e-9 passes Gate(tol=1e-6) but not the default 1e-10; the gates
+    # store their polar factors, so U1^dag U2 is unitary to rounding, and
+    # neither its eigendecomposition nor its powers are checked again
     s = 1.0 + 1e-9
     u1 = Gate(s * np.eye(3), tol=1e-6)
     u2 = Gate(s * np.diag(np.exp(1j * np.array([0.3, 0.1, -0.4]))), tol=1e-6)
@@ -257,9 +266,10 @@ def test_pair_spectra_are_taken_at_the_gates_tolerance():
 def test_a_qudit_pair_is_diagonalized_once(monkeypatch):
     # distance, fidelity, copies, separable probe and the oracle at n = 1 of one
     # SU(3) pair share one eigendecomposition of U1^dag U2; n = 2 reads only the
-    # eigenvalues of its power
-    calls, phase_calls = [], []
-    original, original_phases = numkit.eig_unitary, numkit._unitary_phases
+    # eigenvalues of its power; none of them checks unitarity again (Gate did)
+    calls, phase_calls, defects = [], [], []
+    original, original_phases = numkit._eig_unitary, numkit._unitary_phases
+    original_defect = numkit._gram_defect
 
     def counted(u):
         calls.append(u.shape)
@@ -269,13 +279,18 @@ def test_a_qudit_pair_is_diagonalized_once(monkeypatch):
         phase_calls.append(m.shape)
         return original_phases(m)
 
+    def counted_defect(m):
+        defects.append(m.shape)
+        return original_defect(m)
+
     rng = np.random.default_rng(33)
     u1, u2 = (Gate(haar_unitary(3, rng, special=True)) for _ in range(2))
     expected = (gate_distance(u1, u2), optimal_probe_separable(u1, u2).system,
                 oracle_min_overlap(u1, u2, 1))
     u1, u2 = Gate(u1.matrix), Gate(u2.matrix)  # new objects: the memo misses
-    monkeypatch.setattr(numkit, "eig_unitary", counted)
+    monkeypatch.setattr(numkit, "_eig_unitary", counted)
     monkeypatch.setattr(numkit, "_unitary_phases", counted_phases)
+    monkeypatch.setattr(numkit, "_gram_defect", counted_defect)
     got = (gate_distance(u1, u2), optimal_probe_separable(u1, u2).system,
            oracle_min_overlap(u1, u2, 1))
     gate_fidelity_sud(u1, u2)
@@ -286,6 +301,9 @@ def test_a_qudit_pair_is_diagonalized_once(monkeypatch):
     oracle_min_overlap(u1, u2, 2)
     assert calls == [(3, 3)]
     assert phase_calls == [(9, 9)]
+    assert defects == []
+    Gate(u1.matrix)  # the check itself: one Gram defect, no step
+    assert defects == [(3, 3)]
 
 
 def test_accepted_gate_coincides_with_itself_up_to_phase():
@@ -348,7 +366,7 @@ def test_distance_equals_arccos_trace_on_qubits():
 
 def eigenphase_distance(u1: Gate, u2: Gate) -> float:
     """Reference: the minimal arc covering the eigenphases of U1^dag U2."""
-    return minimal_covering_arc(eig_unitary(u1.matrix.conj().T @ u2.matrix).phases).delta
+    return minimal_covering_arc(_eig_unitary(u1.matrix.conj().T @ u2.matrix)[0]).delta
 
 
 def pair_at_distance(delta: float, rng) -> tuple[Gate, Gate]:
@@ -696,8 +714,8 @@ def test_separable_probe_reduced_weights_are_half():
     for entangled in (True, False):
         probe = optimal_probe_single(u1, u2, entangled=entangled)
         rho = system_density(probe)
-        eig = eig_unitary(u1.matrix.conj().T @ u2.matrix)
-        w = np.einsum("ik,ij,jk->k", eig.vectors.conj(), rho, eig.vectors).real
+        _, vectors = _eig_unitary(u1.matrix.conj().T @ u2.matrix)
+        w = np.einsum("ik,ij,jk->k", vectors.conj(), rho, vectors).real
         assert np.allclose(w, 0.5, atol=1e-10)
 
 
@@ -772,10 +790,10 @@ def test_large_gap_pair_folds_phases():
 
 
 def _eig_folded_basis(rel: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Reference: (delta, w+, w-) read from eig_unitary, whose phases sort as (-a, a)."""
-    eig = eig_unitary(rel)
-    a = float(eig.phases[1])
-    v_minus, v_plus = eig.vectors[:, 0], eig.vectors[:, 1]
+    """Reference: (delta, w+, w-) read from _eig_unitary, whose phases sort as (-a, a)."""
+    phases, vectors = _eig_unitary(rel)
+    a = float(phases[1])
+    v_minus, v_plus = vectors[:, 0], vectors[:, 1]
     if a <= math.pi / 2:
         return a, v_plus, v_minus
     return math.pi - a, v_minus, v_plus
@@ -798,7 +816,7 @@ def test_closed_form_basis_matches_eig_unitary():
             w_plus, w_minus = _su2_folded_eigenbasis(alpha2, beta2)
             ref_delta, ref_plus, ref_minus = _eig_folded_basis(r)
             assert abs(delta - ref_delta) <= 1e-12
-            # both carry the eig_unitary gauge, so the vectors compare entry by entry
+            # both carry the _eig_unitary gauge, so the vectors compare entry by entry
             assert np.abs(w_plus - ref_plus).max() <= 1e-12
             assert np.abs(w_minus - ref_minus).max() <= 1e-12
 
@@ -1038,11 +1056,11 @@ def test_ncopies_probe_expands_to_its_product_terms():
 def _spectral_weight_overlap(u1: Gate, u2: Gate, probe: ProbeState) -> float:
     """|sum_i w_i exp(i phi_i)|^2, with phi_i the eigenphases of (U1^dag U2)^(x)n
     and w_i the weights of the probe's reduced state on their eigenvectors."""
-    eig = eig_unitary(u1.matrix.conj().T @ u2.matrix)
-    vecs, phases = eig.vectors, eig.phases
+    base_phases, base_vecs = _eig_unitary(u1.matrix.conj().T @ u2.matrix)
+    vecs, phases = base_vecs, base_phases
     for _ in range(probe.copies - 1):
-        vecs = np.kron(vecs, eig.vectors)
-        phases = (phases[:, None] + eig.phases[None, :]).reshape(-1)
+        vecs = np.kron(vecs, base_vecs)
+        phases = (phases[:, None] + base_phases[None, :]).reshape(-1)
     rho = system_density(probe)
     weights = np.clip(np.einsum("ik,ij,jk->k", vecs.conj(), rho, vecs).real, 0.0, None)
     return abs((weights * np.exp(1j * phases)).sum()) ** 2
@@ -1262,11 +1280,11 @@ def test_oracle_certified_interval_haar_and_sud():
     for n in (1, 2, 3, 4):  # n >= 2: the repeated phases of tensor powers
         for _ in range(25):
             u1, u2 = su2_pair(rng)
-            _assert_certified(eig_unitary(tensor_power(u1.matrix.conj().T @ u2.matrix, n)).phases)
+            _assert_certified(_eig_unitary(tensor_power(u1.matrix.conj().T @ u2.matrix, n))[0])
     for d in (3, 8, 32):
         for _ in range(4):
             u1, u2 = Gate(haar_unitary(d, rng)), Gate(haar_unitary(d, rng))
-            _assert_certified(eig_unitary(u1.matrix.conj().T @ u2.matrix).phases)
+            _assert_certified(_eig_unitary(u1.matrix.conj().T @ u2.matrix)[0])
 
 
 def test_oracle_certified_interval_boundaries():
@@ -1277,12 +1295,12 @@ def test_oracle_certified_interval_boundaries():
         rel = (w * np.exp(1j * np.array([delta, -delta]))) @ w.conj().T
         for n in (1, 2, 3):
             closed = 0.0 if n * delta >= math.pi / 2 else math.cos(n * delta) ** 2
-            phases = eig_unitary(tensor_power(rel, n)).phases
+            phases = _eig_unitary(tensor_power(rel, n))[0]
             upper, _ = _assert_certified(phases, closed)
             u1, u2 = Gate.identity(2), Gate(rel)
             got = oracle_min_overlap(u1, u2, n)
             # the oracle's own eigensolver gives the upper bound it must meet exactly;
-            # the eig_unitary phases give one within rounding of it
+            # the _eig_unitary phases give one within rounding of it
             oracle_upper, _ = _assert_certified(
                 numkit._unitary_phases(tensor_power(rel, n)),
                 closed)
@@ -1294,7 +1312,7 @@ def test_oracle_certified_interval_boundaries():
     # repeated phases {a, a, -2a} and their tensor powers
     lam = np.exp(1j * np.array([0.7, 0.7, -1.4]))
     for n in (1, 2, 3):
-        _assert_certified(eig_unitary(tensor_power(np.diag(lam), n)).phases)
+        _assert_certified(_eig_unitary(tensor_power(np.diag(lam), n))[0])
 
 
 def test_oracle_agrees_with_wolfe_on_the_eig_unitary_phases():
@@ -1306,7 +1324,7 @@ def test_oracle_agrees_with_wolfe_on_the_eig_unitary_phases():
         for _ in range(3):
             u1, u2 = Gate(haar_unitary(d, rng)), Gate(haar_unitary(d, rng))
             big = tensor_power(u1.matrix.conj().T @ u2.matrix, n)
-            want, _, _ = _wolfe_min_norm(eig_unitary(big).phases)
+            want, _, _ = _wolfe_min_norm(_eig_unitary(big)[0])
             assert abs(oracle_min_overlap(u1, u2, n) - want) <= 1e-14
 
 
@@ -1342,7 +1360,7 @@ def test_random_probes_never_undercut_certified_lower_bound():
             u1 = Gate(haar_unitary(d, rng))
             u2 = u1 if k == 0 else Gate(haar_unitary(d, rng))
             big = tensor_power(u1.matrix.conj().T @ u2.matrix, n)
-            _, lower, _ = _wolfe_min_norm(eig_unitary(big).phases)
+            _, lower, _ = _wolfe_min_norm(_eig_unitary(big)[0])
             z = rng.standard_normal((32, 2, *big.shape))
             coeff = z[:, 0] + 1j * z[:, 1]
             coeff /= np.linalg.norm(coeff, axis=(1, 2), keepdims=True)
@@ -1369,6 +1387,20 @@ def test_oracle_refuses_powers_above_its_cap(monkeypatch):
     assert oracle_min_overlap(u1, u2, 2) <= 1e-16
     # a one-dimensional power never grows
     assert oracle_min_overlap(Gate.identity(1), Gate(-np.eye(1)), 12) == 1.0
+
+
+def test_one_dimensional_powers_are_capped_by_their_factor_count():
+    # 1^n never exceeds a dimension cap, but forming it still takes n - 1
+    # steps: past MAX_TENSOR_DIM factors it is refused before any is taken
+    u1, u2 = Gate.identity(1), Gate(1j * np.eye(1))
+    cap = numkit.MAX_TENSOR_DIM
+    assert oracle_min_overlap(u1, u2, cap) == 1.0
+    assert tensor_power(u2, cap).shape == (1, 1)
+    for n in (cap + 1, 10**6, 10**12):
+        with pytest.raises(SizeLimitError, match=rf"1\^{n} has {n} factors, above the cap {cap}"):
+            oracle_min_overlap(u1, u2, n)
+        with pytest.raises(SizeLimitError, match="above the cap 4096"):
+            tensor_power(u2, n)
 
 
 def test_oracle_deterministic():
@@ -1410,8 +1442,7 @@ def test_separable_probe_general_dimension():
         probe = optimal_probe_separable(u1, u2)
         got = probe_overlap(u1, u2, probe, 1)
         d = gate_distance(u1, u2)
-        eig = eig_unitary(u1.matrix.conj().T @ u2.matrix)
-        delta = minimal_covering_arc(eig.phases).delta
+        delta = minimal_covering_arc(_eig_unitary(u1.matrix.conj().T @ u2.matrix)[0]).delta
         # the two-extremal-eigenvector probe realizes cos^2(delta); when the
         # arc exceeds a half circle it still measures the chord of the
         # extremal pair, which is what the convex minimum would use

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import inspect
+import itertools
 
 import numpy as np
 import pytest
@@ -12,11 +13,11 @@ from gatediscrim import (
     DimensionError,
     SizeLimitError,
     ValidationError,
-    eig_unitary,
     numkit,
     tensor_power,
 )
 import gatediscrim as gd
+from gatediscrim.numkit import _eig_unitary
 from helpers import gram_defect, haar_unitary, partial_trace_b, rand_state, reconstruct
 
 
@@ -29,7 +30,7 @@ def test_tolerance_must_be_finite_and_nonnegative(tol):
     with pytest.raises(DimensionError, match="square"):
         gd.Gate(np.ones((2, 3)), tol=tol)
     assert np.array_equal(gd.Gate(np.eye(2), tol=0.0).matrix, np.eye(2))
-    assert np.array_equal(eig_unitary(np.eye(2)).phases, [0.0, 0.0])
+    assert np.array_equal(_eig_unitary(np.eye(2))[0], [0.0, 0.0])
 
 
 def test_empty_matrices_are_refused():
@@ -37,14 +38,9 @@ def test_empty_matrices_are_refused():
     # empty Gram defect) or, through tensor_power, in an empty power
     empty = np.zeros((0, 0))
     for call in (lambda: gd.Gate(empty), lambda: gd.Gate.identity(0),
-                 lambda: eig_unitary(empty), lambda: tensor_power(empty, 2)):
+                 lambda: tensor_power(empty, 2)):
         with pytest.raises(DimensionError, match="dimension >= 1"):
             call()
-
-
-def test_eig_unitary_rejects_non_unitary():
-    with pytest.raises(ValidationError):
-        eig_unitary(np.diag([1.0, 0.5]))
 
 
 def householder_to_e0(d: int) -> np.ndarray:
@@ -63,11 +59,11 @@ def test_eig_unitary_diagonalizes_the_polar_factor_of_a_non_normal_matrix(dim):
         a = np.sqrt(1.0 + 0.99 * dim * tol) - 1.0
         for _ in range(4):
             q = haar_unitary(dim, rng) @ householder_to_e0(dim)  # U's polar factor
-            eig = eig_unitary(gd.Gate(q @ (np.eye(dim) + a * np.ones((dim, dim)) / dim),
-                                      tol).matrix)
+            phases, vectors = _eig_unitary(
+                gd.Gate(q @ (np.eye(dim) + a * np.ones((dim, dim)) / dim), tol).matrix)
             # residuals on Q measured up to 4.5e-12, at d = 32
-            assert np.abs(q @ eig.vectors - eig.vectors * np.exp(1j * eig.phases)).max() <= 1e-11
-            assert np.abs(eig.phases - np.sort(np.angle(np.linalg.eigvals(q)))).max() <= 1e-14
+            assert np.abs(q @ vectors - vectors * np.exp(1j * phases)).max() <= 1e-11
+            assert np.abs(phases - np.sort(np.angle(np.linalg.eigvals(q)))).max() <= 1e-14
 
 
 def test_eig_unitary_separates_close_and_colliding_phases():
@@ -86,9 +82,9 @@ def test_eig_unitary_separates_close_and_colliding_phases():
         for _ in range(3):
             v = haar_unitary(4, rng)
             u = (v * np.exp(1j * np.array(phases))) @ v.conj().T
-            eig = eig_unitary(u)
-            assert np.abs(u @ eig.vectors - eig.vectors * np.exp(1j * eig.phases)).max() <= 1e-11
-            assert np.abs(eig.phases - np.sort(numkit._principal(phases))).max() <= 1e-14
+            got, vectors = _eig_unitary(u)
+            assert np.abs(u @ vectors - vectors * np.exp(1j * got)).max() <= 1e-11
+            assert np.abs(got - np.sort(numkit._principal(phases))).max() <= 1e-14
 
 
 def counted_gram_defects(monkeypatch) -> list:
@@ -151,10 +147,10 @@ def test_matrices_unitary_to_rounding_are_stored_byte_for_byte(monkeypatch):
 def test_eig_unitary_diagonal_case():
     phases = np.array([-2.0, 0.3, 1.1])
     u = np.diag(np.exp(1j * phases))
-    eig = eig_unitary(u)
-    assert np.allclose(np.sort(eig.phases), np.sort(phases), atol=1e-12)
+    got, vectors = _eig_unitary(u)
+    assert np.allclose(np.sort(got), np.sort(phases), atol=1e-12)
     # eigenvectors of a diagonal matrix are the basis vectors (up to order/phase)
-    assert np.allclose(np.abs(eig.vectors), np.eye(3)[:, np.argsort(phases)], atol=1e-12)
+    assert np.allclose(np.abs(vectors), np.eye(3)[:, np.argsort(phases)], atol=1e-12)
 
 
 def test_eig_unitary_reconstruction_random():
@@ -162,15 +158,15 @@ def test_eig_unitary_reconstruction_random():
     for dim in (2, 3, 4, 6):
         for _ in range(25):
             u = haar_unitary(dim, rng)
-            eig = eig_unitary(u)
+            phases, vectors = eig = _eig_unitary(u)
             assert np.abs(reconstruct(eig) - u).max() <= 1e-9
             # orthonormal eigenbasis
-            g = eig.vectors.conj().T @ eig.vectors
+            g = vectors.conj().T @ vectors
             assert np.abs(g - np.eye(dim)).max() <= 1e-9
             # phases sorted, principal branch
-            assert np.all(np.diff(eig.phases) >= 0)
-            assert np.all(eig.phases > -np.pi - 1e-12)
-            assert np.all(eig.phases <= np.pi + 1e-12)
+            assert np.all(np.diff(phases) >= 0)
+            assert np.all(phases > -np.pi - 1e-12)
+            assert np.all(phases <= np.pi + 1e-12)
 
 
 def test_eig_unitary_degenerate_spectra():
@@ -185,16 +181,15 @@ def test_eig_unitary_degenerate_spectra():
     v = haar_unitary(4, rng)
     cases.append((v * np.exp(1j * np.array([0.7, 0.7, 0.7, -1.2]))) @ v.conj().T)
     for u in cases:
-        eig = eig_unitary(u)
-        assert np.abs(reconstruct(eig) - u).max() <= 1e-9
+        assert np.abs(reconstruct(_eig_unitary(u)) - u).max() <= 1e-9
 
 
 def test_eig_unitary_output_is_read_only():
-    eig = eig_unitary(np.eye(2))
+    phases, vectors = _eig_unitary(np.eye(2))
     with pytest.raises(ValueError):
-        eig.phases[0] = 1.0
+        phases[0] = 1.0
     with pytest.raises(ValueError):
-        eig.vectors[0, 0] = 1.0
+        vectors[0, 0] = 1.0
 
 
 def test_eig_unitary_convergence_error_path(monkeypatch):
@@ -203,7 +198,7 @@ def test_eig_unitary_convergence_error_path(monkeypatch):
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda h: (eigh(h)[0], np.eye(h.shape[0], dtype=complex)))
     with pytest.raises(ConvergenceError, match="residual"):
-        eig_unitary(haar_unitary(3, np.random.default_rng(0)))
+        _eig_unitary(haar_unitary(3, np.random.default_rng(0)))
 
 
 def test_unitary_phases_match_eig_unitary_and_share_its_checks(monkeypatch):
@@ -211,7 +206,7 @@ def test_unitary_phases_match_eig_unitary_and_share_its_checks(monkeypatch):
     for dim in (1, 2, 3, 8, 32):
         u = haar_unitary(dim, rng)
         got = np.sort(numkit._unitary_phases(u))
-        assert np.abs(got - eig_unitary(u).phases).max() <= 1e-13
+        assert np.abs(got - _eig_unitary(u)[0]).max() <= 1e-13
 
     def no_convergence(m):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -228,18 +223,17 @@ def test_eig_unitary_mixing_weights_are_fixed_draws(monkeypatch):
     u = haar_unitary(3, np.random.default_rng(1))
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("eig_unitary built a generator")
+        raise AssertionError("_eig_unitary built a generator")
 
     monkeypatch.setattr(np.random, "default_rng", forbidden)
-    assert np.abs(reconstruct(eig_unitary(u)) - u).max() <= 1e-12
+    assert np.abs(reconstruct(_eig_unitary(u)) - u).max() <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 3, 4]))
 def test_eig_unitary_reconstruction_property(seed, dim):
     u = haar_unitary(dim, np.random.default_rng(seed))
-    eig = eig_unitary(u)
-    assert np.abs(reconstruct(eig) - u).max() <= 1e-9
+    assert np.abs(reconstruct(_eig_unitary(u)) - u).max() <= 1e-9
 
 
 def _phase_multiset_close(a, b, tol=1e-8):
@@ -267,12 +261,12 @@ def test_tensor_power_eigenphases_match_sums():
             if dim**n > 64:
                 continue
             u = haar_unitary(dim, rng)
-            base = eig_unitary(u).phases
+            base = _eig_unitary(u)[0]
             sums = base.copy()
             for _ in range(n - 1):
                 sums = np.add.outer(sums, base).reshape(-1)
             big = tensor_power(u, n)
-            got = eig_unitary(big).phases
+            got = _eig_unitary(big)[0]
             assert _phase_multiset_close(got, sums)
             # independent oracle: general eigensolver on the Kronecker power
             ref = np.angle(np.linalg.eigvals(big))
@@ -357,7 +351,6 @@ def test_fixed_settings_are_constants_not_parameters():
     # each of these reads a module constant at call time; only Gate takes a
     # tolerance (below)
     removed = {
-        gd.eig_unitary: "max_attempts",
         gd.tensor_power: "max_dim",
         gd.ProbeState.to_vector: "max_dim",
         gd.as_density: "tol",
@@ -377,11 +370,13 @@ def test_fixed_settings_are_constants_not_parameters():
         assert name not in gd.__all__ and not hasattr(gd, name), name
         assert not hasattr(module, name), (module.__name__, name)
     for cls, member in ((gd.ProbeState, "system_density"), (gd.EliminationTest, "target"),
-                        (gd.EliminationTest, "povm"), (gd.UnitaryEigen, "reconstruct")):
+                        (gd.EliminationTest, "povm")):
         assert not hasattr(cls, member), (cls.__name__, member)
     assert [f.name for f in dataclasses.fields(gd.EliminationTest)] == [
         "pair", "copies", "_frame", "_p_target"]
-    for module, name in ((gd, "validate_unitary"), (numkit, "validate_unitary")):
+    # the one unitarity check is Gate's; a pair's spectrum is private and unchecked
+    for module, name in itertools.product((gd, numkit), ("validate_unitary", "eig_unitary",
+                                                          "UnitaryEigen")):
         assert not hasattr(module, name), (module.__name__, name)
     assert not hasattr(gd.Gate, "tol") and not hasattr(gd.Gate(np.eye(2)), "_tol")
     # every exported function, class constructor and public method: a new
