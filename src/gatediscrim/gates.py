@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -263,8 +263,9 @@ def _pair(u1: Gate, u2: Gate) -> tuple[np.ndarray, tuple | None]:
     it both fidelities and `min_copies`), the probe builders,
     `probe_overlap`, `oracle_min_overlap` and `geometry.overlap_samples`
     read the pair here (for d != 2 `gate_distance`, `optimal_probe_separable`
-    and the oracle at n = 1 through `_pair_spectrum`), so the functions of
-    one pair form U1^dag U2 and its frame once.  The memo holds only the
+    and the oracle at n = 1 through `_pair_spectrum`, for d = 2 both probe
+    builders through `_pair_eigenbasis`), so the functions of one pair form
+    U1^dag U2 and its frame once.  The memo holds only the
     last pair, keyed on the two `Gate` objects by identity; a `Gate` cannot
     change after validation, and the memo keeps both alive, so a hit always
     returns what a miss would form.
@@ -292,6 +293,19 @@ def _pair_spectrum(u1: Gate, u2: Gate) -> tuple[np.ndarray, np.ndarray]:
     objects by identity; both arrays are read-only.
     """
     return numkit._eig_unitary(_pair(u1, u2)[0])
+
+
+@functools.lru_cache(maxsize=1)
+def _pair_eigenbasis(u1: Gate, u2: Gate) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
+    """(w+, w-) of a checked qubit pair's U1^dag U2 (`_su2_folded_eigenbasis` of its frame).
+
+    The qubit twin of `_pair_spectrum`: `optimal_probe_separable` and
+    `optimal_probe_ncopies` both read it, so the probes of one pair form
+    the eigenbasis once.  Like `_pair`, it holds only the last pair, keyed
+    on the two `Gate` objects by identity; the vectors are tuples of Python
+    scalars, so no caller can change them.
+    """
+    return _su2_folded_eigenbasis(*_pair(u1, u2)[1][1:])
 
 
 def gate_distance(u1: Gate, u2: Gate) -> float:
@@ -373,8 +387,11 @@ class ProbeState:
     probes only the entangled single-use one has an ancilla.  Every stored
     array is read-only.  `ProbeState(...)` stores read-only copies of its
     inputs, refuses non-finite entries and checks the full norm within
-    1e-10.  The probes the library builds itself (`_library_probe`) keep
-    the arrays they were built from, unchecked: their factors are unit and
+    1e-10.  No gate acts on the ancilla, so its (T, T) Gram matrix is the
+    same in every contraction: the constructor forms it once, read-only, in
+    the private `_ancilla_gram` (None without an ancilla).  The probes the
+    library builds itself (`_library_probe`) have no ancilla and keep the
+    arrays they were built from, unchecked: their factors are unit and
     orthogonal, and their branch weights sum to 1, by construction, so the
     norm is 1 at every N (the test suite checks the factors and the norm).
     """
@@ -383,6 +400,7 @@ class ProbeState:
     system: np.ndarray
     ancilla: np.ndarray | None = None
     counts: np.ndarray | None = None
+    _ancilla_gram: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         coeffs, system = _freeze(self.coeffs), _freeze(self.system)
@@ -403,6 +421,9 @@ class ProbeState:
         if not all(np.isfinite(a).all() for a in (coeffs, system, ancilla) if a is not None):
             raise ValidationError("probe state has non-finite entries")
         with np.errstate(over="ignore", invalid="ignore"):  # large entries overflow
+            if ancilla is not None:
+                gram = _freeze(_factor_gram(ancilla, ancilla, None))
+                object.__setattr__(self, "_ancilla_gram", gram)
             norm2 = _probe_amplitude(self, None).real
         if not abs(norm2 - 1.0) <= 1e-10:  # NaN and infinity fail too
             raise ValidationError(f"probe state norm^2 = {norm2!r}, not 1")
@@ -443,17 +464,14 @@ class ProbeState:
         return out
 
 
-def _library_probe(coeffs: np.ndarray, system: np.ndarray,
-                   counts: np.ndarray | None = None) -> ProbeState:
+def _library_probe(coeffs: np.ndarray, system: np.ndarray, counts: np.ndarray) -> ProbeState:
     """A separable `ProbeState` of arrays the library has just made and never touches again.
 
     The arrays are made read-only in place and set without `__post_init__`:
     no copy, no shape check and no norm contraction.  Callers pass `coeffs`
-    as complex128 and `counts` as int64 (all ones when None), the dtypes the
-    public constructor stores, and factors of unit norm.
+    as complex128 and `counts` as int64, the dtypes the public constructor
+    stores, and factors of unit norm.
     """
-    if counts is None:
-        counts = np.ones(system.shape[1], np.int64)
     for value in (coeffs, system, counts):
         value.setflags(write=False)
     probe = object.__new__(ProbeState)
@@ -461,31 +479,38 @@ def _library_probe(coeffs: np.ndarray, system: np.ndarray,
     return probe
 
 
-def _factor_gram(x: np.ndarray, y: np.ndarray, counts=1) -> np.ndarray:
+def _factor_gram(x: np.ndarray, y: np.ndarray, counts: np.ndarray | None) -> np.ndarray:
     """(Tx, Ty) matrix of prod_j <x[s, j]|y[t, j]>**counts[j] for factor stacks (T, K, d).
 
-    Inner products are summed over d explicitly and count-1 columns enter
-    unchanged, so single-use overlaps keep their bits; a column covering n
-    copies enters as the n-th power of its inner product, so no array grows with n.
+    Inner products are summed over d explicitly.  A column covering n copies
+    enters as the n-th power of its inner product, so no array grows with
+    n.  When no count exceeds 1 (counts None: every column is one copy) the
+    power is skipped, and a single column is taken as it is, without a
+    product over columns: both would return their input unchanged, so
+    single-use overlaps keep their bits either way.
     """
     xc = x.conj()
     g = xc[:, None, :, 0] * y[None, :, :, 0]
     for i in range(1, x.shape[2]):
         g += xc[:, None, :, i] * y[None, :, :, i]
-    return (g**counts).prod(axis=2)
+    if counts is not None and max(counts.tolist()) > 1:
+        g = g**counts
+    return g[:, :, 0] if g.shape[2] == 1 else g.prod(axis=2)
 
 
 def _probe_amplitude(probe: ProbeState, op: np.ndarray | None) -> complex:
     """<p| op^(x)copies (x) 1 |p> for a probe p (op None: identity).
 
-    The Gram matrices of every factor column come from one batched
-    contraction, raised to the column counts and multiplied across columns;
-    the coefficients then close the sum over term pairs.
+    The Gram matrices of every system column come from one batched
+    contraction, raised to the column counts where a count exceeds 1 and
+    multiplied across columns (`_factor_gram`); the ancilla's Gram, which
+    no gate changes, is the one the constructor stored.  The coefficients
+    then close the sum over term pairs.
     """
     right = probe.system if op is None else probe.system @ op.T
     gram = _factor_gram(probe.system, right, probe.counts)
     if probe.ancilla is not None:
-        gram = gram * _factor_gram(probe.ancilla, probe.ancilla)
+        gram = gram * probe._ancilla_gram
     return complex(probe.coeffs.conj() @ gram @ probe.coeffs)
 
 
@@ -494,6 +519,17 @@ def probe_overlap(u1: Gate, u2: Gate, probe: ProbeState, n: int) -> float:
 
     This is the quantity whose vanishing makes the two gate hypotheses
     perfectly distinguishable with n parallel uses.
+
+    Error model: the amplitude <psi| (U1^dag U2)^(x)n (x) 1 |psi> carries a
+    relative error of at most c n u (u = 2**-53), since every copy's factor
+    enters with an error of a few u: the stored gates are unitary only to
+    rounding (`Gate`), and each column's inner product is rounded once
+    before its count-th power.  On 200 seeded N-copy pairs at delta = 1e-4
+    ... 1e-8 (N = 15 708 ... 1.6e8) c read 7.0 / 9.0 / 8.0 / 7.5 / 8.0, and
+    the tests assert c <= 10.  An overlap that is 0 in exact arithmetic
+    therefore reads up to (c n u)^2: about 2e-14 at N = 1.6e8, above 1e-16
+    once N passes about 1e7.  This is a float64 limit of the stored gates:
+    a 60-digit evaluation of the same stored gates reads about the same.
     """
     _check_pair(u1, u2)
     if not isinstance(probe, ProbeState):
@@ -539,6 +575,11 @@ def _su2_folded_eigenbasis(alpha2, beta2) -> tuple[tuple[complex, ...], tuple[co
     return (vecs[1], vecs[0]) if alpha2.real < 0.0 else (vecs[0], vecs[1])
 
 
+# The one term and the one copy of every single-use separable probe.
+_ONE_COEFF = _freeze([1.0])
+_ONE_COUNT = _freeze([1], np.int64)
+
+
 def optimal_probe_separable(u1: Gate, u2: Gate) -> ProbeState:
     """Equal superposition of the two extremal eigenvectors of U1^dag U2.
 
@@ -554,9 +595,8 @@ def optimal_probe_separable(u1: Gate, u2: Gate) -> ProbeState:
     _check_pair(u1, u2)
     if u1.dim < 2:
         raise DimensionError(f"a probe needs dimension >= 2, got {u1.dim}")
-    frame = _pair(u1, u2)[1]
-    if frame is not None:
-        v_a, v_b = np.array(_su2_folded_eigenbasis(*frame[1:]))
+    if u1.dim == 2:
+        v_a, v_b = np.array(_pair_eigenbasis(u1, u2))
     else:
         phases, vectors = _pair_spectrum(u1, u2)
         arc = minimal_covering_arc(phases)
@@ -567,7 +607,8 @@ def optimal_probe_separable(u1: Gate, u2: Gate) -> ProbeState:
         idx_b = int(np.argmin(diffs_b))
         v_a, v_b = vectors[:, idx_a], vectors[:, idx_b]
     psi = (v_a + v_b) / math.sqrt(2.0)
-    return _library_probe(np.ones(1, complex), psi[None, None, :])
+    return _library_probe(_ONE_COEFF, psi[None, None, :], _ONE_COUNT)
+
 
 
 # The maximally entangled qubit probe (|0>|0> + |1>|1>)/sqrt(2) does not
@@ -608,30 +649,32 @@ def optimal_probe_ncopies(u1: Gate, u2: Gate) -> ProbeState:
     with an ancilla, and every term is constant on the first ceil(N/2)
     copies and on the last floor(N/2): it is stored as at most two counted
     columns, each term picking w+ or w- per column, so its size does not
-    grow with N.  U1^dag U2 and its `_su2_frame` are read from `_pair`, and
-    `_ncopies_probe` builds the state from that frame and N
-    (`_library_probe`).
+    grow with N.  delta is read from `_pair` and (w+, w-) from
+    `_pair_eigenbasis`, and `_ncopies_probe` builds the state from them and
+    N (`_library_probe`).
     The tests check that the residual overlap stays within 1e-8, each branch
     weight within [0, 1/2], and the factors and the norm within rounding.
+    In float64 the residual overlap at N is not 0 but at most (c N u)^2,
+    u = 2**-53, from a relative amplitude error of at most c N u, c <= 10
+    (the error model of `probe_overlap`): about 2e-14 at delta = 1e-8.
     """
     _check_pair(u1, u2, dim=2)
-    delta, alpha2, beta2 = _pair(u1, u2)[1]
-    delta = float(delta)  # a numpy scalar would make every step below a numpy call
-    return _ncopies_probe(delta, alpha2, beta2, _copies_for_distance(delta))
+    delta = float(_pair(u1, u2)[1][0])  # a numpy scalar would make every step a numpy call
+    return _ncopies_probe(delta, _pair_eigenbasis(u1, u2), _copies_for_distance(delta))
 
 
-def _ncopies_probe(delta: float, alpha2, beta2, n: int) -> ProbeState:
-    """The probe of `optimal_probe_ncopies` for one pair's frame `_su2_frame(R)` and N.
+def _ncopies_probe(delta: float, eigenbasis: tuple, n: int) -> ProbeState:
+    """The probe of `optimal_probe_ncopies` for one pair's half-arc, eigenbasis and N.
 
-    Callers that hold the frame already (the tests of
-    `protocol.HypothesisSet`) pass it in, with delta a Python float and
-    n = `_copies_for_distance(delta)`, which they keep.  (w+, w-) come
-    from the closed form `_su2_folded_eigenbasis(alpha2, beta2)`.  Every step
-    runs on Python scalars, and `coeffs`, `system` and `counts` are each
-    formed by one `np.array` call.  w+ and w- are unit and orthogonal, and
-    the branch weights sum to 1, by construction.
+    `eigenbasis` is the pair (w+, w-) of `_su2_folded_eigenbasis`, delta a
+    Python float and n = `_copies_for_distance(delta)`:
+    `optimal_probe_ncopies` reads them from the pair memos, and
+    `protocol.EliminationTest` forms them from the frame it keeps.  Every
+    step runs on Python scalars, and `coeffs`, `system` and `counts` are
+    each formed by one `np.array` call.  w+ and w- are unit and orthogonal,
+    and the branch weights sum to 1, by construction.
     """
-    w_plus, w_minus = _su2_folded_eigenbasis(alpha2, beta2)
+    w_plus, w_minus = eigenbasis
     parity = n % 2
     c_par, c_n = math.cos(parity * delta), math.cos(n * delta)
     q = 0.0 if n == 1 else c_par / (2.0 * (c_par - c_n))

@@ -41,6 +41,7 @@ from .gates import (
     _ncopies_probe,
     _probe_amplitude,
     _relative_matrix,
+    _su2_folded_eigenbasis,
     _su2_frame,
 )
 from .numkit import _rng
@@ -124,8 +125,9 @@ class EliminationTest:
 
     `copies` is N = min_copies of the pair, and `_frame` the pair's qubit
     frame (delta, 2 alpha, 2 beta) from `gates._su2_frame`, as Python
-    scalars.  `probe` is built from them the first time it is read
-    (`optimal_probe_ncopies` of the pair, bit for bit) and kept, so a test
+    scalars.  `probe` is built from them the first time it is read, its
+    eigenbasis by `gates._su2_folded_eigenbasis` of the frame
+    (`optimal_probe_ncopies` of the pair, bit for bit), and kept, so a test
     whose rounds all hold the true gate builds none.  The measurement is
     the projective pair {P, 1 - P} with P onto the target, the probe's image
     under candidate `pair[0]` (`h.gates[pair[0]]`).  Landing on P rules out
@@ -148,7 +150,8 @@ class EliminationTest:
 
     @cached_property
     def probe(self) -> ProbeState:
-        return _ncopies_probe(*self._frame, self.copies)
+        delta, alpha2, beta2 = self._frame
+        return _ncopies_probe(delta, _su2_folded_eigenbasis(alpha2, beta2), self.copies)
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,7 +3,9 @@
 Every generator takes an explicit Generator so tests stay reproducible.  The
 dense references (reduced states, probe images, two-probe amplitudes, the
 spectral reconstruction) and the any-d average fidelity check the library's
-results; the library itself needs none of them.  The Kolmogorov-Smirnov
+results; the library itself needs none of them.  The reference probe
+contraction keeps the library's earlier arithmetic, which the current one
+must match bit for bit.  The Kolmogorov-Smirnov
 statistics and the Gauss-Legendre rule check the sampler with numpy alone.
 """
 import dataclasses
@@ -11,7 +13,7 @@ import itertools
 
 import numpy as np
 
-from gatediscrim import DimensionError, ValidationError
+from gatediscrim import DimensionError, Gate, ValidationError
 from gatediscrim.numkit import DEFAULT_TOL
 
 
@@ -28,6 +30,13 @@ def haar_unitary(dim: int, rng: np.random.Generator, special: bool = False) -> n
     if special:
         q = q * np.linalg.det(q) ** (-1.0 / dim)
     return q
+
+
+def rotated_pair(delta: float, rng: np.random.Generator):
+    """Gates {W, W V diag(e^{i delta}, e^{-i delta}) V^dag}, W and V Haar U(2):
+    a qubit pair at half-arc delta, N = min_copies about pi / (2 delta)."""
+    w, v = haar_unitary(2, rng), haar_unitary(2, rng)
+    return Gate(w), Gate(w @ (v * np.exp([1j * delta, -1j * delta])) @ v.conj().T)
 
 
 def loose_tolerance_pairs() -> list[tuple[np.ndarray, np.ndarray]]:
@@ -121,6 +130,27 @@ def term_amplitude(a, b, op: np.ndarray | None = None) -> complex:
                 amp *= np.vdot(x, y)
         total += amp
     return complex(total)
+
+
+def reference_factor_gram(x: np.ndarray, y: np.ndarray, counts=1) -> np.ndarray:
+    """(Tx, Ty) matrix of prod_j <x[s, j]|y[t, j]>**counts[j] for factor stacks (T, K, d),
+    as the library formed it before single-use columns skipped the power and
+    the product: every column raised to its count, then multiplied across."""
+    xc = x.conj()
+    g = xc[:, None, :, 0] * y[None, :, :, 0]
+    for i in range(1, x.shape[2]):
+        g += xc[:, None, :, i] * y[None, :, :, i]
+    return (g**counts).prod(axis=2)
+
+
+def reference_probe_amplitude(probe, op: np.ndarray | None) -> complex:
+    """<p| op^(x)copies (x) 1 |p> as the library contracted it before the ancilla
+    Gram was stored: every Gram formed on every call (op None: identity)."""
+    right = probe.system if op is None else probe.system @ op.T
+    gram = reference_factor_gram(probe.system, right, probe.counts)
+    if probe.ancilla is not None:
+        gram = gram * reference_factor_gram(probe.ancilla, probe.ancilla)
+    return complex(probe.coeffs.conj() @ gram @ probe.coeffs)
 
 
 def reconstruct(eig) -> np.ndarray:

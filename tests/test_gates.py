@@ -46,7 +46,7 @@ from gatediscrim import gates as gates_mod
 from gatediscrim import geometry, numkit
 from gatediscrim.numkit import _eig_unitary
 from helpers import (apply_copies, gram_defect, haar_unitary, loose_tolerance_pairs,
-                     system_density, term_amplitude)
+                     rotated_pair, system_density, term_amplitude)
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -1083,6 +1083,22 @@ def test_overlap_matches_spectral_weights():
     assert ncopies_checked >= 50
 
 
+def test_ncopy_overlap_stays_within_its_error_model():
+    # the N-copy amplitude carries a relative error of at most c N u: on the
+    # 200 seeded pairs {W, W V diag(e^{i delta}, e^{-i delta}) V^dag} of
+    # test_a_certain_round_keeps_the_truth_at_any_copy_count, c reads 7.0 /
+    # 9.0 / 8.0 / 7.5 / 8.0 at delta = 1e-4 ... 1e-8, and the overlap 1.9e-14
+    # at 1e-8, above criterion 3's 1e-16 on 158 of the pairs
+    u = 2.0**-53
+    for delta in (1e-4, 1e-5, 1e-6, 1e-7, 1e-8):
+        for seed in range(200):
+            u1, u2 = rotated_pair(delta, np.random.default_rng(seed))
+            probe = optimal_probe_ncopies(u1, u2)
+            n = probe.copies
+            assert abs(n - math.pi / (2 * delta)) <= 4
+            assert probe_overlap(u1, u2, probe, n) <= (10 * n * u) ** 2
+
+
 @pytest.mark.parametrize("delta", [1e-2, 1e-3])
 def test_ncopies_probe_large_n(delta):
     # N = 158 and N = 1571: far beyond any dense representation
@@ -1204,7 +1220,8 @@ def test_the_pair_memo_never_goes_stale():
         probe = optimal_probe_ncopies(x, y)
         delta, alpha2, beta2 = _su2_frame(fresh)
         delta = float(delta)
-        direct = gates_mod._ncopies_probe(delta, alpha2, beta2,
+        assert gates_mod._pair_eigenbasis(x, y) == _su2_folded_eigenbasis(alpha2, beta2)
+        direct = gates_mod._ncopies_probe(delta, _su2_folded_eigenbasis(alpha2, beta2),
                                           gates_mod._copies_for_distance(delta))
         for name in ("coeffs", "system", "counts"):
             assert _bits(getattr(probe, name)) == _bits(getattr(direct, name))
@@ -1216,11 +1233,13 @@ def test_the_pair_memo_is_read_only_and_holds_one_pair():
     for u1, u2 in itertools.permutations(gates, 2):
         if u1.dim == u2.dim:
             gate_distance(u1, u2)
+            optimal_probe_separable(u1, u2)
             rel, frame = _pair(u1, u2)
             assert not rel.flags.writeable and (frame is None) == (u1.dim != 2)
             with pytest.raises(ValueError):
                 rel[0, 0] = 0.0
             assert _pair.cache_info().currsize <= 1
+            assert gates_mod._pair_eigenbasis.cache_info().currsize <= 1
 
 
 def test_entangled_probe_is_one_shared_constant():
