@@ -347,7 +347,10 @@ def min_copies(u1: Gate, u2: Gate) -> int:
     (2m) -> m) do not round up spuriously.  The distance carries an absolute
     rounding error of a few u, which moves the ratio by about u ratio^2
     (measured up to 0.82 u m^2 for m >= 16); m copies then leave an overlap
-    cos^2(m distance) of at most (4 pi u m)^2.
+    cos^2(m distance) of at most (4 pi u m)^2.  Contracted in float64, the
+    overlap `optimal_probe_ncopies` leaves at N is at most (c N u)^2, c <=
+    10, from the error model of `probe_overlap`; an elimination round's
+    `p_target` carries the same amplitude error of at most c N u.
     """
     return _copies_for_distance(gate_distance(u1, u2))
 
@@ -650,8 +653,8 @@ def optimal_probe_ncopies(u1: Gate, u2: Gate) -> ProbeState:
     copies and on the last floor(N/2): it is stored as at most two counted
     columns, each term picking w+ or w- per column, so its size does not
     grow with N.  delta is read from `_pair` and (w+, w-) from
-    `_pair_eigenbasis`, and `_ncopies_probe` builds the state from them and
-    N (`_library_probe`).
+    `_pair_eigenbasis`; `_ncopies_terms` describes the state from them and
+    N, and `_ncopies_probe` builds it (`_library_probe`).
     The tests check that the residual overlap stays within 1e-8, each branch
     weight within [0, 1/2], and the factors and the norm within rounding.
     In float64 the residual overlap at N is not 0 but at most (c N u)^2,
@@ -660,38 +663,82 @@ def optimal_probe_ncopies(u1: Gate, u2: Gate) -> ProbeState:
     """
     _check_pair(u1, u2, dim=2)
     delta = float(_pair(u1, u2)[1][0])  # a numpy scalar would make every step a numpy call
-    return _ncopies_probe(delta, _pair_eigenbasis(u1, u2), _copies_for_distance(delta))
+    return _ncopies_probe(
+        _ncopies_terms(delta, _pair_eigenbasis(u1, u2), _copies_for_distance(delta)))
 
 
-def _ncopies_probe(delta: float, eigenbasis: tuple, n: int) -> ProbeState:
-    """The probe of `optimal_probe_ncopies` for one pair's half-arc, eigenbasis and N.
+def _ncopies_terms(delta: float, eigenbasis: tuple, n: int) -> tuple:
+    """The one term description of `optimal_probe_ncopies`' probe, on Python scalars.
 
     `eigenbasis` is the pair (w+, w-) of `_su2_folded_eigenbasis`, delta a
     Python float and n = `_copies_for_distance(delta)`:
     `optimal_probe_ncopies` reads them from the pair memos, and
-    `protocol.EliminationTest` forms them from the frame it keeps.  Every
-    step runs on Python scalars, and `coeffs`, `system` and `counts` are
-    each formed by one `np.array` call.  w+ and w- are unit and orthogonal,
-    and the branch weights sum to 1, by construction.
+    `protocol.EliminationTest` forms them from the frame it keeps.  Returns
+    (eigenbasis, terms, counts): counts = (ceil(N/2), floor(N/2)) are the
+    copies of the two columns, and each term is (coefficient, choices), its
+    coefficient the square root of its branch weight and its choices the
+    index into (w+, w-) that it picks on each column.  The q clamp and the
+    `_WEIGHT_DUST` rule are applied here, once, for both readers:
+    `_ncopies_probe` builds the arrays and `_ncopies_amplitude` contracts the
+    terms as they are.  w+ and w- are unit and orthogonal, and the branch
+    weights sum to 1, by construction.
     """
-    w_plus, w_minus = eigenbasis
     parity = n % 2
     c_par, c_n = math.cos(parity * delta), math.cos(n * delta)
     q = 0.0 if n == 1 else c_par / (2.0 * (c_par - c_n))
     q = min(max(q, 0.0), 0.5)  # at N delta = pi/2, rounding puts q a few ulps past 1/2
-    # (weight, factor per column): the columns are the first ceil(N/2) copies
-    # and the last floor(N/2), and each term picks w+ or w- per column
-    terms = [(q, (w_plus, w_plus)), (q, (w_minus, w_minus))] if q > 0.0 else []
+    terms = ()
+    if q > 0.0:
+        c = math.sqrt(q)
+        terms = ((c, (0, 0)), (c, (1, 1)))
     rem = 0.5 - q if parity == 1 else 1.0 - 2.0 * q
     if rem > _WEIGHT_DUST:
-        terms += ([(rem, (w_plus, w_minus)), (rem, (w_minus, w_plus))] if parity == 1
-                  else [(rem, (w_plus, w_minus))])
-    counts = [(n + 1) // 2, n // 2] if n > 1 else [1]
+        c = math.sqrt(rem)
+        terms += ((c, (0, 1)), (c, (1, 0))) if parity == 1 else ((c, (0, 1)),)
+    return eigenbasis, terms, ((n + 1) // 2, n // 2)
+
+
+def _ncopies_probe(terms: tuple) -> ProbeState:
+    """The `ProbeState` of an `_ncopies_terms` description (`_library_probe`).
+
+    The column of no copies at N = 1 is left out, and `coeffs`, `system`
+    and `counts` are each formed by one `np.array` call.
+    """
+    basis, terms, counts = terms
+    columns = 2 if counts[1] else 1
     return _library_probe(
-        np.array([math.sqrt(weight) for weight, _ in terms], complex),
-        np.array([columns[: len(counts)] for _, columns in terms], complex),
-        np.array(counts, np.int64),
+        np.array([coeff for coeff, _ in terms], complex),
+        np.array([[basis[a], basis[b]][:columns] for _, (a, b) in terms], complex),
+        np.array(counts[:columns], np.int64),
     )
+
+
+def _ncopies_amplitude(terms: tuple, rel: np.ndarray) -> complex:
+    """<p| R^(x)N |p> for the probe p of an `_ncopies_terms` description, R = `rel` (2x2).
+
+    The probe's N-copy contraction without its arrays: with M = W^dag R W,
+    W = (w+ w-), four inner products, a term pair (s, t) contributes
+    c_s c_t M[s0][t0]^ceil(N/2) M[s1][t1]^floor(N/2), and the at most 16
+    pairs are summed.  Everything after `rel.tolist()` runs on Python
+    scalars, so no BLAS kernel takes part and the bits do not depend on one.
+    Against `_probe_amplitude` of the same probe the amplitude carries the
+    error model of `probe_overlap`, a relative error of at most c N u.
+    """
+    ((p0, p1), (m0, m1)), terms, (n0, n1) = terms
+    (r00, r01), (r10, r11) = rel.tolist()
+    rp0, rp1 = r00 * p0 + r01 * p1, r10 * p0 + r11 * p1  # R w+
+    rm0, rm1 = r00 * m0 + r01 * m1, r10 * m0 + r11 * m1  # R w-
+    p0, p1, m0, m1 = p0.conjugate(), p1.conjugate(), m0.conjugate(), m1.conjugate()
+    pp, pm = p0 * rp0 + p1 * rp1, p0 * rm0 + p1 * rm1  # the rows of M
+    mp, mm = m0 * rp0 + m1 * rp1, m0 * rm0 + m1 * rm1
+    first = ((pp**n0, pm**n0), (mp**n0, mm**n0))
+    last = ((pp**n1, pm**n1), (mp**n1, mm**n1))
+    amp = 0j
+    for c_s, (s0, s1) in terms:
+        row0, row1 = first[s0], last[s1]
+        for c_t, (t0, t1) in terms:
+            amp += c_s * c_t * row0[t0] * row1[t1]
+    return amp
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,17 @@ global phase only, so any qubit unitaries qualify, whatever their determinants.
 A plan is a schedule of pairs; it builds nothing.  Each pair's test is made
 the first time a simulation runs it (or `TestPlan.tests` is read) and kept
 in its hypothesis set, so every test is made at most once per set.  A test
-holds its pair, its copy count and its pair's frame; its probe is built
-from that frame the first time it is read, and at most once.  The set forms
-every ordered relative gate U_i^dag U_j and its qubit frame once, on
-construction, and an in-set round reads U_i^dag U_true from the set.
+holds its pair, its copy count and its pair's frame.  Its probe's term
+description (`gates._ncopies_terms`) is formed from that frame the first
+time a round contracts it, and its `ProbeState` the first time `probe` is
+read, each at most once.  The set forms every ordered relative gate
+U_i^dag U_j and its qubit frame once, on construction, and an in-set round
+reads U_i^dag U_true from the set.
 A round whose pair holds the in-set true gate needs no probe: its outcome
 is certain by construction, so its target probability is read, 1 or 0, not
-computed.  Any other in-set round keeps its target probability in the test,
+computed.  Any other round contracts the test's term description on Python
+scalars (`gates._ncopies_amplitude`), and a simulation builds no
+`ProbeState`.  An in-set round keeps its target probability in the test,
 so repeated simulations on a set contract each (pair, truth) only once; an
 out-of-set true gate is contracted every round.
 
@@ -38,8 +42,9 @@ from .gates import (
     Gate,
     ProbeState,
     _copies_for_distance,
+    _ncopies_amplitude,
     _ncopies_probe,
-    _probe_amplitude,
+    _ncopies_terms,
     _relative_matrix,
     _su2_folded_eigenbasis,
     _su2_frame,
@@ -63,19 +68,21 @@ class HypothesisSet:
     `gates._relative_matrix` call, and kept privately and read-only (`_rels`,
     k x k x 2 x 2), as is its frame (delta, 2 alpha, 2 beta) from one stacked
     `gates._su2_frame` call (`_frames`, three k x k arrays).  Each pair's
-    probe is built from its frame, and in-set rounds read U_i^dag U_true
-    from `_rels`.  `distances` is the frame's half-arc table itself: it
-    is exactly symmetric, as `_su2_frame(R^dag)` reads (conj alpha, -beta)
-    and so the same half-arc as R, and its diagonal reads 0, as U^dag U
-    is formed exactly Hermitian, so beta = 0 and alpha is real.  The same
+    probe terms are described from its frame, and in-set rounds read
+    U_i^dag U_true from `_rels`.  `distances` is the frame's half-arc table
+    itself: it is exactly symmetric, as `_su2_frame(R^dag)` reads (conj
+    alpha, -beta) and so the same half-arc as R, and its diagonal reads 0,
+    as U^dag U is formed exactly Hermitian, so beta = 0 and alpha is real.
+    The same
     table ranks every pair (i, j), i < j, once: by distance, largest first,
     ties in row-major order.  Planning and re-planning take the first
     ranked pair whose two members survive, which is the survivors' most
     distant pair.  The set also keeps each pair's `EliminationTest` once it
     is first made, so plans and simulations on the set make every test, and
-    build its probe, at most once (at most k(k-1)/2 of them), and each test
-    keeps at most k - 2 round probabilities, one per in-set true gate
-    outside its pair.  A new set starts with none.
+    describe its probe terms, at most once (at most k(k-1)/2 of them);
+    simulations build no `ProbeState`.  Each test keeps at most k - 2 round
+    probabilities, one per in-set true gate outside its pair.  A new set
+    starts with none.
     """
 
     gates: tuple[Gate, ...]
@@ -125,20 +132,24 @@ class EliminationTest:
 
     `copies` is N = min_copies of the pair, and `_frame` the pair's qubit
     frame (delta, 2 alpha, 2 beta) from `gates._su2_frame`, as Python
-    scalars.  `probe` is built from them the first time it is read, its
-    eigenbasis by `gates._su2_folded_eigenbasis` of the frame
-    (`optimal_probe_ncopies` of the pair, bit for bit), and kept, so a test
-    whose rounds all hold the true gate builds none.  The measurement is
-    the projective pair {P, 1 - P} with P onto the target, the probe's image
-    under candidate `pair[0]` (`h.gates[pair[0]]`).  Landing on P rules out
-    `pair[1]` (the images are orthogonal), the complement rules out
-    `pair[0]`.  The probability of landing on P when candidate t is the true
-    gate, |<probe|(U_pair[0]^dag U_t)^(x)N|probe>|^2, depends only on the test
+    scalars.  `_terms`, the probe's term description (`gates._ncopies_terms`,
+    its eigenbasis by `gates._su2_folded_eigenbasis` of the frame), is formed
+    from them the first time it is read and kept, so a test whose rounds all
+    hold the true gate forms none, and a warm round only contracts it.
+    `probe` is built from `_terms` the first time it is read
+    (`optimal_probe_ncopies` of the pair, bit for bit) and kept; simulations
+    never read it.  The measurement is the projective pair {P, 1 - P} with
+    P onto the target, the probe's image under candidate `pair[0]`
+    (`h.gates[pair[0]]`).  Landing on P rules out `pair[1]` (the images are
+    orthogonal), the complement rules out `pair[0]`.  The probability of
+    landing on P when candidate t is the true gate,
+    |<probe|(U_pair[0]^dag U_t)^(x)N|probe>|^2, depends only on the test
     and t: it is 1 for t = pair[0] and 0 for t = pair[1], by construction,
-    and `simulate_elimination` reads those; for any other in-set t it keeps
-    the contracted value privately, keyed by t, the first time it runs the
-    test against t (at most k - 2 entries).  Dense work on the probe goes
-    through `ProbeState.to_vector`.
+    and `simulate_elimination` reads those; for any other t it contracts
+    `_terms` with U_pair[0]^dag U_t (`gates._ncopies_amplitude`), and for an
+    in-set t it keeps the value privately, keyed by t, the first time it
+    runs the test against t (at most k - 2 entries).  Dense work on the
+    probe goes through `ProbeState.to_vector`.
     """
 
     pair: tuple[int, int]
@@ -149,9 +160,13 @@ class EliminationTest:
     )
 
     @cached_property
-    def probe(self) -> ProbeState:
+    def _terms(self) -> tuple:
         delta, alpha2, beta2 = self._frame
-        return _ncopies_probe(delta, _su2_folded_eigenbasis(alpha2, beta2), self.copies)
+        return _ncopies_terms(delta, _su2_folded_eigenbasis(alpha2, beta2), self.copies)
+
+    @cached_property
+    def probe(self) -> ProbeState:
+        return _ncopies_probe(self._terms)
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,7 +208,10 @@ class TestRecord:
     it is `pair[1]`, values read, not contracted.  For an in-set true gate
     outside the pair it is the contracted probability.  For an out-of-set
     true gate, where neither outcome is guaranteed, it is the round's real
-    risk of discarding `pair[1]`.
+    risk of discarding `pair[1]`.  A contracted value is min(1, |a|^2) for
+    the round's N-copy amplitude a, which carries the error model of
+    `gates.probe_overlap`: a relative error of at most c N u (u = 2**-53, c
+    <= 10), so it is within about 2 c N u of the exact probability.
     """
 
     pair: tuple[int, int]
@@ -287,12 +305,20 @@ def simulate_elimination(
     target probability: 1.0 when the truth is i (the target is its image),
     0.0 when it is j (the two images are orthogonal).  It builds no probe
     and contracts nothing, so a round against an in-set truth cannot
-    discard it.  Any other in-set round reads its target probability from
-    the test's memo, filled the first time the test runs against that
-    `true_index` from the set's U_i^dag U_true, so no relative gate is formed;
-    an out-of-set `true_gate` is contracted with the probe every round and
-    never stored, its relative matrices to all k candidates formed in one
-    call on the set's stacked `_mats`.
+    discard it.  Any other round contracts the test's term description
+    with U_i^dag U_true on Python scalars, p_target = min(1,
+    |gates._ncopies_amplitude(test._terms, U_i^dag U_true)|^2): no
+    `ProbeState` is built and no BLAS kernel takes part, so the bits do not
+    depend on one.  The amplitude carries the error model of
+    `gates.probe_overlap`, a relative error of at most c N u (u = 2**-53,
+    c <= 10), so a contracted p_target is within about 2 c N u of the exact
+    probability, while a round holding the in-set truth reads exactly 1 or
+    0.  An in-set round reads its target probability from the test's memo,
+    filled the first time the test runs against that `true_index` from the
+    set's U_i^dag U_true, so no relative gate is formed; an out-of-set
+    `true_gate` is contracted every round and never stored, its relative
+    matrices to all k candidates formed in one call on the set's stacked
+    `_mats`.
     The k-1 uniforms that decide the rounds are drawn in one call: round r
     lands on the target when u[r] < p_target, with
     u = numpy.random.default_rng(seed).random(k - 1).  Cold or warm, the
@@ -327,7 +353,7 @@ def simulate_elimination(
             p_target = 0.0
         elif (p_target := test._p_target.get(true_index)) is None:  # always for a stranger
             rel = h._rels[i, true_index] if in_set else rels[i]
-            p_target = min(1.0, abs(_probe_amplitude(test.probe, rel)) ** 2)
+            p_target = min(1.0, abs(_ncopies_amplitude(test._terms, rel)) ** 2)
             if in_set:
                 test._p_target[true_index] = p_target
         outcome_target = u < p_target

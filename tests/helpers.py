@@ -4,12 +4,13 @@ Every generator takes an explicit Generator so tests stay reproducible.  The
 dense references (reduced states, probe images, two-probe amplitudes, the
 spectral reconstruction) and the any-d average fidelity check the library's
 results; the library itself needs none of them.  The reference probe
-contraction keeps the library's earlier arithmetic, which the current one
-must match bit for bit.  The Kolmogorov-Smirnov
+contraction and N-copy probe arrays keep the library's earlier arithmetic,
+which the current code must match bit for bit.  The Kolmogorov-Smirnov
 statistics and the Gauss-Legendre rule check the sampler with numpy alone.
 """
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 
@@ -151,6 +152,26 @@ def reference_probe_amplitude(probe, op: np.ndarray | None) -> complex:
     if probe.ancilla is not None:
         gram = gram * reference_factor_gram(probe.ancilla, probe.ancilla)
     return complex(probe.coeffs.conj() @ gram @ probe.coeffs)
+
+
+def reference_ncopies_arrays(delta: float, eigenbasis, n: int):
+    """(coeffs, system, counts) of the N-copy probe as the library built them
+    before its terms had one description: weights, clamp, dust rule and
+    columns formed in one pass over Python scalars."""
+    w_plus, w_minus = eigenbasis
+    parity = n % 2
+    c_par, c_n = math.cos(parity * delta), math.cos(n * delta)
+    q = 0.0 if n == 1 else c_par / (2.0 * (c_par - c_n))
+    q = min(max(q, 0.0), 0.5)
+    terms = [(q, (w_plus, w_plus)), (q, (w_minus, w_minus))] if q > 0.0 else []
+    rem = 0.5 - q if parity == 1 else 1.0 - 2.0 * q
+    if rem > 1e-15:
+        terms += ([(rem, (w_plus, w_minus)), (rem, (w_minus, w_plus))] if parity == 1
+                  else [(rem, (w_plus, w_minus))])
+    counts = [(n + 1) // 2, n // 2] if n > 1 else [1]
+    return (np.array([math.sqrt(weight) for weight, _ in terms], complex),
+            np.array([columns[: len(counts)] for _, columns in terms], complex),
+            np.array(counts, np.int64))
 
 
 def reconstruct(eig) -> np.ndarray:

@@ -1221,8 +1221,8 @@ def test_the_pair_memo_never_goes_stale():
         delta, alpha2, beta2 = _su2_frame(fresh)
         delta = float(delta)
         assert gates_mod._pair_eigenbasis(x, y) == _su2_folded_eigenbasis(alpha2, beta2)
-        direct = gates_mod._ncopies_probe(delta, _su2_folded_eigenbasis(alpha2, beta2),
-                                          gates_mod._copies_for_distance(delta))
+        direct = gates_mod._ncopies_probe(gates_mod._ncopies_terms(
+            delta, _su2_folded_eigenbasis(alpha2, beta2), gates_mod._copies_for_distance(delta)))
         for name in ("coeffs", "system", "counts"):
             assert _bits(getattr(probe, name)) == _bits(getattr(direct, name))
 

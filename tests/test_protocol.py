@@ -570,13 +570,17 @@ def test_round_probability_is_one_contraction_of_the_probe():
     assert checked > 100
 
 
-def test_planning_builds_no_probe(monkeypatch):
+def _forbid_probe_builds(monkeypatch):
     def boom(*args):
-        raise AssertionError("a probe was built while planning")
+        raise AssertionError("a probe was built")
 
     # library probes are built by _library_probe, user-built ones by __post_init__
     monkeypatch.setattr(gatediscrim.gates, "_library_probe", boom)
     monkeypatch.setattr(gatediscrim.gates.ProbeState, "__post_init__", boom)
+
+
+def test_planning_builds_no_probe(monkeypatch):
+    _forbid_probe_builds(monkeypatch)
     rng = np.random.default_rng(13)
     # fresh sets: the module-level ones may hold tests built by other tests
     for gates in (PAULI_SET.gates, FOUR_PAULI_SET.gates,
@@ -635,13 +639,14 @@ def test_each_test_is_built_once_per_set(monkeypatch):
 
 def test_in_set_round_probability_is_computed_once_per_pair_and_truth(monkeypatch):
     calls = []
-    original = gatediscrim.protocol._probe_amplitude
+    original = gatediscrim.protocol._ncopies_amplitude
 
-    def recorded(probe, op):
-        calls.append(probe)
-        return original(probe, op)
+    def recorded(terms, rel):
+        calls.append(terms)
+        return original(terms, rel)
 
-    monkeypatch.setattr(gatediscrim.protocol, "_probe_amplitude", recorded)
+    monkeypatch.setattr(gatediscrim.protocol, "_ncopies_amplitude", recorded)
+    _forbid_probe_builds(monkeypatch)
     rng = np.random.default_rng(21)
     for k in (3, 8):
         h = random_set(k, rng)
@@ -653,9 +658,9 @@ def test_in_set_round_probability_is_computed_once_per_pair_and_truth(monkeypatc
                 calls.clear()
                 sim = simulate_elimination(plan, h, true_index=t, seed=seed)
                 assert len(calls) <= len(sim.trace)
-                for probe in calls:
+                for terms in calls:
                     pair = next(p for p, test in h._tests.items()
-                                if test.__dict__.get("probe") is probe)
+                                if test.__dict__.get("_terms") is terms)
                     contracted[pair, t] = contracted.get((pair, t), 0) + 1
                 for record in sim.trace:
                     if t in record.pair:  # certain: read exactly, never contracted
@@ -674,9 +679,10 @@ def test_in_set_round_probability_is_computed_once_per_pair_and_truth(monkeypatc
             calls.clear()
             sim = simulate_elimination(plan, h, true_gate=stranger, seed=seed)
             assert len(calls) == len(sim.trace) == k - 1
-            assert all(c is h._tests[r.pair].probe for c, r in zip(calls, sim.trace))
+            assert all(c is h._tests[r.pair]._terms for c, r in zip(calls, sim.trace))
             assert {(pair, t): p for pair, test in h._tests.items()
                     for t, p in test._p_target.items()} == stored
+        assert all("probe" not in test.__dict__ for test in h._tests.values())
 
 
 def test_a_certain_round_keeps_the_truth_at_any_copy_count():
@@ -725,27 +731,38 @@ def test_the_contraction_a_certain_round_skips_stays_within_rounding():
     assert checked > 200
 
 
-def test_an_in_set_run_builds_one_probe_per_round_without_the_truth(monkeypatch):
-    built = []
-    original = gatediscrim.protocol._ncopies_probe
+def test_an_in_set_run_describes_one_probe_per_round_without_the_truth(monkeypatch):
+    described = []
+    original = gatediscrim.protocol._ncopies_terms
 
     def recorded(*args):
-        built.append(args)
+        described.append(args)
         return original(*args)
 
-    monkeypatch.setattr(gatediscrim.protocol, "_ncopies_probe", recorded)
+    monkeypatch.setattr(gatediscrim.protocol, "_ncopies_terms", recorded)
+    _forbid_probe_builds(monkeypatch)
     rng = np.random.default_rng(32)
     for k in (2, 3, 5, 8, 16):
         gates = random_set(k, rng).gates
         for t in range(k):
             h = HypothesisSet(gates=gates)  # fresh: no test made yet
-            built.clear()
+            described.clear()
             sim = simulate_elimination(plan_elimination(h), h, true_index=t, seed=t)
             uncertain = [r.pair for r in sim.trace if t not in r.pair]
-            assert len(built) == len(uncertain)
+            assert len(described) == len(uncertain)
             assert {pair for pair, test in h._tests.items()
-                    if "probe" in test.__dict__} == set(uncertain)
+                    if "_terms" in test.__dict__} == set(uncertain)
             assert {pair for pair, test in h._tests.items() if test._p_target} == set(uncertain)
+        # a warm set describes each test at most once, whatever runs on it
+        h = HypothesisSet(gates=gates)
+        plan = plan_elimination(h)
+        strangers = [{"true_gate": Gate(haar_unitary(2, rng))} for _ in range(2)]
+        described.clear()
+        for kwargs in [{"true_index": t} for t in range(k)] + strangers:
+            for seed in range(3):
+                simulate_elimination(plan, h, seed=seed, **kwargs)
+        assert len(described) == sum("_terms" in test.__dict__ for test in h._tests.values())
+        assert all("probe" not in test.__dict__ for test in h._tests.values())
 
 
 def test_a_warm_set_gives_the_results_of_a_cold_one():
